@@ -5,15 +5,16 @@ set.  ``r_inv`` is the usual diamond preimage, ``r_inv_dual`` its box dual,
 and ``s_inv`` the binary operator matching the ``|>`` forcing clause:
 ``s_inv(X, Y)`` holds the worlds ``w`` such that every R-successor of ``w``
 inside ``X`` has an S_w-successor inside ``Y``.  A formula is forced
-exactly on the evaluation of its translation — the two routes are kept
-independent so each can check the other.
+exactly on the evaluation of its translation.  Forcing (``semantics``)
+evaluates through the same mask kernels defined here; the independent
+reference for both routes is the naive evaluator in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Atom, Bottom, Box, Formula, Implies, Rhd
+from .formula import Atom, Bottom, Box, Formula, Implies, Rhd, atoms
 from .frames import Frame, Model, WorldSet
 
 
@@ -184,19 +185,9 @@ def agreement(m: Model, f: Formula) -> bool:
     from .semantics import extension
 
     env = {name: ws for name, ws in m.ev.items()}
-    for name in (a for a in _var_names(translate(f))):
+    for name in atoms(f):
         env.setdefault(name, WorldSet.empty(m.frame.n))
     return eval_term(m.frame, env, translate(f)) == extension(m, f)
-
-
-def _var_names(t):
-    if isinstance(t, Var):
-        yield t.name
-    elif isinstance(t, (Complement, BoxOp, DiaOp)):
-        yield from _var_names(t.arg)
-    elif isinstance(t, (Union, Intersection, SOp)):
-        yield from _var_names(t.lhs)
-        yield from _var_names(t.rhs)
 
 
 def term_to_str(t: SetTerm) -> str:

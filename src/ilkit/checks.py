@@ -8,11 +8,11 @@ search), the pencil non-definability demo, and the classical baseline.
 ``run_all`` drives them in order; the CLI ``corpus`` subcommand prints
 one line per check.
 
-The sweeps call the public library functions wherever speed permits; the
-two hot sweeps (axiom soundness, family lemmas) precompute verdict
-tables and then cross-check the tables against the public functions on
-stride samples, so a divergence between table and implementation still
-fails the scoreboard.
+The sweeps call the public library functions wherever speed permits.
+The family-lemma sweep reads the frame's ``FrameOps`` and a raw-family
+verdict table of its own, and cross-checks that table against
+``assuring_family`` on a stride sample, so a divergence between table and
+implementation still fails the scoreboard.
 """
 
 from __future__ import annotations
@@ -22,16 +22,16 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import (agreement, eval_term, r_inv_dual_mask, r_inv_mask,
-                      s_inv_mask, translate)
+from .algebra import (agreement, eval_term, r_inv_dual_mask, s_inv_mask,
+                      translate)
 from .calculus import SCHEMAS, check_proof, derived_theorems, instantiate
 from .corpus import corpus_models
 from .extension import (ResourceLimitError, build_ue, build_ue_model,
                         check_label_saturation, check_saturation,
                         check_truth_theorem, classical_ue,
                         find_assured_successor, witness_from_negated)
-from .filters import (Filter, Ultrafilter, all_proper_filters,
-                      all_ultrafilters, assuring, assuring_family, b_set)
+from .filters import (FrameOps, Ultrafilter, all_proper_filters,
+                      all_ultrafilters, assuring_family, b_set)
 from .formula import Atom, enumerate_formulas, parse
 from .frames import Frame, Model, WorldSet, all_frames, chain, validate
 from .semantics import extension, frame_valid
@@ -109,25 +109,22 @@ def axiom_soundness(max_n=3) -> CheckResult:
 
     A schema instance's extension only depends on the extensions of the
     formulas plugged in, and an atom alone already takes every possible
-    extension as the valuation varies; so sweeping all mask tuples for
-    the metavariables covers every instance over any pool.  A stride of
-    literal depth-1 instances additionally goes through ``frame_valid``.
+    extension as the valuation varies; so ``frame_valid`` on the schema
+    itself, sweeping all mask tuples for the metavariables, covers every
+    instance over any pool.  A stride of literal depth-1 instances
+    additionally goes through ``frame_valid``.
     """
 
     def body():
         mask_cases = 0
         for fr in _frames_up_to(max_n):
-            full = fr.full_mask
-            nmasks = 1 << fr.n
             for name, arity in _SCHEMA_ARITY.items():
-                for masks in product(range(nmasks), repeat=arity):
-                    ev = {var: WorldSet(fr.n, m)
-                          for var, m in zip(_META, masks)}
-                    got = extension(Model(fr, ev), SCHEMAS[name])
-                    mask_cases += 1
-                    if got.mask != full:
-                        return False, (f"{name} fails on n={fr.n} frame "
-                                       f"{fr.r_succ} at masks {masks}")
+                verdict = frame_valid(fr, SCHEMAS[name])
+                mask_cases += 1 << arity * fr.n
+                if not verdict.valid:
+                    masks = tuple(verdict.ev[var].mask for var in _META[:arity])
+                    return False, (f"{name} fails on n={fr.n} frame "
+                                   f"{fr.r_succ} at masks {masks}")
         # literal instances over 2 atoms at depth <= 1, via frame_valid
         depth1 = _pool(depth=1, size=2)
         literal_cases = 0
@@ -226,24 +223,19 @@ def translation_agreement(max_n=3) -> CheckResult:
 # ------------------------------------------------------- labeling lemmas
 
 
-def _family_tables(fr):
-    """Per-frame verdict tables for the family-indexed assuring sweep.
+def _family_tables(ops):
+    """The raw-family verdict table for the family-indexed assuring sweep.
 
-    Returns (sinv, rdual, rinv, assur, famv, members) where ``assur`` maps
-    (f witness, label min mask, g witness) to the reduction's verdict and
-    ``famv[fam][fw]`` is the bitmask of g witnesses assured under the raw
-    family encoded by the bitmask ``fam`` (bit i = member set i+1).
+    Returns (famv, members) where ``famv[fam][fw]`` is the bitmask of g
+    witnesses assured under the raw family encoded by the bitmask ``fam``
+    (bit i = member set i+1).  Written apart from ``FrameOps.family_rows``
+    on purpose: the sweep holds ``assuring_family`` against this table.
     """
+    fr = ops.fr
     n, full = fr.n, fr.full_mask
     nmasks = 1 << n
-    sinv = [[s_inv_mask(fr, x, y) for y in range(nmasks)] for x in range(nmasks)]
-    rdual = [r_inv_dual_mask(fr, m) for m in range(nmasks)]
-    rinv = [r_inv_mask(fr, m) for m in range(nmasks)]
-    assur = {}
-    for f in all_ultrafilters(fr):
-        for l in all_proper_filters(n):
-            for g in all_ultrafilters(fr):
-                assur[f.witness, l.min_mask, g.witness] = assuring(fr, f, l, g)
+    sinv = [ops.sinv(y) for y in range(nmasks)]
+    rdual = ops.rdual
     members = list(range(1, nmasks))
     gate = [m & rdual[m] for m in range(nmasks)]
     famv = []
@@ -258,18 +250,32 @@ def _family_tables(fr):
             ok = full
             for amask in range(nmasks):
                 abar = full & ~amask
-                if any(sinv[abar][u] >> fw & 1 for u in unions):
+                if any(sinv[u][abar] >> fw & 1 for u in unions):
                     ok &= gate[amask]
             rows.append(ok)
         famv.append(rows)
-    return sinv, rdual, rinv, assur, famv, members
+    return famv, members
+
+
+def _lap(spans, row, t0):
+    now = time.perf_counter()
+    spans[row] = spans.get(row, 0.0) + now - t0
+    return now
 
 
 def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
-    """One result per labeling-lemma sweep, all exhaustive at small n."""
-    t0 = time.perf_counter()
+    """One result per labeling-lemma sweep, all exhaustive at small n.
+
+    Each frame runs six blocks of sweeps, several rows to a block.  A
+    block's measured time, summed over frames, goes on the first row it
+    checks; its other rows read 0.0.  Building a shared table counts
+    toward the first block that uses it: the raw-family table and its
+    ``s_inv`` columns toward ``family-table-probe``, and each lazily
+    filled ``FrameOps`` label row toward the block that first reads it.
+    """
     fails = {}
     counts = {}
+    spans = {}
 
     def hit(lemma, cond, witness):
         counts[lemma] = counts.get(lemma, 0) + 1
@@ -277,9 +283,11 @@ def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
             fails[lemma] = witness
 
     for fr in _frames_up_to(max_n):
+        t = time.perf_counter()
         n, full = fr.n, fr.full_mask
         nmasks = 1 << n
-        sinv, rdual, rinv, assur, famv, members = _family_tables(fr)
+        ops = FrameOps(fr)
+        famv, members = _family_tables(ops)
         where = f"n={n} {fr.r_succ}"
 
         # cross-check the family table against the public function
@@ -297,8 +305,11 @@ def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
                     hit("family-table-probe",
                         real == bool(famv[fam][fw] >> gw & 1),
                         f"{where} fam={fam} f=U{fw} g=U{gw}")
+        t = _lap(spans, "family-table-probe", t)
 
-        triples = [(fw, lm, gw) for (fw, lm, gw), v in assur.items() if v]
+        rinv, rdual, assured = ops.rinv, ops.rdual, ops.assured
+        triples = [(fw, lm, gw) for fw in range(n) for lm in range(1, nmasks)
+                   for gw in range(n) if assured(fw, lm) >> gw & 1]
         for fw, lm, gw in triples:
             for x in range(nmasks):
                 if x >> gw & 1:
@@ -311,13 +322,15 @@ def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
                     hit("assuring-pulls-back-label",
                         rinv[x] >> fw & 1,
                         f"{where} U{fw} up{lm:#x} U{gw} member={x:#x}")
+        t = _lap(spans, "assuring-pulls-back-membership", t)
         for fw, lm, gw in triples:
             for mm in range(1, nmasks):
                 for hw in range(n):
-                    if assur[gw, mm, hw]:
+                    if assured(gw, mm) >> hw & 1:
                         hit("assuring-transitive",
-                            assur[fw, lm, hw],
+                            assured(fw, lm) >> hw & 1,
                             f"{where} U{fw} up{lm:#x} U{gw} up{mm:#x} U{hw}")
+        t = _lap(spans, "assuring-transitive", t)
 
         for f in all_ultrafilters(fr):
             for l in all_proper_filters(n):
@@ -329,6 +342,7 @@ def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
                         hit("fired-sets-meet-closed", c & d in fired,
                             f"{where} U{f.witness} up{l.min_mask:#x} "
                             f"C={c:#x} D={d:#x}")
+        t = _lap(spans, "fired-sets-box-closed", t)
 
         cond = [[all(not (x >> hw & 1) or rinv[x] >> gw & 1
                      for x in range(nmasks)) for hw in range(n)]
@@ -381,8 +395,9 @@ def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
                     for gw in range(n):
                         if rows[fw] >> gw & 1:
                             hit("family-generates-filter-label",
-                                assur[fw, genmin, gw],
+                                assured(fw, genmin) >> gw & 1,
                                 f"{where} fam={fam:#x} U{fw} U{gw}")
+        t = _lap(spans, "family-shrink-monotone", t)
 
         for lm in range(1, nmasks):
             supfam = 0
@@ -392,8 +407,9 @@ def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
             for fw in range(n):
                 for gw in range(n):
                     hit("min-set-reduction-oracle",
-                        assur[fw, lm, gw] == bool(famv[supfam][fw] >> gw & 1),
+                        (assured(fw, lm) >> gw & 1) == (famv[supfam][fw] >> gw & 1),
                         f"{where} U{fw} up{lm:#x} U{gw}")
+        _lap(spans, "min-set-reduction-oracle", t)
 
     order = ["assuring-pulls-back-membership", "assuring-pushes-label-forward",
              "assuring-pulls-back-label", "assuring-transitive",
@@ -402,13 +418,12 @@ def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
              "family-superset-padding", "family-box-padding",
              "family-generates-filter-label", "family-table-probe",
              "min-set-reduction-oracle"]
-    elapsed = time.perf_counter() - t0
     out = []
     for name in order:
         ok = name not in fails
         detail = (f"{counts.get(name, 0)} instances"
                   if ok else f"first failure at {fails[name]}")
-        out.append(CheckResult(name, ok, detail, elapsed / len(order)))
+        out.append(CheckResult(name, ok, detail, spans.get(name, 0.0)))
     return out
 
 
@@ -498,19 +513,16 @@ def witness_search(max_n=3) -> CheckResult:
         for fr in _frames_up_to(max_n):
             n, full = fr.n, fr.full_mask
             nmasks = 1 << n
-            ufs = all_ultrafilters(fr)
+            ops = FrameOps(fr)
             labels = all_proper_filters(n)
-            assur = {(f.witness, l.min_mask, g.witness): assuring(fr, f, l, g)
-                     for f in ufs for l in labels for g in ufs}
-            for f in ufs:
+            for f in all_ultrafilters(fr):
                 for amask in range(nmasks):
                     for bmask in range(nmasks):
                         a, b = WorldSet(n, amask), WorldSet(n, bmask)
-                        sv = s_inv_mask(fr, amask, bmask)
+                        sv = ops.sinv(bmask)[amask]
                         if sv >> f.witness & 1:
                             for l in labels:
-                                if any(assur[f.witness, l.min_mask, g.witness]
-                                       and amask >> g.witness & 1 for g in ufs):
+                                if ops.assured(f.witness, l.min_mask) & amask:
                                     h = find_assured_successor(fr, f, l, a, b)
                                     if h is None:
                                         return False, (f"no assured successor "

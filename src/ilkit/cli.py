@@ -214,6 +214,8 @@ def _cmd_ue(args) -> int:
 
 
 def _cmd_pencil_demo(args) -> int:
+    if args.fan < 1:
+        raise UsageError(f"--fan must be at least 1, got {args.fan}")
     report = nondefinability_demo(m=args.fan, trials=args.trials,
                                   depth=args.depth, seed=args.seed)
     print(f"bad frame violation witness: {report.bad_witness}")
@@ -254,8 +256,8 @@ def _cmd_corpus(args) -> int:
     from .checks import run_all
     results = run_all(fan=args.fan, trials=args.trials, depth=args.depth)
     if args.json:
-        payload = [{"name": r.name, "ok": r.ok, "detail": r.detail}
-                   for r in results]
+        payload = [{"name": r.name, "ok": r.ok, "detail": r.detail,
+                    "seconds": r.seconds} for r in results]
         print(json.dumps(payload, sort_keys=True))
     else:
         width = max(len(r.name) for r in results)

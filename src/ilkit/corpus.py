@@ -2,9 +2,9 @@
 
 A small, fixed family of frame files ships with the package: the chains
 and fans that exercise every relation shape at desk scale, plus the
-pencil demo pair.  The same files live under ``corpus/`` in the source
-tree.  Point ``ILKIT_CORPUS`` at a directory of ``.vf`` files to swap in
-your own corpus for the scoreboard and the CLI defaults.
+pencil demo pair, under ``src/ilkit/data/`` in the source tree.  Point
+``ILKIT_CORPUS`` at a directory of ``.vf`` files to swap in your own
+corpus for the scoreboard and the CLI defaults.
 """
 
 from __future__ import annotations

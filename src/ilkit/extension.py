@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import r_inv_dual_mask, r_inv_mask, s_inv_mask
-from .filters import (Filter, Ultrafilter, all_proper_filters, all_ultrafilters,
-                      assuring)
+from .algebra import r_inv_mask, s_inv_mask
+from .filters import (Filter, FrameOps, Ultrafilter, all_proper_filters,
+                      all_ultrafilters)
 from .formula import TOP, conj, dia
 from .frames import Frame, Model, WorldSet, _closure, complete
 from .semantics import extension as forcing_extension
@@ -75,15 +75,7 @@ def build_ue(base: Frame, labels=None, max_worlds: int = 100_000) -> UEFrame:
     ufs = all_ultrafilters(base)
     worlds = [UEWorld(uf, ()) for uf in ufs]
     index = {w: i for i, w in enumerate(worlds)}
-    memo = {}
-
-    def assures(f, l, g):
-        key = (f.witness, l.min_mask, g.witness)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = assuring(base, f, l, g)
-        return got
-
+    ops = FrameOps(base)
     one_step = []
     frontier = list(worlds)
     while frontier:
@@ -91,9 +83,10 @@ def build_ue(base: Frame, labels=None, max_worlds: int = 100_000) -> UEFrame:
         for w in frontier:
             wi = index[w]
             for l in labels:
-                for g in ufs:
-                    if not assures(w.uf, l, g):
-                        continue
+                row = ops.assured(w.uf.witness, l.min_mask)
+                while row:
+                    g = ufs[(row & -row).bit_length() - 1]
+                    row &= row - 1
                     child = UEWorld(g, w.labels + (l,))
                     ci = index.get(child)
                     if ci is None:
@@ -231,42 +224,18 @@ def check_label_saturation(fr: Frame, member_limit: int = 8) -> UEVerdict:
     """If every finite subfamily of a proper filter label admits an assured
     successor, the whole filter does.  Checked literally: the hypothesis
     ranges over all subfamilies of the filter's member list."""
-    ufs = all_ultrafilters(fr)
-    full = fr.full_mask
-    sinv = {}
-
-    def sinv_at(x, y):
-        got = sinv.get((x, y))
-        if got is None:
-            got = sinv[(x, y)] = s_inv_mask(fr, x, y)
-        return got
-
-    rdual = [r_inv_dual_mask(fr, a) for a in range(1 << fr.n)]
-
-    def family_ok(f, member_masks, g):
-        unions = {0}
-        for m in member_masks:
-            c = full & ~m
-            unions |= {u | c for u in unions}
-        for amask in range(1 << fr.n):
-            abar = full & ~amask
-            if any(sinv_at(abar, u) >> f.witness & 1 for u in unions):
-                if not (amask >> g.witness & 1 and rdual[amask] >> g.witness & 1):
-                    return False
-        return True
-
+    ops = FrameOps(fr)
     for l in all_proper_filters(fr.n):
         members = [ws.mask for ws in l.members()]
         if len(members) > member_limit:
             raise ValueError(f"filter has {len(members)} members; "
                              f"limit is {member_limit}")
-        for f in ufs:
-            hypothesis = all(
-                any(family_ok(f, [members[t] for t in range(len(members))
-                                  if bits >> t & 1], g)
-                    for g in ufs)
-                for bits in range(1 << len(members)))
-            if hypothesis and not any(family_ok(f, [l.min_mask], h) for h in ufs):
+        subfamilies = [ops.family_rows([members[t] for t in range(len(members))
+                                        if bits >> t & 1])
+                       for bits in range(1 << len(members))]
+        for f in all_ultrafilters(fr):
+            hypothesis = all(rows[f.witness] for rows in subfamilies)
+            if hypothesis and not ops.assured(f.witness, l.min_mask):
                 return UEVerdict(False, (f, l))
     return UEVerdict(True)
 
@@ -283,13 +252,11 @@ def find_assured_successor(fr: Frame, f: Ultrafilter, l: Filter,
     """
     if not s_inv_mask(fr, a.mask, b.mask) >> f.witness & 1:
         raise ValueError("precondition: transfer set not in the source ultrafilter")
-    ufs = all_ultrafilters(fr)
-    if not any(assuring(fr, f, l, g) and g.contains(a) for g in ufs):
+    row = FrameOps(fr).assured(f.witness, l.min_mask)
+    if not row & a.mask:
         raise ValueError("precondition: no assured successor holds the source set")
-    for h in ufs:
-        if assuring(fr, f, l, h) and h.contains(b):
-            return h
-    return None
+    hits = row & b.mask
+    return Ultrafilter(fr.n, (hits & -hits).bit_length() - 1) if hits else None
 
 
 def witness_from_negated(fr: Frame, f: Ultrafilter, a: WorldSet, b: WorldSet):
@@ -304,12 +271,13 @@ def witness_from_negated(fr: Frame, f: Ultrafilter, a: WorldSet, b: WorldSet):
     if not (full & ~s_inv_mask(fr, a.mask, b.mask)) >> f.witness & 1:
         raise ValueError("precondition: complemented transfer set not in f")
     bbar = full & ~b.mask
+    ops = FrameOps(fr)
     for l in all_proper_filters(fr.n):
         if l.min_mask & ~bbar:
             continue
-        for g in all_ultrafilters(fr):
-            if g.contains(a) and assuring(fr, f, l, g):
-                return (g, l)
+        hits = ops.assured(f.witness, l.min_mask) & a.mask
+        if hits:
+            return (Ultrafilter(fr.n, (hits & -hits).bit_length() - 1), l)
     return None
 
 

@@ -13,14 +13,16 @@ set in ``f``, then both A and its box-preimage must lie in ``g``.  Because
 minimum B, quantifying over all finite choices of members collapses to the
 single choice {B}; ``assuring_family`` keeps the raw quantifier for
 arbitrary finite families, and the test suite holds a naive oracle against
-the reduction.
+the reduction.  ``FrameOps`` tabulates both, as one bitmask of successors
+per (f, label), together with the frame's preimage operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .algebra import r_inv_dual_mask, s_inv_mask
+from .algebra import r_inv_dual_mask, r_inv_mask, s_inv_mask
 from .frames import Frame, WorldSet
 
 
@@ -128,18 +130,81 @@ def f_box(fr: Frame, f: Ultrafilter) -> Filter:
     return Filter(fr.n, fr.r_succ[f.witness])
 
 
+class FrameOps:
+    """The tabulated operators of one frame, filled on first use.
+
+    ``rinv[m]`` and ``rdual[m]`` are the diamond and box preimages of every
+    mask ``m``; ``sinv(y)[x]`` is ``s_inv(x, y)``, one column per ``y``;
+    ``assured(fw, lm)`` is the bitmask of witnesses ``g`` that ultrafilter
+    ``fw`` assures under the label with minimum ``lm``.  A label's row costs
+    one ``s_inv`` column and covers every ``f`` and ``g`` at once.  Sweeps
+    build one per frame and pass it along; the public per-call functions
+    build a throwaway one.
+    """
+
+    def __init__(self, fr: Frame):
+        self.fr = fr
+        self._sinv = {}
+        self._assured = {}
+
+    @cached_property
+    def rinv(self) -> list[int]:
+        return [r_inv_mask(self.fr, m) for m in range(1 << self.fr.n)]
+
+    @cached_property
+    def rdual(self) -> list[int]:
+        return [r_inv_dual_mask(self.fr, m) for m in range(1 << self.fr.n)]
+
+    def sinv(self, y: int) -> list[int]:
+        col = self._sinv.get(y)
+        if col is None:
+            col = self._sinv[y] = [s_inv_mask(self.fr, x, y)
+                                   for x in range(1 << self.fr.n)]
+        return col
+
+    def assured(self, fw: int, lm: int) -> int:
+        rows = self._assured.get(lm)
+        if rows is None:
+            # s_inv is monotone in y, so the label's least member decides
+            rows = self._assured[lm] = self._rows((self.fr.full_mask & ~lm,))
+        return rows[fw]
+
+    def family_rows(self, member_masks) -> list[int]:
+        """Assured rows under a raw finite family: every finite choice of
+        members, the empty choice (empty union of complements) included."""
+        full = self.fr.full_mask
+        unions = {0}
+        for m in member_masks:
+            c = full & ~m
+            unions |= {u | c for u in unions}
+        return self._rows(unions)
+
+    def _rows(self, ybars) -> list[int]:
+        """Per witness f, the witnesses g such that every set A whose
+        hypothesis fires at f (A-complement successors move into some
+        ``ybar``) has A and its box-preimage holding g."""
+        n, full = self.fr.n, self.fr.full_mask
+        cols = [self.sinv(y) for y in ybars]
+        rdual = self.rdual
+        rows = [full] * n
+        for amask in range(1 << n):
+            abar = full & ~amask
+            fired = 0
+            for col in cols:
+                fired |= col[abar]
+            if fired:
+                gate = amask & rdual[amask]
+                for fw in range(n):
+                    if fired >> fw & 1:
+                        rows[fw] &= gate
+        return rows
+
+
 def assuring(fr: Frame, f: Ultrafilter, l: Filter, g: Ultrafilter) -> bool:
     """The label-indexed successor relation between ultrafilters."""
     if not l.is_proper:
         raise ValueError("label must be a proper filter")
-    full = fr.full_mask
-    ybar = full & ~l.min_mask
-    fw, gw = f.witness, g.witness
-    for amask in range(1 << fr.n):
-        if s_inv_mask(fr, full & ~amask, ybar) >> fw & 1:
-            if not (amask >> gw & 1 and r_inv_dual_mask(fr, amask) >> gw & 1):
-                return False
-    return True
+    return bool(FrameOps(fr).assured(f.witness, l.min_mask) >> g.witness & 1)
 
 
 def assuring_family(fr: Frame, f: Ultrafilter, sets, g: Ultrafilter) -> bool:
@@ -148,26 +213,14 @@ def assuring_family(fr: Frame, f: Ultrafilter, sets, g: Ultrafilter) -> bool:
     Quantifies over every finite choice from the family, including the
     empty choice (whose union of complements is the empty set).
     """
-    sets = list(sets)
-    full = fr.full_mask
-    comps = []
+    masks = []
     for ws in sets:
         if ws.n != fr.n:
             raise ValueError("family member has wrong size")
         if ws.mask == 0:
             raise ValueError("family members must be nonempty")
-        comps.append(full & ~ws.mask)
-    unions = {0}
-    for c in comps:
-        unions |= {u | c for u in unions}
-    unions = sorted(unions)
-    fw, gw = f.witness, g.witness
-    for amask in range(1 << fr.n):
-        abar = full & ~amask
-        if any(s_inv_mask(fr, abar, u) >> fw & 1 for u in unions):
-            if not (amask >> gw & 1 and r_inv_dual_mask(fr, amask) >> gw & 1):
-                return False
-    return True
+        masks.append(ws.mask)
+    return bool(FrameOps(fr).family_rows(masks)[f.witness] >> g.witness & 1)
 
 
 def b_set(fr: Frame, f: Ultrafilter, l: Filter) -> list[WorldSet]:
@@ -180,21 +233,18 @@ def b_set(fr: Frame, f: Ultrafilter, l: Filter) -> list[WorldSet]:
     if not l.is_proper:
         raise ValueError("label must be a proper filter")
     full = fr.full_mask
-    ybar = full & ~l.min_mask
-    out = []
-    for amask in range(1 << fr.n):
-        if s_inv_mask(fr, full & ~amask, ybar) >> f.witness & 1:
-            out.append(WorldSet(fr.n, amask))
-    return out
+    col = FrameOps(fr).sinv(full & ~l.min_mask)
+    return [WorldSet(fr.n, amask) for amask in range(1 << fr.n)
+            if col[full & ~amask] >> f.witness & 1]
 
 
 def all_assuring_triples(fr: Frame):
     """Every (f, l, g) with the relation, in witness/label order."""
-    out = []
+    ops = FrameOps(fr)
     ufs = all_ultrafilters(fr)
+    out = []
     for f in ufs:
         for l in all_proper_filters(fr.n):
-            for g in ufs:
-                if assuring(fr, f, l, g):
-                    out.append((f, l, g))
+            row = ops.assured(f.witness, l.min_mask)
+            out.extend((f, l, g) for g in ufs if row >> g.witness & 1)
     return out

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Atom, Bottom, Box, Formula, Implies, Rhd, enumerate_formulas
+from .algebra import r_inv_dual_mask, s_inv_mask
+from .formula import (Atom, Bottom, Box, Formula, Implies, Rhd, atoms,
+                      enumerate_formulas)
 from .frames import Frame, Model, WorldSet
 
 VALUATION_BITS_LIMIT = 20
@@ -29,27 +31,10 @@ def _extension_mask(m: Model, f: Formula, cache) -> int:
     elif isinstance(f, Implies):
         mask = (full & ~_extension_mask(m, f.lhs, cache)) | _extension_mask(m, f.rhs, cache)
     elif isinstance(f, Box):
-        body = _extension_mask(m, f.body, cache)
-        mask = 0
-        for w in range(fr.n):
-            if fr.r_succ[w] & ~body == 0:
-                mask |= 1 << w
+        mask = r_inv_dual_mask(fr, _extension_mask(m, f.body, cache))
     elif isinstance(f, Rhd):
-        amask = _extension_mask(m, f.lhs, cache)
-        bmask = _extension_mask(m, f.rhs, cache)
-        mask = 0
-        for w in range(fr.n):
-            hits = fr.r_succ[w] & amask
-            ok = True
-            u = 0
-            while hits:
-                if hits & 1 and fr.s_succ[w][u] & bmask == 0:
-                    ok = False
-                    break
-                hits >>= 1
-                u += 1
-            if ok:
-                mask |= 1 << w
+        mask = s_inv_mask(fr, _extension_mask(m, f.lhs, cache),
+                          _extension_mask(m, f.rhs, cache))
     else:
         raise TypeError(f"not a formula node: {f!r}")
     cache[f] = mask
@@ -88,7 +73,7 @@ def frame_valid(fr: Frame, f: Formula, bits_limit=VALUATION_BITS_LIMIT) -> Frame
     atom-major, world-minor (sorted atoms), so the reported counterexample
     is the one with the smallest such integer, then the smallest world.
     """
-    names = sorted(set(a.name for a in _atoms_of(f)))
+    names = sorted(atoms(f))
     n = fr.n
     bits = len(names) * n
     if bits > bits_limit:
@@ -102,16 +87,6 @@ def frame_valid(fr: Frame, f: Formula, bits_limit=VALUATION_BITS_LIMIT) -> Frame
             world = min(w for w in range(n) if not got.mask >> w & 1)
             return FrameVerdict(False, ev, world)
     return FrameVerdict(True)
-
-
-def _atoms_of(f):
-    if isinstance(f, Atom):
-        yield f
-    elif isinstance(f, (Implies, Rhd)):
-        yield from _atoms_of(f.lhs)
-        yield from _atoms_of(f.rhs)
-    elif isinstance(f, Box):
-        yield from _atoms_of(f.body)
 
 
 @dataclass(frozen=True)

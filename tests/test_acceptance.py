@@ -52,6 +52,10 @@ def test_labeling_lemma_scoreboard():
     names = [r.name for r in results]
     assert "min-set-reduction-oracle" in names
     assert "family-table-probe" in names
+    # one measured span per block, on the first row the block checks
+    spans = {r.name: r.seconds for r in results}
+    assert spans["family-table-probe"] > 0
+    assert spans["assuring-pushes-label-forward"] == 0.0
 
 
 def test_extension_frozen_structure_and_caps():

@@ -191,6 +191,9 @@ def test_pencil_demo_command(capsys):
     assert lines[0].startswith("bad frame violation witness:")
     assert lines[-1] == ("demo: the pencil class has no modal definition "
                          "at this depth")
+    code, out, err = run(capsys, "pencil-demo", "--fan", "0")
+    assert code == 2 and out == ""
+    assert "--fan must be at least 1" in err
 
 
 def test_pencil_demo_writes_dot(tmp_path, capsys):

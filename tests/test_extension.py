@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from ilkit.corpus import load
@@ -154,6 +157,22 @@ def test_classical_ue_is_isomorphic_to_base():
         assert validate(cue.frame).ok
     cue = classical_ue(chain(2), load("chain2"))
     assert cue.model.ev["p"] == WorldSet.from_iter(2, [1])
+
+
+def test_ue_json_digests_frozen():
+    # any change to world order, edges or S families moves these digests
+    want = {
+        "chain4": (chain(4), 122, "b199eb501146f2b5e9737e1c68b9ad39"
+                                  "c06afe5557d29e033fa8aaa1275d68a7"),
+        "pencil-good1": (load("pencil-good1").frame, 696,
+                         "0284eb5e3f9ce3c935416f5c44b41efa"
+                         "ed23f7a76f904b65acb3fabfdab4a361"),
+    }
+    for name, (base, size, digest) in want.items():
+        ue = build_ue(base)
+        assert len(ue) == size, name
+        text = json.dumps(ue_to_dict(ue), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def test_ue_serialization():

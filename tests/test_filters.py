@@ -138,7 +138,7 @@ def test_assuring_matches_naive_oracle_exhaustively():
                                     fr, f.witness, members, g.witness))
 
 
-@pytest.mark.parametrize("stride", [5])
+@pytest.mark.parametrize("stride", [1])
 def test_assuring_matches_naive_oracle_n3(stride):
     frames = list(all_frames(3))[::stride]
     for fr in frames:

@@ -1,6 +1,6 @@
 import pytest
 
-from ilkit.corpus import corpus_entries, corpus_models, corpus_names, load
+from ilkit.corpus import corpus_models, corpus_names, load
 from ilkit.frameio import (
     FrameFormatError, load_frame, load_model, model_to_text,
     parse_frame_text, to_dot,
@@ -96,16 +96,3 @@ def test_corpus_loads_and_validates():
     assert load("chain2").frame == chain(2)
     with pytest.raises(KeyError):
         load("no-such-frame")
-
-
-def test_corpus_dir_matches_packaged_data():
-    import pathlib
-    root = pathlib.Path(__file__).resolve().parent.parent
-    pkg_dir = root / "src" / "ilkit" / "data"
-    top_dir = root / "corpus"
-    if not (pkg_dir.is_dir() and top_dir.is_dir()):
-        pytest.skip("source layout not present")
-    entries = dict(corpus_entries())
-    assert set(entries) == {p.stem for p in top_dir.glob("*.vf")}
-    for p in top_dir.glob("*.vf"):
-        assert entries[p.stem] == p.read_text()
