@@ -5,72 +5,64 @@ set.  ``r_inv`` is the usual diamond preimage, ``r_inv_dual`` its box dual,
 and ``s_inv`` the binary operator matching the ``|>`` forcing clause:
 ``s_inv(X, Y)`` holds the worlds ``w`` such that every R-successor of ``w``
 inside ``X`` has an S_w-successor inside ``Y``.  A formula is forced
-exactly on the evaluation of its translation.  Forcing (``semantics``)
-evaluates through the same mask kernels defined here; the independent
-reference for both routes is the naive evaluator in ``tests/oracles.py``.
+exactly on the evaluation of its translation.  Set terms are interned
+nodes like formulas; ``translate`` and ``eval_term`` are each one loop over
+``formula.postorder``, and ``term_to_str`` streams through one work stack.
+Forcing (``semantics``) evaluates through the same mask kernels defined
+here; the independent reference for both routes is the naive evaluator in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .formula import Atom, Bottom, Box, Formula, Implies, Rhd, atoms
+from .formula import (Atom, Bottom, Box, Formula, Implies, Node, Rhd, _render,
+                      atoms, postorder)
 from .frames import Frame, Model, WorldSet
 
 
-class SetTerm:
+class SetTerm(Node):
+    """Base class for set-term nodes; ``str`` and ``repr`` are ``term_to_str``."""
+
     __slots__ = ()
 
-    def __str__(self):
+    def __repr__(self):
         return term_to_str(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(SetTerm):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class Empty(SetTerm):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Full(SetTerm):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Complement(SetTerm):
-    arg: SetTerm
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True, slots=True)
 class Union(SetTerm):
-    lhs: SetTerm
-    rhs: SetTerm
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, slots=True)
 class Intersection(SetTerm):
-    lhs: SetTerm
-    rhs: SetTerm
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, slots=True)
 class BoxOp(SetTerm):
-    arg: SetTerm
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True, slots=True)
 class DiaOp(SetTerm):
-    arg: SetTerm
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True, slots=True)
 class SOp(SetTerm):
-    lhs: SetTerm
-    rhs: SetTerm
+    __slots__ = ("lhs", "rhs")
 
 
 def r_inv_mask(fr: Frame, xmask: int) -> int:
@@ -121,6 +113,10 @@ def s_inv(fr: Frame, x: WorldSet, y: WorldSet) -> WorldSet:
     return WorldSet(fr.n, s_inv_mask(fr, x.mask, y.mask))
 
 
+# The translation relabels these node classes, children in order.
+_TERM_OF = {Bottom: Empty, Box: BoxOp, Rhd: SOp}
+
+
 def translate(f: Formula) -> SetTerm:
     """Structural translation into the set algebra.
 
@@ -128,56 +124,46 @@ def translate(f: Formula) -> SetTerm:
     union of the complemented antecedent with the consequent, box the dual
     preimage, and ``|>`` the binary operator.
     """
-    if isinstance(f, Bottom):
-        return Empty()
-    if isinstance(f, Atom):
-        return Var(f.name)
-    if isinstance(f, Implies):
-        return Union(Complement(translate(f.lhs)), translate(f.rhs))
-    if isinstance(f, Box):
-        return BoxOp(translate(f.body))
-    if isinstance(f, Rhd):
-        return SOp(translate(f.lhs), translate(f.rhs))
-    raise TypeError(f"not a formula node: {f!r}")
+    terms = {}
+    for g in postorder(f):
+        if isinstance(g, Atom):
+            terms[g] = Var(g.name)
+        elif isinstance(g, Implies):
+            terms[g] = Union(Complement(terms[g.lhs]), terms[g.rhs])
+        else:
+            terms[g] = _TERM_OF[type(g)](*(terms[k] for k in g.kids))
+    return terms[f]
+
+
+# Mask of a set term from its subterms' masks ``v``; variables read the valuation.
+_SET_OPS = {
+    Empty: lambda fr, v, u: 0,
+    Full: lambda fr, v, u: fr.full_mask,
+    Complement: lambda fr, v, u: fr.full_mask & ~v[u.arg],
+    Union: lambda fr, v, u: v[u.lhs] | v[u.rhs],
+    Intersection: lambda fr, v, u: v[u.lhs] & v[u.rhs],
+    BoxOp: lambda fr, v, u: r_inv_dual_mask(fr, v[u.arg]),
+    DiaOp: lambda fr, v, u: r_inv_mask(fr, v[u.arg]),
+    SOp: lambda fr, v, u: s_inv_mask(fr, v[u.lhs], v[u.rhs]),
+}
 
 
 def eval_term(fr: Frame, env: dict, t: SetTerm, cache=None) -> WorldSet:
-    """Evaluate a set term under a valuation of its variables."""
+    """Evaluate a set term under a valuation of its variables; ``cache``
+    (term -> mask) may be shared by calls with the same frame and valuation."""
     if cache is None:
         cache = {}
-    return WorldSet(fr.n, _eval_mask(fr, env, t, cache))
-
-
-def _eval_mask(fr, env, t, cache):
-    got = cache.get(t)
-    if got is not None:
-        return got
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise ValueError(f"unbound set variable {t.name!r}")
-        ws = env[t.name]
-        mask = ws.mask if isinstance(ws, WorldSet) else int(ws)
-    elif isinstance(t, Empty):
-        mask = 0
-    elif isinstance(t, Full):
-        mask = fr.full_mask
-    elif isinstance(t, Complement):
-        mask = fr.full_mask & ~_eval_mask(fr, env, t.arg, cache)
-    elif isinstance(t, Union):
-        mask = _eval_mask(fr, env, t.lhs, cache) | _eval_mask(fr, env, t.rhs, cache)
-    elif isinstance(t, Intersection):
-        mask = _eval_mask(fr, env, t.lhs, cache) & _eval_mask(fr, env, t.rhs, cache)
-    elif isinstance(t, BoxOp):
-        mask = r_inv_dual_mask(fr, _eval_mask(fr, env, t.arg, cache))
-    elif isinstance(t, DiaOp):
-        mask = r_inv_mask(fr, _eval_mask(fr, env, t.arg, cache))
-    elif isinstance(t, SOp):
-        mask = s_inv_mask(fr, _eval_mask(fr, env, t.lhs, cache),
-                          _eval_mask(fr, env, t.rhs, cache))
-    else:
-        raise TypeError(f"not a set term: {t!r}")
-    cache[t] = mask
-    return mask
+    for u in postorder(t):
+        if u in cache:
+            continue
+        if isinstance(u, Var):
+            if u.name not in env:
+                raise ValueError(f"unbound set variable {u.name!r}")
+            ws = env[u.name]
+            cache[u] = ws.mask if isinstance(ws, WorldSet) else int(ws)
+        else:
+            cache[u] = _SET_OPS[type(u)](fr, cache, u)
+    return WorldSet(fr.n, cache[t])
 
 
 def agreement(m: Model, f: Formula) -> bool:
@@ -190,23 +176,21 @@ def agreement(m: Model, f: Formula) -> bool:
     return eval_term(m.frame, env, translate(f)) == extension(m, f)
 
 
+# Text around the children of each set term but variables.
+_TERM_TEXT = {Empty: ("empty",), Full: ("W",),
+              Complement: ("comp(", ")"), Union: ("(", " | ", ")"),
+              Intersection: ("(", " & ", ")"), BoxOp: ("Rhat_inv(", ")"),
+              DiaOp: ("R_inv(", ")"), SOp: ("S_inv(", ", ", ")")}
+
+
 def term_to_str(t: SetTerm) -> str:
-    if isinstance(t, Var):
-        return f"A_{t.name}"
-    if isinstance(t, Empty):
-        return "empty"
-    if isinstance(t, Full):
-        return "W"
-    if isinstance(t, Complement):
-        return f"comp({term_to_str(t.arg)})"
-    if isinstance(t, Union):
-        return f"({term_to_str(t.lhs)} | {term_to_str(t.rhs)})"
-    if isinstance(t, Intersection):
-        return f"({term_to_str(t.lhs)} & {term_to_str(t.rhs)})"
-    if isinstance(t, BoxOp):
-        return f"Rhat_inv({term_to_str(t.arg)})"
-    if isinstance(t, DiaOp):
-        return f"R_inv({term_to_str(t.arg)})"
-    if isinstance(t, SOp):
-        return f"S_inv({term_to_str(t.lhs)}, {term_to_str(t.rhs)})"
-    raise TypeError(f"not a set term: {t!r}")
+    def pieces(u):
+        if isinstance(u, Var):
+            return [f"A_{u.name}"]
+        text = _TERM_TEXT[type(u)]
+        out = [text[0]]
+        for kid, after in zip(u.kids, text[1:]):
+            out += [kid, after]
+        return out
+
+    return _render(t, pieces)

@@ -12,10 +12,10 @@ than 16 distinct components are rejected rather than guessed at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .formula import (BOT, Atom, Bottom, Box, Formula, Implies, Rhd, conj, dia,
-                      disj, iff, neg, parse, to_str)
+                      disj, iff, neg, parse, postorder, to_str)
 
 TAUT_COMPONENT_LIMIT = 16
 
@@ -91,66 +91,55 @@ def match_schema(pattern: Formula, candidate: Formula, binding=None):
     """
     if binding is None:
         binding = {}
-    if isinstance(pattern, Atom) and pattern.name in _META:
-        bound = binding.get(pattern.name)
-        if bound is None:
-            binding[pattern.name] = candidate
-            return binding
-        return binding if bound == candidate else None
-    if isinstance(pattern, (Atom, Bottom)):
-        return binding if pattern == candidate else None
-    if type(pattern) is not type(candidate):
-        return None
-    if isinstance(pattern, Box):
-        return match_schema(pattern.body, candidate.body, binding)
-    if match_schema(pattern.lhs, candidate.lhs, binding) is None:
-        return None
-    return match_schema(pattern.rhs, candidate.rhs, binding)
+    pairs = [(pattern, candidate)]
+    while pairs:
+        p, c = pairs.pop()
+        if isinstance(p, Atom) and p.name in _META:
+            if binding.setdefault(p.name, c) is not c:
+                return None
+        elif type(p) is not type(c) or (not p.kids and p is not c):
+            return None
+        else:
+            pairs.extend(zip(reversed(p.kids), reversed(c.kids)))
+    return binding
 
 
 def instantiate(pattern: Formula, binding: dict) -> Formula:
-    if isinstance(pattern, Atom) and pattern.name in _META:
-        return binding[pattern.name]
-    if isinstance(pattern, (Atom, Bottom)):
-        return pattern
-    if isinstance(pattern, Box):
-        return Box(instantiate(pattern.body, binding))
-    if isinstance(pattern, Implies):
-        return Implies(instantiate(pattern.lhs, binding),
-                       instantiate(pattern.rhs, binding))
-    return Rhd(instantiate(pattern.lhs, binding),
-               instantiate(pattern.rhs, binding))
+    out = {}
+    for g in postorder(pattern):
+        if isinstance(g, Atom) and g.name in _META:
+            out[g] = binding[g.name]
+        else:
+            out[g] = type(g)(*(out[k] for k in g.kids)) if g.kids else g
+    return out[pattern]
 
 
 def axiom_instance(schema: str, **binding) -> Formula:
     return instantiate(SCHEMAS[schema], binding)
 
 
-def _components(f, acc):
-    if isinstance(f, Implies):
-        _components(f.lhs, acc)
-        _components(f.rhs, acc)
-    elif not isinstance(f, Bottom):
-        # atoms, boxes and |>-formulas are opaque to the propositional layer
-        if f not in acc:
-            acc[f] = len(acc)
-
-
 def is_tautology(f: Formula):
-    """True/False, or None when the component cap is exceeded."""
-    acc = {}
-    _components(f, acc)
-    if len(acc) > TAUT_COMPONENT_LIMIT:
+    """True/False, or None when the component cap is exceeded.
+
+    The walk opens implications only; the other nodes but falsum are the
+    components.  Bit b of a node's truth table is its value when component
+    i is true exactly if bit i of b is set, so one pass covers all rows.
+    """
+    nodes = list(postorder(f, lambda g: isinstance(g, Implies)))
+    comps = [g for g in nodes if not isinstance(g, (Implies, Bottom))]
+    if len(comps) > TAUT_COMPONENT_LIMIT:
         return None
-
-    def ev(g, bits):
-        if isinstance(g, Bottom):
-            return False
+    rows = 1 << len(comps)
+    full = (1 << rows) - 1
+    table = {BOT: 0}
+    for i, g in enumerate(comps):
+        # 2^i zeros then 2^i ones, repeated across all rows
+        period = (1 << (2 << i)) - 1
+        table[g] = full // period * (period ^ ((1 << (1 << i)) - 1))
+    for g in nodes:
         if isinstance(g, Implies):
-            return not ev(g.lhs, bits) or ev(g.rhs, bits)
-        return bool(bits >> acc[g] & 1)
-
-    return all(ev(f, bits) for bits in range(1 << len(acc)))
+            table[g] = (full & ~table[g.lhs]) | table[g.rhs]
+    return table[f] == full
 
 
 def check_proof(p: Proof) -> ProofVerdict:
@@ -355,29 +344,17 @@ def derived_theorems() -> dict:
             for name, proof in proofs.items()}
 
 
+_RULES = {"taut": Taut, "axiom": AxiomInstance, "mp": MP, "nec": Nec, "hyp": Hyp}
+_RULE_NAMES = {cls: name for name, cls in _RULES.items()}
+
+
 def proof_to_dict(p: Proof) -> dict:
     steps = []
     for st in p.steps:
-        d = {"formula": to_str(st.conclusion)}
-        r = st.rule
-        if isinstance(r, Taut):
-            d["rule"] = "taut"
-        elif isinstance(r, AxiomInstance):
-            d["rule"] = "axiom"
-            d["schema"] = r.schema
-        elif isinstance(r, MP):
-            d["rule"] = "mp"
-            d["premise"] = r.premise
-            d["implication"] = r.implication
-        elif isinstance(r, Nec):
-            d["rule"] = "nec"
-            d["premise"] = r.premise
-        elif isinstance(r, Hyp):
-            d["rule"] = "hyp"
-            d["index"] = r.index
-        else:
-            raise TypeError(f"unknown justification {r!r}")
-        steps.append(d)
+        if type(st.rule) not in _RULE_NAMES:
+            raise TypeError(f"unknown justification {st.rule!r}")
+        steps.append({"formula": to_str(st.conclusion),
+                      "rule": _RULE_NAMES[type(st.rule)], **asdict(st.rule)})
     return {"hypotheses": [to_str(h) for h in p.hypotheses], "steps": steps}
 
 
@@ -385,18 +362,10 @@ def proof_from_dict(d: dict) -> Proof:
     hyps = tuple(parse(h) for h in d.get("hypotheses", ()))
     steps = []
     for sd in d.get("steps", ()):
-        kind = sd.get("rule")
-        if kind == "taut":
-            rule = Taut()
-        elif kind == "axiom":
-            rule = AxiomInstance(sd["schema"])
-        elif kind == "mp":
-            rule = MP(int(sd["premise"]), int(sd["implication"]))
-        elif kind == "nec":
-            rule = Nec(int(sd["premise"]))
-        elif kind == "hyp":
-            rule = Hyp(int(sd["index"]))
-        else:
-            raise ValueError(f"unknown rule {kind!r}")
+        cls = _RULES.get(sd.get("rule"))
+        if cls is None:
+            raise ValueError(f"unknown rule {sd.get('rule')!r}")
+        args = [sd[f.name] for f in fields(cls)]
+        rule = cls(*args) if cls is AxiomInstance else cls(*map(int, args))
         steps.append(ProofStep(parse(sd["formula"]), rule))
     return Proof(hyps, tuple(steps))

@@ -24,7 +24,7 @@ from itertools import product
 
 from .algebra import (agreement, eval_term, r_inv_dual_mask, s_inv_mask,
                       translate)
-from .calculus import SCHEMAS, check_proof, derived_theorems, instantiate
+from .calculus import _META, SCHEMAS, check_proof, derived_theorems, instantiate
 from .corpus import corpus_models
 from .extension import (ResourceLimitError, build_ue, build_ue_model,
                         check_label_saturation, check_saturation,
@@ -39,7 +39,6 @@ from .semantics import extension, frame_valid
 EXPECTED_FRAME_COUNTS = {1: 1, 2: 3, 3: 34}
 
 _SCHEMA_ARITY = {"K": 2, "GL": 1, "J1": 2, "J2": 3, "J3": 3, "J4": 2, "J5": 1}
-_META = ("alpha", "beta", "gamma")
 
 
 @dataclass

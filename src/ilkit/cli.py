@@ -253,6 +253,8 @@ def _cmd_prove_check(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    if args.fan < 1:
+        raise UsageError(f"--fan must be at least 1, got {args.fan}")
     from .checks import run_all
     results = run_all(fan=args.fan, trials=args.trials, depth=args.depth)
     if args.json:

@@ -6,6 +6,12 @@ the unary box, and the binary ``|>`` modality.  Every other connective
 definable and gets expanded eagerly by the builder functions, so the rest
 of the toolkit only ever pattern-matches on the core.
 
+Nodes are hash-consed: building a node equal to a live one returns that
+node, so ``==`` is ``is`` and ``parse(to_str(f)) is f``.  Walks over formulas
+and the set terms of ``algebra`` are loops, not recursion: over ``postorder``
+(each distinct subterm once, after its subterms), or for printing, which
+repeats shared subterms, over one work stack.
+
 ASCII grammar (loosest binding first)::
 
     imp      ::= rhd (("->" | "<->") imp)?          right-associative
@@ -15,49 +21,108 @@ ASCII grammar (loosest binding first)::
     primary  ::= atom | "F" | "T" | "(" imp ")"
 
 Atoms match ``[a-z][a-z0-9_]*``.  An unparenthesized ``a |> b |> c`` is a
-parse error rather than a silent grouping choice.
+parse error rather than a silent grouping choice.  The parser recurses
+only into parentheses, and refuses nesting deeper than ``NESTING_LIMIT``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import threading
+import weakref
+
+NESTING_LIMIT = 100
+
+_NODES = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
 
 
-class Formula:
-    """Base class for formula nodes; all nodes are immutable and hashable."""
+class Node:
+    """Immutable hash-consed tree node, the base of formulas and set terms.
+
+    A node class lists its constructor arguments in ``__slots__``; ``kids``
+    holds those that are nodes.  Construction returns the live equal node
+    if there is one; the table is weak, so a node dies with its last user.
+    """
+
+    __slots__ = ("kids", "__weakref__")
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        with _NODES_LOCK:
+            node = _NODES.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                for name, value in zip(cls.__slots__, args, strict=True):
+                    object.__setattr__(node, name, value)
+                object.__setattr__(node, "kids",
+                                   tuple(a for a in args if isinstance(a, Node)))
+                _NODES[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+def postorder(root: Node, enter=None):
+    """Yield each distinct subterm of ``root`` once, after its subterms;
+    with ``enter``, nodes failing ``enter(node)`` are yielded unopened."""
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            yield node
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            if enter is None or enter(node):
+                stack.extend((kid, False) for kid in reversed(node.kids))
+
+
+def _render(root, pieces) -> str:
+    """Text of ``root``; ``pieces(item)`` lists its strings and sub-items."""
+    out = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(pieces(item)))
+    return "".join(out)
+
+
+class Formula(Node):
+    """Base class for formula nodes; ``str`` and ``repr`` are ``to_str``."""
 
     __slots__ = ()
 
-    def __str__(self):
+    def __repr__(self):
         return to_str(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, slots=True)
 class Box(Formula):
-    body: Formula
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
 class Rhd(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
 
 
 BOT = Bottom()
@@ -86,33 +151,24 @@ def dia(a: Formula) -> Formula:
 
 def atoms(f: Formula) -> frozenset[str]:
     """The set of atom names occurring in ``f``."""
-    if isinstance(f, Atom):
-        return frozenset((f.name,))
-    if isinstance(f, Bottom):
-        return frozenset()
-    if isinstance(f, Box):
-        return atoms(f.body)
-    return atoms(f.lhs) | atoms(f.rhs)
+    return frozenset(g.name for g in postorder(f) if isinstance(g, Atom))
 
 
 def modal_depth(f: Formula) -> int:
     """Maximum nesting of box/``|>`` (each ``|>`` counts one level)."""
-    if isinstance(f, (Atom, Bottom)):
-        return 0
-    if isinstance(f, Box):
-        return 1 + modal_depth(f.body)
-    if isinstance(f, Rhd):
-        return 1 + max(modal_depth(f.lhs), modal_depth(f.rhs))
-    return max(modal_depth(f.lhs), modal_depth(f.rhs))
+    depth = {}
+    for g in postorder(f):
+        d = max((depth[k] for k in g.kids), default=0)
+        depth[g] = d + 1 if isinstance(g, (Box, Rhd)) else d
+    return depth[f]
 
 
 def size(f: Formula) -> int:
     """Number of core connective nodes (implication, box, ``|>``)."""
-    if isinstance(f, (Atom, Bottom)):
-        return 0
-    if isinstance(f, Box):
-        return 1 + size(f.body)
-    return 1 + size(f.lhs) + size(f.rhs)
+    count = {}
+    for g in postorder(f):
+        count[g] = sum(count[k] for k in g.kids) + (not isinstance(g, (Atom, Bottom)))
+    return count[f]
 
 
 class ParseError(ValueError):
@@ -123,96 +179,84 @@ class ParseError(ValueError):
         self.position = position
 
 
-_FIXED_TOKENS = ("<->", "<>", "[]", "->", "|>", "~", "&", "|", "(", ")", "F", "T")
-_ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
+# Fixed tokens (longest first), atoms, or any other character, which is an error.
+_TOKEN_RE = re.compile(r"\s*(?:(<->|<>|\[\]|->|\|>|[~&|()FT])|([a-z][a-z0-9_]*)|(\S))")
 
 
 def _tokenize(text):
     toks = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        for fixed in _FIXED_TOKENS:
-            if text.startswith(fixed, i):
-                toks.append((fixed, fixed, i))
-                i += len(fixed)
-                break
-        else:
-            m = _ATOM_RE.match(text, i)
-            if m is None:
-                raise ParseError(f"unexpected character {text[i]!r}", i)
-            toks.append(("atom", m.group(), i))
-            i = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        fixed, atom, bad = m.groups()
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", m.start(3))
+        toks.append((fixed, fixed, m.start(1)) if fixed else ("atom", atom, m.start(2)))
+    toks.append(("end", "end of input", len(text)))
     return toks
 
 
 class _Parser:
+    """Recursive descent, with loops for prefix operators and ``->``
+    chains, so that only parentheses nest Python calls."""
+
     def __init__(self, text):
-        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
+        return self.toks[self.i][0]
 
     def take(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input", len(self.text))
+        t = self.toks[self.i]
+        if t[0] == "end":
+            raise ParseError("unexpected end of input", t[2])
         self.i += 1
         return t
 
     def run(self):
         f = self.imp()
-        t = self.peek()
-        if t is not None:
+        t = self.toks[self.i]
+        if t[0] != "end":
             raise ParseError(f"unexpected {t[1]!r}", t[2])
         return f
 
     def imp(self):
-        left = self.rhd()
-        t = self.peek()
-        if t is not None and t[0] in ("->", "<->"):
-            self.take()
-            right = self.imp()
-            return Implies(left, right) if t[0] == "->" else iff(left, right)
-        return left
+        lefts = []
+        f = self.rhd()
+        while self.peek() in ("->", "<->"):
+            lefts.append((f, self.take()[0]))
+            f = self.rhd()
+        for left, op in reversed(lefts):
+            f = Implies(left, f) if op == "->" else iff(left, f)
+        return f
 
     def rhd(self):
         left = self.junction()
-        t = self.peek()
-        if t is None or t[0] != "|>":
+        if self.peek() != "|>":
             return left
         self.take()
         right = self.junction()
-        t = self.peek()
-        if t is not None and t[0] == "|>":
-            raise ParseError("|> is non-associative; parenthesize the chain", t[2])
+        if self.peek() == "|>":
+            raise ParseError("|> is non-associative; parenthesize the chain",
+                             self.toks[self.i][2])
         return Rhd(left, right)
 
     def junction(self):
         left = self.unary()
-        while True:
-            t = self.peek()
-            if t is None or t[0] not in ("&", "|"):
-                return left
-            self.take()
+        while self.peek() in ("&", "|"):
+            op = self.take()[0]
             right = self.unary()
-            left = conj(left, right) if t[0] == "&" else disj(left, right)
+            left = conj(left, right) if op == "&" else disj(left, right)
+        return left
 
     def unary(self):
-        t = self.peek()
-        if t is not None and t[0] in ("~", "[]", "<>"):
-            self.take()
-            body = self.unary()
-            if t[0] == "~":
-                return neg(body)
-            if t[0] == "[]":
-                return Box(body)
-            return dia(body)
-        return self.primary()
+        ops = []
+        while self.peek() in ("~", "[]", "<>"):
+            ops.append(self.take()[0])
+        f = self.primary()
+        for op in reversed(ops):
+            f = neg(f) if op == "~" else Box(f) if op == "[]" else dia(f)
+        return f
 
     def primary(self):
         t = self.take()
@@ -223,7 +267,12 @@ class _Parser:
         if t[0] == "T":
             return TOP
         if t[0] == "(":
+            if self.depth == NESTING_LIMIT:
+                raise ParseError(
+                    f"parentheses nested deeper than {NESTING_LIMIT}", t[2])
+            self.depth += 1
             f = self.imp()
+            self.depth -= 1
             t = self.take()
             if t[0] != ")":
                 raise ParseError(f"expected ')', got {t[1]!r}", t[2])
@@ -244,14 +293,8 @@ def _view(f):
     the negation shape matters: diamond and equivalence are special cases
     of the conjunction pattern.
     """
-    if isinstance(f, Atom):
-        return ("atom", f.name)
-    if isinstance(f, Bottom):
-        return ("bot",)
-    if isinstance(f, Box):
-        return ("box", f.body)
-    if isinstance(f, Rhd):
-        return ("rhd", f.lhs, f.rhs)
+    if not isinstance(f, Implies):
+        return _core_view(f)
     a, b = f.lhs, f.rhs
     if b == BOT:
         if a == BOT:
@@ -270,16 +313,11 @@ def _view(f):
     return ("imp", a, b)
 
 
+_CORE_TAGS = {Bottom: "bot", Implies: "imp", Box: "box", Rhd: "rhd"}
+
+
 def _core_view(f):
-    if isinstance(f, Atom):
-        return ("atom", f.name)
-    if isinstance(f, Bottom):
-        return ("bot",)
-    if isinstance(f, Box):
-        return ("box", f.body)
-    if isinstance(f, Rhd):
-        return ("rhd", f.lhs, f.rhs)
-    return ("imp", f.lhs, f.rhs)
+    return ("atom", f.name) if isinstance(f, Atom) else (_CORE_TAGS[type(f)], *f.kids)
 
 
 _ASCII = {"bot": "F", "top": "T", "not": "~", "box": "[]", "dia": "<>",
@@ -291,31 +329,29 @@ _UNICODE = {"bot": "⊥", "top": "⊤", "not": "¬", "box": "□",
 # Binding strength used when deciding parentheses; matches the grammar.
 _LEVEL = {"imp": 1, "iff": 1, "rhd": 2, "and": 3, "or": 3,
           "not": 4, "box": 4, "dia": 4, "atom": 5, "bot": 5, "top": 5}
+# Least binding strength each operand of a binary tag prints without parentheses.
+_SIDES = {"imp": (2, 1), "iff": (2, 1), "rhd": (3, 3), "and": (3, 4), "or": (3, 4)}
 
 
 def to_str(f: Formula, unicode: bool = False, sugar: bool = True) -> str:
-    """Print a formula; ``parse(to_str(f)) == f`` for every formula."""
+    """Print a formula; ``parse(to_str(f)) is f`` for every formula."""
     syms = _UNICODE if unicode else _ASCII
     view = _view if sugar else _core_view
 
-    def emit(g, need):
+    def pieces(item):
+        g, need = item
         v = view(g)
         tag = v[0]
-        if tag == "atom":
-            return v[1]
-        if tag in ("bot", "top"):
-            return syms[tag]
+        if tag in ("atom", "bot", "top"):
+            return [v[1] if tag == "atom" else syms[tag]]
         if tag in ("not", "box", "dia"):
-            s = syms[tag] + emit(v[1], 4)
-        elif tag in ("and", "or"):
-            s = emit(v[1], 3) + " " + syms[tag] + " " + emit(v[2], 4)
-        elif tag == "rhd":
-            s = emit(v[1], 3) + " " + syms[tag] + " " + emit(v[2], 3)
-        else:  # imp, iff
-            s = emit(v[1], 2) + " " + syms[tag] + " " + emit(v[2], 1)
-        return "(" + s + ")" if _LEVEL[tag] < need else s
+            out = [syms[tag], (v[1], 4)]
+        else:
+            left, right = _SIDES[tag]
+            out = [(v[1], left), f" {syms[tag]} ", (v[2], right)]
+        return ["(", *out, ")"] if _LEVEL[tag] < need else out
 
-    return emit(f, 1)
+    return _render((f, 1), pieces)
 
 
 def enumerate_formulas(pool, depth: int, size_bound: int,

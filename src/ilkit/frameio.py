@@ -11,11 +11,14 @@ File format, one directive per line (``#`` starts a comment)::
 
 With closure on, the loader runs ``complete`` on the seed relations; with
 closure off it validates the file as given and rejects law violations.
+At most ``WORLDS_LIMIT`` worlds, checked before any relation is allocated.
 """
 
 from __future__ import annotations
 
 from .frames import Frame, Model, WorldSet, complete, validate
+
+WORLDS_LIMIT = 1024
 
 
 class FrameFormatError(ValueError):
@@ -59,6 +62,8 @@ def parse_frame_text(text: str) -> Model:
             raise FrameFormatError(f"line {lineno}: cannot read {raw!r}") from None
     if n is None:
         raise FrameFormatError("missing 'worlds' directive")
+    if n > WORLDS_LIMIT:
+        raise FrameFormatError(f"{n} worlds exceeds the limit of {WORLDS_LIMIT}")
     try:
         fr = Frame.build(n, r_pairs, s_triples)
         if closure:

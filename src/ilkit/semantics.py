@@ -2,8 +2,9 @@
 
 The binary modality is read existentially through the per-world relation:
 ``w`` forces ``a |> b`` when every R-successor of ``w`` forcing ``a`` has an
-S_w-successor forcing ``b``.  Extensions are computed bottom-up as bitmasks,
-so model checking a formula costs one pass over its subterms.
+S_w-successor forcing ``b``.  Extensions are bitmasks computed by one loop
+over ``formula.postorder``, so model checking a formula costs one pass over
+its distinct subterms, at any depth.
 """
 
 from __future__ import annotations
@@ -12,40 +13,36 @@ from dataclasses import dataclass
 
 from .algebra import r_inv_dual_mask, s_inv_mask
 from .formula import (Atom, Bottom, Box, Formula, Implies, Rhd, atoms,
-                      enumerate_formulas)
+                      enumerate_formulas, postorder)
 from .frames import Frame, Model, WorldSet
 
 VALUATION_BITS_LIMIT = 20
 
 
-def _extension_mask(m: Model, f: Formula, cache) -> int:
-    got = cache.get(f)
-    if got is not None:
-        return got
-    fr = m.frame
-    full = fr.full_mask
-    if isinstance(f, Atom):
-        mask = m.ev_mask(f.name)
-    elif isinstance(f, Bottom):
-        mask = 0
-    elif isinstance(f, Implies):
-        mask = (full & ~_extension_mask(m, f.lhs, cache)) | _extension_mask(m, f.rhs, cache)
-    elif isinstance(f, Box):
-        mask = r_inv_dual_mask(fr, _extension_mask(m, f.body, cache))
-    elif isinstance(f, Rhd):
-        mask = s_inv_mask(fr, _extension_mask(m, f.lhs, cache),
-                          _extension_mask(m, f.rhs, cache))
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-    cache[f] = mask
-    return mask
+# Extension mask of a node from its subterms' masks ``v``; atoms read the model.
+_FORCING = {
+    Bottom: lambda fr, v, g: 0,
+    Implies: lambda fr, v, g: (fr.full_mask & ~v[g.lhs]) | v[g.rhs],
+    Box: lambda fr, v, g: r_inv_dual_mask(fr, v[g.body]),
+    Rhd: lambda fr, v, g: s_inv_mask(fr, v[g.lhs], v[g.rhs]),
+}
+
+
+def _fill(m: Model, nodes, masks: dict) -> None:
+    """Add to ``masks`` the extension of each node (children first) it lacks."""
+    for g in nodes:
+        if g not in masks:
+            masks[g] = (m.ev_mask(g.name) if isinstance(g, Atom)
+                        else _FORCING[type(g)](m.frame, masks, g))
 
 
 def extension(m: Model, f: Formula, cache=None) -> WorldSet:
-    """The set of worlds forcing ``f``."""
+    """The set of worlds forcing ``f``; ``cache`` (formula -> mask) may be
+    shared by calls on the same model."""
     if cache is None:
         cache = {}
-    return WorldSet(m.frame.n, _extension_mask(m, f, cache))
+    _fill(m, postorder(f, lambda g: g not in cache), cache)
+    return WorldSet(m.frame.n, cache[f])
 
 
 def force(m: Model, w: int, f: Formula, cache=None) -> bool:
@@ -75,17 +72,21 @@ def frame_valid(fr: Frame, f: Formula, bits_limit=VALUATION_BITS_LIMIT) -> Frame
     """
     names = sorted(atoms(f))
     n = fr.n
+    full = fr.full_mask
     bits = len(names) * n
     if bits > bits_limit:
         raise ValueError(
             f"refusing to sweep 2^{bits} valuations (limit 2^{bits_limit})")
+    nodes = list(postorder(f))
+    leaves = [Atom(name) for name in names]
+    blank = Model(fr)
     for vid in range(1 << bits):
-        ev = {name: WorldSet(n, vid >> i * n & fr.full_mask)
-              for i, name in enumerate(names)}
-        got = extension(Model(fr, ev), f)
-        if got.mask != fr.full_mask:
-            world = min(w for w in range(n) if not got.mask >> w & 1)
-            return FrameVerdict(False, ev, world)
+        masks = {a: vid >> i * n & full for i, a in enumerate(leaves)}
+        _fill(blank, nodes, masks)
+        if masks[f] != full:
+            world = min(w for w in range(n) if not masks[f] >> w & 1)
+            return FrameVerdict(False, {a.name: WorldSet(n, masks[a])
+                                        for a in leaves}, world)
     return FrameVerdict(True)
 
 
@@ -190,7 +191,10 @@ def equiv_up_to(ml: Model, wl: int, mr: Model, wr: int, depth: int,
     if pool is None:
         pool = set(ml.ev) | set(mr.ev)
     cl, cr = {}, {}
+    # the enumeration yields every formula after its subformulas
     for f in enumerate_formulas(pool, depth, size_bound):
-        if force(ml, wl, f, cl) != force(mr, wr, f, cr):
+        _fill(ml, (f,), cl)
+        _fill(mr, (f,), cr)
+        if cl[f] >> wl & 1 != cr[f] >> wr & 1:
             return f
     return None

@@ -75,7 +75,7 @@ def test_translate_shapes():
     assert translate(parse("F")) == Empty()
     assert translate(parse("p -> q")) == Union(Complement(Var("p")), Var("q"))
     assert translate(parse("[]p")) == BoxOp(Var("p"))
-    assert translate(parse("p |> q")) == SOp(Var("p"), Var("q"))
+    assert translate(parse("p |> q")) is SOp(Var("p"), Var("q"))
     assert (term_to_str(translate(parse("p |> []q")))
             == "S_inv(A_p, Rhat_inv(A_q))")
     assert term_to_str(translate(parse("~p"))) == "(comp(A_p) | empty)"

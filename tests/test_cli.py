@@ -6,6 +6,8 @@ import pytest
 
 from ilkit.calculus import derived_theorems, proof_to_dict
 from ilkit.cli import main
+from ilkit.formula import NESTING_LIMIT
+from ilkit.frameio import WORLDS_LIMIT
 
 
 def run(capsys, *argv):
@@ -53,6 +55,34 @@ def test_mc_command_from_file(tmp_path, capsys):
     bad.write_text("worlds 2\nR 0 x\n")
     code, _, err = run(capsys, "mc", str(bad), "p")
     assert code == 2 and "line 2" in err
+    huge = tmp_path / "huge.vf"
+    huge.write_text(f"worlds {WORLDS_LIMIT + 1}\nR 0 1\n")
+    code, _, err = run(capsys, "mc", str(huge), "p")
+    assert code == 2 and "exceeds the limit" in err
+
+
+def test_mc_command_deep_formula(capsys):
+    code, out, _ = run(capsys, "mc", "chain3", "~" * 500 + "p")
+    assert (code, out) == (1, "0: false\n1: true\n2: false\nfails at world 0\n")
+    code, out, _ = run(capsys, "mc", "chain3", "~" * 501 + "p")
+    assert (code, out) == (1, "0: true\n1: false\n2: true\nfails at world 1\n")
+
+
+def test_nesting_limit(tmp_path, capsys):
+    deepest = "[](p -> " * NESTING_LIMIT + "p" + ")" * NESTING_LIMIT
+    code, out, _ = run(capsys, "parse", deepest)
+    assert code == 0 and out.count("[]") == NESTING_LIMIT
+    code, out, _ = run(capsys, "translate", deepest)
+    assert code == 0 and out.count("Rhat_inv(") == NESTING_LIMIT
+    chain = "(p -> " * NESTING_LIMIT + "p" + ")" * NESTING_LIMIT
+    proof = tmp_path / "deep.json"
+    proof.write_text(json.dumps(
+        {"hypotheses": [], "steps": [{"rule": "taut", "formula": chain}]}))
+    code, out, _ = run(capsys, "prove-check", str(proof))
+    assert code == 0 and out.startswith("valid: p -> p -> ")
+    code, out, err = run(capsys, "parse", "(" + deepest + ")")
+    assert code == 2 and out == ""
+    assert err.startswith("ilkit: cannot parse") and "nested deeper" in err
 
 
 def test_frame_valid_command(capsys):
@@ -191,9 +221,10 @@ def test_pencil_demo_command(capsys):
     assert lines[0].startswith("bad frame violation witness:")
     assert lines[-1] == ("demo: the pencil class has no modal definition "
                          "at this depth")
-    code, out, err = run(capsys, "pencil-demo", "--fan", "0")
-    assert code == 2 and out == ""
-    assert "--fan must be at least 1" in err
+    for command in ("pencil-demo", "corpus"):
+        code, out, err = run(capsys, command, "--fan", "0")
+        assert code == 2 and out == ""
+        assert err == "ilkit: --fan must be at least 1, got 0\n"
 
 
 def test_pencil_demo_writes_dot(tmp_path, capsys):

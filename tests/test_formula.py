@@ -1,11 +1,22 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
+from ilkit.algebra import eval_term, term_to_str, translate
+from ilkit.calculus import is_tautology
 from ilkit.formula import (
-    Atom, Bottom, Box, Implies, Rhd, BOT, TOP,
+    Atom, Bottom, Box, Implies, Rhd, BOT, NESTING_LIMIT, TOP,
     atoms, conj, dia, disj, enumerate_formulas, iff, modal_depth, neg,
     parse, ParseError, size, to_str,
 )
+from ilkit.frames import Model, chain
+from ilkit.semantics import extension, frame_valid
 
 import oracles
 
@@ -108,12 +119,88 @@ def _formula_trees(pool):
 
 @given(_formula_trees(["p", "q", "r_2"]))
 def test_roundtrip_ascii(f):
-    assert parse(to_str(f)) == f
+    assert parse(to_str(f)) is f
 
 
 @given(_formula_trees(["p", "q"]))
 def test_roundtrip_core(f):
-    assert parse(to_str(f, sugar=False)) == f
+    assert parse(to_str(f, sugar=False)) is f
+
+
+def test_nodes_are_hash_consed():
+    assert Atom("p") is Atom("p")
+    assert parse("p & q -> []p") is Implies(conj(Atom("p"), Atom("q")),
+                                            Box(Atom("p")))
+    assert Rhd(Atom("p"), BOT) is not Rhd(BOT, Atom("p"))
+    f = parse("p |> q")
+    with pytest.raises(AttributeError):
+        f.lhs = Atom("q")
+    assert repr(f) == str(f) == "p |> q"
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.deepcopy(f) is f
+
+
+def test_interning_is_thread_safe():
+    texts = [f"[]x{i} -> (x{i} |> y{i})" for i in range(300)]
+    results = []
+
+    def build():
+        results.append([parse(t) for t in texts])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    assert len(results) == 8
+    assert all(r[i] is results[0][i] for r in results for i in range(len(texts)))
+
+
+def test_interned_node_is_freed_with_its_last_user():
+    f = Box(Atom("only_here"))
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+
+
+def test_parser_nesting_limit():
+    deepest = "(" * NESTING_LIMIT + "p" + ")" * NESTING_LIMIT
+    assert parse(deepest) is Atom("p")
+    with pytest.raises(ParseError) as err:
+        parse("(" + deepest + ")")
+    assert err.value.position == NESTING_LIMIT
+    # prefix operators and -> chains are read by loops, at any length
+    assert modal_depth(parse("[]" * 5000 + "p")) == 5000
+    assert size(parse(" -> ".join(["p"] * 5000))) == 4999
+
+
+def test_deep_formulas_walk_without_recursion():
+    p, q = Atom("p"), Atom("q")
+    wrap = [Box, neg, lambda g: Rhd(q, g), lambda g: Implies(q, g)]
+    f = p
+    for i in range(10_000):
+        f = wrap[i % 4](f)
+    assert size(f) == 10_000
+    assert modal_depth(f) == 5_000
+    assert atoms(f) == {"p", "q"}
+    assert to_str(f, sugar=False).count("[]") == 2_500
+    assert to_str(f).count("|>") == 2_500
+    m = Model(chain(3), {"p": [1], "q": [2]})
+    t = translate(f)
+    assert term_to_str(t).count("S_inv(") == 2_500
+    assert eval_term(m.frame, m.ev, t) == extension(m, f)
+    verdict = frame_valid(chain(2), f)
+    if not verdict.valid:
+        assert verdict.world not in extension(Model(chain(2), verdict.ev), f)
+    assert is_tautology(Implies(f, f))
+    assert not is_tautology(f)
 
 
 def test_enumeration_counts_frozen():
