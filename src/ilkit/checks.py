@@ -33,7 +33,7 @@ from .extension import (ResourceLimitError, build_ue, build_ue_model,
 from .filters import (FrameOps, Ultrafilter, all_proper_filters,
                       all_ultrafilters, assuring_family, b_set)
 from .formula import Atom, enumerate_formulas, parse
-from .frames import Frame, Model, WorldSet, all_frames, chain, validate
+from .frames import Frame, Model, WorldSet, all_frames, bits, chain, validate
 from .semantics import extension, frame_valid
 
 EXPECTED_FRAME_COUNTS = {1: 1, 2: 3, 3: 34}
@@ -308,7 +308,7 @@ def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
 
         rinv, rdual, assured = ops.rinv, ops.rdual, ops.assured
         triples = [(fw, lm, gw) for fw in range(n) for lm in range(1, nmasks)
-                   for gw in range(n) if assured(fw, lm) >> gw & 1]
+                   for gw in bits(assured(fw, lm))]
         for fw, lm, gw in triples:
             for x in range(nmasks):
                 if x >> gw & 1:
@@ -324,11 +324,10 @@ def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
         t = _lap(spans, "assuring-pulls-back-membership", t)
         for fw, lm, gw in triples:
             for mm in range(1, nmasks):
-                for hw in range(n):
-                    if assured(gw, mm) >> hw & 1:
-                        hit("assuring-transitive",
-                            assured(fw, lm) >> hw & 1,
-                            f"{where} U{fw} up{lm:#x} U{gw} up{mm:#x} U{hw}")
+                for hw in bits(assured(gw, mm)):
+                    hit("assuring-transitive",
+                        assured(fw, lm) >> hw & 1,
+                        f"{where} U{fw} up{lm:#x} U{gw} up{mm:#x} U{hw}")
         t = _lap(spans, "assuring-transitive", t)
 
         for f in all_ultrafilters(fr):
@@ -361,9 +360,7 @@ def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
                 sub = (sub - 1) & fam
             for fw in range(n):
                 row = rows[fw]
-                for gw in range(n):
-                    if not row >> gw & 1:
-                        continue
+                for gw in bits(row):
                     for hw in range(n):
                         if cond[gw][hw]:
                             hit("family-successor-transfer",
@@ -391,11 +388,10 @@ def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
             genmin = inter if fam else full
             if genmin:
                 for fw in range(n):
-                    for gw in range(n):
-                        if rows[fw] >> gw & 1:
-                            hit("family-generates-filter-label",
-                                assured(fw, genmin) >> gw & 1,
-                                f"{where} fam={fam:#x} U{fw} U{gw}")
+                    for gw in bits(rows[fw]):
+                        hit("family-generates-filter-label",
+                            assured(fw, genmin) >> gw & 1,
+                            f"{where} fam={fam:#x} U{fw} U{gw}")
         t = _lap(spans, "family-shrink-monotone", t)
 
         for lm in range(1, nmasks):

@@ -116,6 +116,10 @@ def _cmd_bisim(args) -> int:
     mr = _load_model_arg(args.right)
     if args.z:
         z = _read_pairs(args.z)
+        for i, j in z:
+            if not (0 <= i < ml.frame.n and 0 <= j < mr.frame.n):
+                raise UsageError(f"{args.z}: pair ({i}, {j}) is outside "
+                                 "the models")
         verdict = check_bisim(ml, mr, z)
         if verdict.ok:
             print(f"bisimulation of {len(set(z))} pairs")
@@ -192,6 +196,8 @@ def _cmd_assuring(args) -> int:
 
 
 def _cmd_ue(args) -> int:
+    if args.cap < 1:
+        raise UsageError(f"--cap must be at least 1, got {args.cap}")
     m = _load_model_arg(args.model)
     try:
         ue = build_ue(m.frame, max_worlds=args.cap)
@@ -213,9 +219,15 @@ def _cmd_ue(args) -> int:
     return 0
 
 
+def _check_demo_args(args):
+    for name, value, least in (("fan", args.fan, 1), ("trials", args.trials, 1),
+                               ("depth", args.depth, 0)):
+        if value < least:
+            raise UsageError(f"--{name} must be at least {least}, got {value}")
+
+
 def _cmd_pencil_demo(args) -> int:
-    if args.fan < 1:
-        raise UsageError(f"--fan must be at least 1, got {args.fan}")
+    _check_demo_args(args)
     report = nondefinability_demo(m=args.fan, trials=args.trials,
                                   depth=args.depth, seed=args.seed)
     print(f"bad frame violation witness: {report.bad_witness}")
@@ -253,8 +265,7 @@ def _cmd_prove_check(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    if args.fan < 1:
-        raise UsageError(f"--fan must be at least 1, got {args.fan}")
+    _check_demo_args(args)
     from .checks import run_all
     results = run_all(fan=args.fan, trials=args.trials, depth=args.depth)
     if args.json:

@@ -6,9 +6,10 @@ reached it: the roots are (f, ()) for every ultrafilter f, and whenever
 edge relation is the transitive closure of those one-step moves, and the
 per-world S relation is generated — inside the successor set of (f, sigma)
 — by reflexivity, the edge relation itself, and agreement of labels at
-position len(sigma).  The recursion bottoms out because a world whose
-ultrafilter sits at an R-leaf of the base frame assures nothing, so label
-paths never outgrow the longest base R-chain.
+position len(sigma): ``frames.complete`` closes the label-agreement
+cliques, given as S seeds, as it closes any frame.  The recursion bottoms
+out because a world whose ultrafilter sits at an R-leaf of the base frame
+assures nothing, so label paths never outgrow the longest base R-chain.
 
 The construction also covers the classical unary-modality extension as a
 baseline: over a finite frame that one is isomorphic to the frame itself.
@@ -22,7 +23,7 @@ from .algebra import r_inv_mask, s_inv_mask
 from .filters import (Filter, FrameOps, Ultrafilter, all_proper_filters,
                       all_ultrafilters)
 from .formula import TOP, conj, dia
-from .frames import Frame, Model, WorldSet, _closure, complete
+from .frames import Frame, Model, WorldSet, _closure, bits, complete
 from .semantics import extension as forcing_extension
 from .semantics import force
 
@@ -64,6 +65,8 @@ def build_ue(base: Frame, labels=None, max_worlds: int = 100_000) -> UEFrame:
     before any longer path — parents in index order and, per parent, labels
     by minimum mask, target ultrafilters by witness.  Exceeding
     ``max_worlds`` raises ResourceLimitError rather than truncating.
+    The frame is ``complete`` applied to the closed edge relation and, as
+    S seeds, the label-agreement cliques inside each successor set.
     """
     if labels is None:
         labels = all_proper_filters(base.n)
@@ -83,11 +86,8 @@ def build_ue(base: Frame, labels=None, max_worlds: int = 100_000) -> UEFrame:
         for w in frontier:
             wi = index[w]
             for l in labels:
-                row = ops.assured(w.uf.witness, l.min_mask)
-                while row:
-                    g = ufs[(row & -row).bit_length() - 1]
-                    row &= row - 1
-                    child = UEWorld(g, w.labels + (l,))
+                for g in bits(ops.assured(w.uf.witness, l.min_mask)):
+                    child = UEWorld(ufs[g], w.labels + (l,))
                     ci = index.get(child)
                     if ci is None:
                         if len(worlds) >= max_worlds:
@@ -105,28 +105,23 @@ def build_ue(base: Frame, labels=None, max_worlds: int = 100_000) -> UEFrame:
     r = [0] * n
     for i, j in one_step:
         r[i] |= 1 << j
-    _closure(r)
-    s_rows = []
+    _closure(r, range(n))
+    # S seeds: the successors that agree on label k form a clique, and every
+    # R-leaf shares one empty row
+    leaf = (0,) * n
+    seeds = []
     for i, w in enumerate(worlds):
-        succ = r[i]
         k = len(w.labels)
-        rows = [0] * n
-        members = [j for j in range(n) if succ >> j & 1]
         cliques = {}
-        for j in members:
-            lj = worlds[j].labels[k]
-            cliques[lj] = cliques.get(lj, 0) | 1 << j
-        for j in members:
-            rows[j] = (1 << j) | (r[j] & succ) | cliques[worlds[j].labels[k]]
-        # Warshall restricted to the successor set; rows elsewhere are empty
-        for j in members:
-            bit = 1 << j
-            rj = rows[j]
-            for j2 in members:
-                if rows[j2] & bit:
-                    rows[j2] |= rj
-        s_rows.append(tuple(rows))
-    frame = Frame(n, tuple(r), tuple(s_rows))
+        for j in bits(r[i]):
+            cliques.setdefault(worlds[j].labels[k], []).append(j)
+        rows = [0] * n if cliques else leaf
+        for clique in cliques.values():
+            mask = sum(1 << j for j in clique)
+            for j in clique:
+                rows[j] = mask
+        seeds.append(tuple(rows))
+    frame = complete(Frame(n, tuple(r), tuple(seeds)))
     return UEFrame(base, worlds, frame, one_step)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import r_inv_dual_mask, r_inv_mask, s_inv_mask
-from .frames import Frame, WorldSet
+from .frames import Frame, WorldSet, bits
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -194,9 +194,8 @@ class FrameOps:
                 fired |= col[abar]
             if fired:
                 gate = amask & rdual[amask]
-                for fw in range(n):
-                    if fired >> fw & 1:
-                        rows[fw] &= gate
+                for fw in bits(fired):
+                    rows[fw] &= gate
         return rows
 
 

@@ -5,6 +5,11 @@ Worlds are the integers ``0..n-1``.  Relations are stored as bitmask rows:
 is the successor set of ``u`` under the per-world relation S_w.  A frame
 is legal when R is transitive and irreflexive and each S_w is a reflexive,
 transitive relation on R[w] that contains R restricted to R[w].
+
+``complete`` is the one place that closes relations.  Its closure walks
+set bits (``bits``), one OR per pair of the result, and closes S_w over
+R[w] only; a dense chain is still cubic, as its S relations hold about
+n^3/6 pairs.
 """
 
 from __future__ import annotations
@@ -12,6 +17,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+
+
+def bits(mask):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -50,9 +63,7 @@ class WorldSet:
         return 0 <= w < self.n and bool(self.mask >> w & 1)
 
     def __iter__(self):
-        for w in range(self.n):
-            if self.mask >> w & 1:
-                yield w
+        return bits(self.mask)
 
     def __len__(self):
         return self.mask.bit_count()
@@ -108,18 +119,14 @@ class Frame:
         return (1 << self.n) - 1
 
     def r_pairs(self):
-        for i in range(self.n):
-            row = self.r_succ[i]
-            for j in range(self.n):
-                if row >> j & 1:
-                    yield (i, j)
+        for i, row in enumerate(self.r_succ):
+            for j in bits(row):
+                yield (i, j)
 
     def s_pairs(self, w):
-        for i in range(self.n):
-            row = self.s_succ[w][i]
-            for j in range(self.n):
-                if row >> j & 1:
-                    yield (i, j)
+        for i, row in enumerate(self.s_succ[w]):
+            for j in bits(row):
+                yield (i, j)
 
     def r_set(self, w):
         return WorldSet(self.n, self.r_succ[w])
@@ -150,8 +157,8 @@ def validate(fr: Frame) -> Verdict:
     for w in range(n):
         if r[w] >> w & 1:
             bad.append(("R-irreflexive", (w,)))
-        for u in range(n):
-            if r[w] >> u & 1 and r[u] & ~r[w]:
+        for u in bits(r[w]):
+            if r[u] & ~r[w]:
                 v = (r[u] & ~r[w]).bit_length() - 1
                 bad.append(("R-transitive", (w, u, v)))
     for w in range(n):
@@ -177,15 +184,20 @@ def validate(fr: Frame) -> Verdict:
     return Verdict(not bad, tuple(bad))
 
 
-def _closure(rows):
-    """In-place Warshall transitive closure of bitmask rows."""
-    n = len(rows)
-    for k in range(n):
-        bit = 1 << k
-        rk = rows[k]
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rk
+def _closure(rows, members):
+    """Transitive closure, in place, of the rows at ``members``: each row
+    absorbs the rows at its set bits, then at the bits that added, until it
+    stops growing.  Highest first, so rows that point upward absorb rows
+    that are already closed."""
+    for u in reversed(members):
+        row = fresh = rows[u]
+        while fresh:
+            grown = row
+            for v in bits(fresh):
+                grown |= rows[v]
+            fresh = grown & ~row
+            row = grown
+        rows[u] = row
     return rows
 
 
@@ -196,19 +208,18 @@ def _find_cycle(fr, start):
     queue = [start]
     while queue:
         cur = queue.pop(0)
-        for nxt in range(fr.n):
-            if fr.r_succ[cur] >> nxt & 1:
-                if nxt == start:
-                    path = []
-                    node = cur
-                    while node is not None:
-                        path.append(node)
-                        node = parent[node]
-                    path.reverse()
-                    return path + [start]
-                if nxt not in parent:
-                    parent[nxt] = cur
-                    queue.append(nxt)
+        for nxt in bits(fr.r_succ[cur]):
+            if nxt == start:
+                path = []
+                node = cur
+                while node is not None:
+                    path.append(node)
+                    node = parent[node]
+                path.reverse()
+                return path + [start]
+            if nxt not in parent:
+                parent[nxt] = cur
+                queue.append(nxt)
     return [start, start]
 
 
@@ -218,26 +229,31 @@ def complete(fr: Frame) -> Frame:
     R is replaced by its transitive closure (a resulting self-loop means the
     seeds contain a cycle, which no legal frame extends).  Each S_w picks up
     reflexivity on R[w], the pairs of R inside R[w], and transitivity.  An
-    S_w seed pair that leaves R[w] x R[w] is unfixable and rejected.
+    S_w seed pair that leaves R[w] x R[w] is unfixable and rejected.  A
+    world with no R-successors keeps its (empty) seed row tuple.
     """
-    r = _closure(list(fr.r_succ))
-    for w in range(fr.n):
+    n = fr.n
+    r = _closure(list(fr.r_succ), range(n))
+    for w in range(n):
         if r[w] >> w & 1:
             cycle = _find_cycle(fr, w)
             raise CompletionError(
                 "R closure creates a cycle: " + " -> ".join(map(str, cycle)))
-    s = [list(row) for row in fr.s_succ]
-    for w in range(fr.n):
+    s = list(fr.s_succ)
+    for w, seed in enumerate(s):
         rw = r[w]
-        for u in range(fr.n):
-            if s[w][u] and (not rw >> u & 1 or s[w][u] & ~rw):
-                raise CompletionError(
-                    f"S_{w} seed at {u} leaves R[{w}] x R[{w}]")
-        for u in range(fr.n):
-            if rw >> u & 1:
-                s[w][u] |= 1 << u | (r[u] & rw)
-        _closure(s[w])
-    return Frame(fr.n, tuple(r), tuple(tuple(row) for row in s))
+        members = list(bits(rw))
+        rows = [0] * n
+        for u in members:
+            rows[u] = seed[u] & rw
+        if rows != list(seed):
+            u = next(u for u, row in enumerate(seed) if row != rows[u])
+            raise CompletionError(f"S_{w} seed at {u} leaves R[{w}] x R[{w}]")
+        if members:
+            for u in members:
+                rows[u] |= 1 << u | r[u] & rw
+            s[w] = tuple(_closure(rows, members))
+    return Frame(n, tuple(r), tuple(s))
 
 
 class Model:
@@ -295,30 +311,17 @@ def longest_chain(fr: Frame) -> int:
     def depth(w):
         if w not in best:
             best[w] = 0
-            row = fr.r_succ[w]
-            for u in range(fr.n):
-                if row >> u & 1:
-                    best[w] = max(best[w], 1 + depth(u))
+            for u in bits(fr.r_succ[w]):
+                best[w] = max(best[w], 1 + depth(u))
         return best[w]
 
     return max((depth(w) for w in range(fr.n)), default=0)
 
 
-def _transitive(pairs_mask_rows, domain_mask, n):
-    for u in range(n):
-        if not domain_mask >> u & 1:
-            continue
-        row = pairs_mask_rows[u]
-        for v in range(n):
-            if row >> v & 1 and pairs_mask_rows[v] & ~row:
-                return False
-    return True
-
-
 def _s_rows_options(n, r, w):
     """All legal S_w rows for a fixed transitive irreflexive R, sorted."""
     rw = r[w]
-    members = [u for u in range(n) if rw >> u & 1]
+    members = list(bits(rw))
     mandatory = {u: (1 << u) | (r[u] & rw) for u in members}
     optional = []
     for u in members:
@@ -326,14 +329,14 @@ def _s_rows_options(n, r, w):
             if v != u and not mandatory[u] >> v & 1:
                 optional.append((u, v))
     out = []
-    for bits in range(1 << len(optional)):
+    for choice in range(1 << len(optional)):
         rows = [0] * n
         for u in members:
             rows[u] = mandatory[u]
         for idx, (u, v) in enumerate(optional):
-            if bits >> idx & 1:
+            if choice >> idx & 1:
                 rows[u] |= 1 << v
-        if _transitive(rows, rw, n):
+        if _closure(list(rows), members) == rows:
             out.append(tuple(rows))
     out.sort()
     return out
@@ -347,12 +350,12 @@ def all_frames(n: int):
     square on R[w] that stays transitive.
     """
     off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for bits in range(1 << len(off_diag)):
+    for choice in range(1 << len(off_diag)):
         r = [0] * n
         for idx, (i, j) in enumerate(off_diag):
-            if bits >> idx & 1:
+            if choice >> idx & 1:
                 r[i] |= 1 << j
-        if any(r[i] >> j & 1 and r[j] & ~r[i] for i in range(n) for j in range(n)):
+        if _closure(list(r), range(n)) != r:
             continue
         per_world = [_s_rows_options(n, r, w) for w in range(n)]
         for combo in itertools.product(*per_world):
@@ -373,7 +376,7 @@ def random_frame(n: int, seed: int) -> Frame:
     triples = []
     for w in range(n):
         rw = base.r_succ[w]
-        members = [u for u in range(n) if rw >> u & 1]
+        members = list(bits(rw))
         for u in members:
             for v in members:
                 if u != v and rng.random() < 0.25:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .frames import Frame, Model, WorldSet, complete
+from .frames import Frame, Model, WorldSet, bits, complete
 from .semantics import check_bisim, equiv_up_to
 
 
@@ -51,17 +51,11 @@ def pencil_check(fr: Frame) -> PencilVerdict:
     n, r, s = fr.n, fr.r_succ, fr.s_succ
     for x in range(n):
         sx = s[x]
-        for y in range(n):
-            if not r[x] >> y & 1:
-                continue
-            for z in range(n):
-                if not sx[y] >> z & 1:
-                    continue
-                for u in range(n):
-                    if not r[z] >> u & 1 or r[y] >> u & 1:
-                        continue
-                    for v in range(n):
-                        if r[y] >> v & 1 and sx[v] >> u & 1:
+        for y in bits(r[x]):
+            for z in bits(sx[y]):
+                for u in bits(r[z] & ~r[y]):
+                    for v in bits(r[y]):
+                        if sx[v] >> u & 1:
                             return PencilVerdict(False, PencilWitness(x, y, z, u, v))
     return PencilVerdict(True)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .algebra import r_inv_dual_mask, s_inv_mask
 from .formula import (Atom, Bottom, Box, Formula, Implies, Rhd, atoms,
                       enumerate_formulas, postorder)
-from .frames import Frame, Model, WorldSet
+from .frames import Frame, Model, WorldSet, bits
 
 VALUATION_BITS_LIMIT = 20
 
@@ -142,14 +142,12 @@ def check_bisim(ml: Model, mr: Model, z) -> BisimVerdict:
         for name in names:
             if (wl in ml.ev_set(name)) != (wr in mr.ev_set(name)):
                 return BisimVerdict(False, (wl, wr), "atoms", (name,))
-        for ul in range(ml.frame.n):
-            if ml.frame.r_succ[wl] >> ul & 1:
-                if not _zigzag_ok(ml, wl, ul, mr, wr, z_fwd):
-                    return BisimVerdict(False, (wl, wr), "forth", (ul,))
-        for ur in range(mr.frame.n):
-            if mr.frame.r_succ[wr] >> ur & 1:
-                if not _zigzag_ok(mr, wr, ur, ml, wl, z_bwd):
-                    return BisimVerdict(False, (wl, wr), "back", (ur,))
+        for ul in bits(ml.frame.r_succ[wl]):
+            if not _zigzag_ok(ml, wl, ul, mr, wr, z_fwd):
+                return BisimVerdict(False, (wl, wr), "forth", (ul,))
+        for ur in bits(mr.frame.r_succ[wr]):
+            if not _zigzag_ok(mr, wr, ur, ml, wl, z_bwd):
+                return BisimVerdict(False, (wl, wr), "back", (ur,))
     return BisimVerdict(True)
 
 
@@ -170,11 +168,9 @@ def max_bisim(ml: Model, mr: Model) -> frozenset:
         keep = set()
         for wl, wr in pairs:
             ok = all(_zigzag_ok(ml, wl, ul, mr, wr, z_fwd)
-                     for ul in range(ml.frame.n)
-                     if ml.frame.r_succ[wl] >> ul & 1)
+                     for ul in bits(ml.frame.r_succ[wl]))
             ok = ok and all(_zigzag_ok(mr, wr, ur, ml, wl, z_bwd)
-                            for ur in range(mr.frame.n)
-                            if mr.frame.r_succ[wr] >> ur & 1)
+                            for ur in bits(mr.frame.r_succ[wr]))
             if ok:
                 keep.add((wl, wr))
         if keep == pairs:

@@ -8,6 +8,7 @@ the fast implementations against these at desk scale.
 from itertools import combinations
 
 from ilkit.formula import Atom, Bottom, Box, Implies, Rhd
+from ilkit.frames import CompletionError, Frame
 
 
 def r_pairs(fr):
@@ -19,6 +20,37 @@ def s_triples(fr):
     return {(w, i, j) for w in range(fr.n)
             for i in range(fr.n) for j in range(fr.n)
             if fr.s_succ[w][i] >> j & 1}
+
+
+def complete_naive(fr):
+    """Least legal extension by a pair-set fixpoint: close R under
+    transitivity, then give each S_w reflexivity on R[w], the pairs of R
+    inside R[w] and transitivity, adding pairs until nothing changes.
+    Raises CompletionError ("cycle" or "stray seed") where no legal
+    extension exists."""
+    n = fr.n
+    r = r_pairs(fr)
+    while True:
+        more = {(i, k) for i, j in r for j2, k in r if j == j2} - r
+        if not more:
+            break
+        r |= more
+    if any(i == j for i, j in r):
+        raise CompletionError("R closure creates a cycle")
+    s = s_triples(fr)
+    if any((w, i) not in r or (w, j) not in r for w, i, j in s):
+        raise CompletionError("stray seed: an S_w pair leaves R[w] x R[w]")
+    while True:
+        more = {(w, u, u) for w, u in r}
+        more |= {(w, u, v) for w, u in r for u2, v in r
+                 if u == u2 and (w, v) in r}
+        more |= {(w, u, x) for w, u, v in s for w2, v2, x in s
+                 if w == w2 and v == v2}
+        more -= s
+        if not more:
+            break
+        s |= more
+    return Frame.build(n, r, s)
 
 
 def force_naive(m, w, f):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -61,6 +62,21 @@ def test_mc_command_from_file(tmp_path, capsys):
     assert code == 2 and "exceeds the limit" in err
 
 
+def test_mc_command_full_size_chain_file(tmp_path, capsys):
+    # completing a chain is cubic; at the limit it takes about 0.9 s on a
+    # 2-CPU desk machine, so 10 s leaves room for slow hosts
+    budget_s = 10.0
+    path = tmp_path / "chain.vf"
+    path.write_text(f"worlds {WORLDS_LIMIT}\n"
+                    + "".join(f"R {i} {i + 1}\n" for i in range(WORLDS_LIMIT - 1))
+                    + f"val p {WORLDS_LIMIT - 1}\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "mc", str(path), "<>p | p")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and len(out.splitlines()) == WORLDS_LIMIT
+    assert elapsed < budget_s, f"{elapsed:.1f} s"
+
+
 def test_mc_command_deep_formula(capsys):
     code, out, _ = run(capsys, "mc", "chain3", "~" * 500 + "p")
     assert (code, out) == (1, "0: false\n1: true\n2: false\nfails at world 0\n")
@@ -114,6 +130,14 @@ def test_bisim_command(tmp_path, capsys):
     code, out, _ = run(capsys, "bisim", "pencil-bad1", "pencil-good1",
                        "--z", str(pairs))
     assert code == 1 and "clause fails" in out
+    for pair in ("0 99", "-1 1"):
+        pairs.write_text(f"0 0\n{pair}\n")
+        code, out, err = run(capsys, "bisim", "pencil-bad1", "pencil-good1",
+                             "--z", str(pairs))
+        i, j = pair.split()
+        assert code == 2 and out == ""
+        assert err == (f"ilkit: {pairs}: pair ({i}, {j}) is outside "
+                       "the models\n")
 
 
 def test_bisim_command_max(capsys):
@@ -191,6 +215,10 @@ def test_ue_command(capsys):
     assert out.startswith("digraph ue {")
     code, _, err = run(capsys, "ue", "chain3", "--cap", "5")
     assert code == 1 and "exceeds 5 worlds" in err
+    for cap in ("0", "-4"):
+        code, out, err = run(capsys, "ue", "chain3", "--cap", cap)
+        assert code == 2 and out == ""
+        assert err == f"ilkit: --cap must be at least 1, got {cap}\n"
 
 
 def test_prove_check_command(tmp_path, capsys):
@@ -222,9 +250,11 @@ def test_pencil_demo_command(capsys):
     assert lines[-1] == ("demo: the pencil class has no modal definition "
                          "at this depth")
     for command in ("pencil-demo", "corpus"):
-        code, out, err = run(capsys, command, "--fan", "0")
-        assert code == 2 and out == ""
-        assert err == "ilkit: --fan must be at least 1, got 0\n"
+        for flag, value, least in (("--fan", "0", 1), ("--trials", "0", 1),
+                                   ("--trials", "-3", 1), ("--depth", "-1", 0)):
+            code, out, err = run(capsys, command, flag, value)
+            assert code == 2 and out == ""
+            assert err == f"ilkit: {flag} must be at least {least}, got {value}\n"
 
 
 def test_pencil_demo_writes_dot(tmp_path, capsys):

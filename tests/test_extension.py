@@ -11,7 +11,7 @@ from ilkit.extension import (
 )
 from ilkit.filters import Filter, Ultrafilter
 from ilkit.formula import parse
-from ilkit.frames import Model, WorldSet, chain, fan, validate
+from ilkit.frames import Model, WorldSet, chain, fan, tree, validate
 from ilkit.semantics import extension
 
 
@@ -173,6 +173,15 @@ def test_ue_json_digests_frozen():
         assert len(ue) == size, name
         text = json.dumps(ue_to_dict(ue), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+    # too large for JSON here: pin sha256 of (r_succ, s_succ), with an
+    # S_w that is empty everywhere written as "-"
+    fr = build_ue(tree(2, 2)).frame
+    assert fr.n == 4391
+    h = hashlib.sha256(repr(fr.r_succ).encode())
+    for rows in fr.s_succ:
+        h.update(repr(rows).encode() if any(rows) else b"-")
+    assert h.hexdigest() == ("17bbf60b60ff75bad6608ed78312adc2"
+                             "b2f5471a8def90087f37e6069755796d")
 
 
 def test_ue_serialization():

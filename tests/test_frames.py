@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -123,6 +125,37 @@ def test_complete_rejects_stray_s_seed():
         complete(Frame.build(3, [(0, 1)], [(0, 1, 2)]))
     with pytest.raises(CompletionError):
         complete(Frame.build(3, [(0, 1)], [(2, 0, 0)]))
+
+
+def test_complete_matches_naive_oracle():
+    # seeded random seed relations: cyclic R, stray S seeds and legal ones
+    outcomes = {"legal": 0, "cycle": 0, "stray": 0}
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if i != j and rng.random() < (0.5 if i < j else 0.08)]
+        triples = [(w, i, j) for w in range(n) for i in range(w + 1, n)
+                   for j in range(w + 1, n) if rng.random() < 0.1]
+        if rng.random() < 0.15:
+            triples.append((rng.randrange(n), rng.randrange(n),
+                            rng.randrange(n)))
+        fr = Frame.build(n, pairs, triples)
+        try:
+            want = oracles.complete_naive(fr)
+        except CompletionError as exc:
+            kind = "cycle" if "cycle" in str(exc) else "stray"
+            with pytest.raises(CompletionError) as err:
+                complete(fr)
+            assert ("cycle" in str(err.value)) == (kind == "cycle")
+            outcomes[kind] += 1
+            continue
+        assert complete(fr) == want
+        outcomes["legal"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+    for n in range(1, 4):
+        for fr in all_frames(n):
+            assert complete(fr) == oracles.complete_naive(fr) == fr
 
 
 def test_shapes():
