@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 
 from .formula import (BOT, Atom, Bottom, Box, Formula, Implies, Rhd, conj, dia,
-                      disj, iff, neg, parse, postorder, to_str)
+                      disj, iff, neg, parse, postorder, to_str, truth_columns)
 
 TAUT_COMPONENT_LIMIT = 16
 
@@ -129,13 +129,8 @@ def is_tautology(f: Formula):
     comps = [g for g in nodes if not isinstance(g, (Implies, Bottom))]
     if len(comps) > TAUT_COMPONENT_LIMIT:
         return None
-    rows = 1 << len(comps)
-    full = (1 << rows) - 1
-    table = {BOT: 0}
-    for i, g in enumerate(comps):
-        # 2^i zeros then 2^i ones, repeated across all rows
-        period = (1 << (2 << i)) - 1
-        table[g] = full // period * (period ^ ((1 << (1 << i)) - 1))
+    full = (1 << (1 << len(comps))) - 1
+    table = {BOT: 0, **dict(zip(comps, truth_columns(len(comps))))}
     for g in nodes:
         if isinstance(g, Implies):
             table[g] = (full & ~table[g.lhs]) | table[g.rhs]

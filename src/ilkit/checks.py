@@ -126,18 +126,19 @@ def axiom_soundness(max_n=3) -> CheckResult:
                                    f"{fr.r_succ} at masks {masks}")
         # literal instances over 2 atoms at depth <= 1, via frame_valid
         depth1 = _pool(depth=1, size=2)
+        picks = depth1[::max(1, len(depth1) // 4)][:4]
+        literals = [(name, args, instantiate(SCHEMAS[name], dict(zip(_META, args))))
+                    for name, arity in _SCHEMA_ARITY.items()
+                    for args in product(picks, repeat=arity)]
         literal_cases = 0
         for fr in _frames_up_to(max_n):
-            for name, arity in _SCHEMA_ARITY.items():
-                picks = depth1[::max(1, len(depth1) // 4)][:4]
-                for args in product(picks, repeat=arity):
-                    binding = dict(zip(_META, args))
-                    verdict = frame_valid(fr, instantiate(SCHEMAS[name], binding))
-                    literal_cases += 1
-                    if not verdict.valid:
-                        return False, (f"{name}{tuple(map(str, args))} refuted "
-                                       f"on n={fr.n} frame at world "
-                                       f"{verdict.world}")
+            for name, args, f in literals:
+                verdict = frame_valid(fr, f)
+                literal_cases += 1
+                if not verdict.valid:
+                    return False, (f"{name}{tuple(map(str, args))} refuted "
+                                   f"on n={fr.n} frame at world "
+                                   f"{verdict.world}")
         return True, (f"{mask_cases} mask instances + {literal_cases} literal "
                       f"instances, 0 counterexamples")
 

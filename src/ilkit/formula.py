@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 import threading
 import weakref
+from functools import cache
 
 NESTING_LIMIT = 100
 
@@ -81,6 +82,23 @@ def postorder(root: Node, enter=None):
             stack.append((node, True))
             if enter is None or enter(node):
                 stack.extend((kid, False) for kid in reversed(node.kids))
+
+
+@cache
+def truth_columns(width: int) -> tuple:
+    """Truth-table columns over ``2**width`` valuations: bit ``j`` of column
+    ``t`` is bit ``t`` of ``j``.  Each is one period (``2**t`` zeros, then
+    ``2**t`` ones) doubled by shift and OR up to the full width."""
+    size = 1 << width
+    cols = []
+    for t in range(width):
+        run = 1 << t
+        col, period = ((1 << run) - 1) << run, run << 1
+        while period < size:
+            col |= col << period
+            period <<= 1
+        cols.append(col)
+    return tuple(cols)
 
 
 def _render(root, pieces) -> str:

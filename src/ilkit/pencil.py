@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .frames import Frame, Model, WorldSet, bits, complete
-from .semantics import check_bisim, equiv_up_to
+from .semantics import check_bisim, first_apart
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,8 +149,13 @@ def nondefinability_demo(m: int = 3, trials: int = 100, depth: int = 2,
     of two atoms on ``bad``, verifies that the transferred models pass the
     bisimulation check on the pairing and that every paired point forces
     the same formulas up to the given depth and size.  Any failure is
-    recorded with its witness and stops the run.
+    recorded with its witness and stops the run.  Raises ValueError unless
+    ``m >= 1``, ``trials >= 1`` and ``depth >= 0``.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if depth < 0:
+        raise ValueError("depth must be at least 0")
     good, bad, z_template = build_demo_pair(m)
     bad_verdict = pencil_check(bad)
     good_verdict = pencil_check(good)
@@ -171,10 +176,9 @@ def nondefinability_demo(m: int = 3, trials: int = 100, depth: int = 2,
             report.bisim_ok = False
             report.failure = ("bisim", trial, ev_bad, verdict)
             return report
-        for wb, wg in z_template:
-            apart = equiv_up_to(mb, wb, mg, wg, depth, atoms, size_bound)
-            if apart is not None:
-                report.equiv_ok = False
-                report.failure = ("equiv", trial, ev_bad, (wb, wg), apart)
-                return report
+        apart = first_apart(mb, mg, z_template, depth, atoms, size_bound)
+        if apart is not None:
+            report.equiv_ok = False
+            report.failure = ("equiv", trial, ev_bad, *apart)
+            return report
     return report

@@ -5,6 +5,14 @@ The binary modality is read existentially through the per-world relation:
 S_w-successor forcing ``b``.  Extensions are bitmasks computed by one loop
 over ``formula.postorder``, so model checking a formula costs one pass over
 its distinct subterms, at any depth.
+
+Frame validity extends the bitmask from worlds to (valuation x world):
+``frame_valid`` sweeps the valuations in ascending blocks of
+``2**SWEEP_BLOCK_BITS``, giving each node one Python int per world whose bit
+``j`` is its truth under the block's ``j``-th valuation.  Atoms are fixed
+truth-table columns (or constants, for valuation bits above the block), and
+each connective is a few big-int operations per world, so one pass over the
+formula decides a whole block.
 """
 
 from __future__ import annotations
@@ -12,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import r_inv_dual_mask, s_inv_mask
-from .formula import (Atom, Bottom, Box, Formula, Implies, Rhd, atoms,
-                      enumerate_formulas, postorder)
+from .formula import (Atom, Bottom, Box, Formula, Implies, Rhd,
+                      enumerate_formulas, postorder, truth_columns)
 from .frames import Frame, Model, WorldSet, bits
 
 VALUATION_BITS_LIMIT = 20
+SWEEP_BLOCK_BITS = 12
 
 
 # Extension mask of a node from its subterms' masks ``v``; atoms read the model.
@@ -63,30 +72,83 @@ class FrameVerdict:
         return self.valid
 
 
+def _sweep_block(nodes, atom_cols: dict, succ: list, ones: int) -> dict:
+    """Per-world truth columns of each node over one block of valuations.
+
+    ``succ[w]`` lists the R-successors ``u`` of ``w``, each with its
+    S_w-successors; bit ``j`` of a column is the truth under the block's
+    ``j``-th valuation, and ``ones`` has a bit for every valuation.
+    """
+    v = {}
+    for g in nodes:
+        kind = type(g)
+        if kind is Atom:
+            col = atom_cols[g.name]
+        elif kind is Bottom:
+            col = [0] * len(succ)
+        elif kind is Implies:
+            col = [(a ^ ones) | b for a, b in zip(v[g.lhs], v[g.rhs])]
+        elif kind is Box:
+            a = v[g.body]
+            col = []
+            for row in succ:
+                meet = ones
+                for u, _ in row:
+                    meet &= a[u]
+                col.append(meet)
+        else:
+            a, b = v[g.lhs], v[g.rhs]
+            col = []
+            for row in succ:
+                meet = ones
+                for u, s_row in row:
+                    reach = 0
+                    for x in s_row:
+                        reach |= b[x]
+                    meet &= (a[u] ^ ones) | reach
+                col.append(meet)
+        v[g] = col
+    return v
+
+
 def frame_valid(fr: Frame, f: Formula, bits_limit=VALUATION_BITS_LIMIT) -> FrameVerdict:
     """Validity of ``f`` on the frame: quantify over all valuations.
 
-    Valuations are swept as integers whose bits lay out the atom masks
-    atom-major, world-minor (sorted atoms), so the reported counterexample
-    is the one with the smallest such integer, then the smallest world.
+    Valuations are numbered by integers whose bits lay out the atom masks
+    atom-major, world-minor (sorted atoms).  They are swept in ascending
+    blocks of ``2**SWEEP_BLOCK_BITS``, each block in one bit-parallel pass
+    over the formula; the first refuting block ends the sweep.  The
+    reported counterexample is the valuation with the smallest number,
+    then the smallest world.
     """
-    names = sorted(atoms(f))
-    n = fr.n
-    full = fr.full_mask
-    bits = len(names) * n
-    if bits > bits_limit:
-        raise ValueError(
-            f"refusing to sweep 2^{bits} valuations (limit 2^{bits_limit})")
     nodes = list(postorder(f))
-    leaves = [Atom(name) for name in names]
-    blank = Model(fr)
-    for vid in range(1 << bits):
-        masks = {a: vid >> i * n & full for i, a in enumerate(leaves)}
-        _fill(blank, nodes, masks)
-        if masks[f] != full:
-            world = min(w for w in range(n) if not masks[f] >> w & 1)
-            return FrameVerdict(False, {a.name: WorldSet(n, masks[a])
-                                        for a in leaves}, world)
+    names = sorted({g.name for g in nodes if type(g) is Atom})
+    n = fr.n
+    nbits = len(names) * n
+    if nbits > bits_limit:
+        raise ValueError(
+            f"refusing to sweep 2^{nbits} valuations (limit 2^{bits_limit})")
+    width = min(nbits, SWEEP_BLOCK_BITS)
+    ones = (1 << (1 << width)) - 1
+    low = truth_columns(width)
+    succ = [[(u, tuple(bits(fr.s_succ[w][u]))) for u in bits(fr.r_succ[w])]
+            for w in range(n)]
+    for base in range(0, 1 << nbits, 1 << width):
+        # valuation bits below the block width vary inside the block
+        cols = [low[t] if t < width else ones if base >> t & 1 else 0
+                for t in range(nbits)]
+        root = _sweep_block(nodes, {name: cols[i * n:(i + 1) * n]
+                                    for i, name in enumerate(names)},
+                            succ, ones)[f]
+        fail = 0
+        for col in root:
+            fail |= col ^ ones
+        if fail:
+            j = (fail & -fail).bit_length() - 1
+            vid = base + j
+            world = next(w for w in range(n) if not root[w] >> j & 1)
+            return FrameVerdict(False, {name: WorldSet(n, vid >> i * n & fr.full_mask)
+                                        for i, name in enumerate(names)}, world)
     return FrameVerdict(True)
 
 
@@ -178,19 +240,34 @@ def max_bisim(ml: Model, mr: Model) -> frozenset:
         pairs = keep
 
 
+def first_apart(ml: Model, mr: Model, pairs, depth: int, pool=None,
+                size_bound: int = 3):
+    """First ``(pair, formula)`` within the bounds telling a pair of points
+    apart, or None.
+
+    The formulas over ``pool`` (default: the atoms named by either model)
+    are evaluated once on each model; the search takes the pairs in order,
+    and for each pair the formulas in enumeration order.
+    """
+    if pool is None:
+        pool = set(ml.ev) | set(mr.ev)
+    formulas = list(enumerate_formulas(pool, depth, size_bound))
+    cl, cr = {}, {}
+    # the enumeration yields every formula after its subformulas
+    _fill(ml, formulas, cl)
+    _fill(mr, formulas, cr)
+    for wl, wr in pairs:
+        for f in formulas:
+            if cl[f] >> wl & 1 != cr[f] >> wr & 1:
+                return (wl, wr), f
+    return None
+
+
 def equiv_up_to(ml: Model, wl: int, mr: Model, wr: int, depth: int,
                 pool=None, size_bound: int = 3):
     """First formula within the bounds telling the two points apart, or None.
 
     ``pool`` defaults to the atoms named by either model.
     """
-    if pool is None:
-        pool = set(ml.ev) | set(mr.ev)
-    cl, cr = {}, {}
-    # the enumeration yields every formula after its subformulas
-    for f in enumerate_formulas(pool, depth, size_bound):
-        _fill(ml, (f,), cl)
-        _fill(mr, (f,), cr)
-        if cl[f] >> wl & 1 != cr[f] >> wr & 1:
-            return f
-    return None
+    found = first_apart(ml, mr, [(wl, wr)], depth, pool, size_bound)
+    return found[1] if found else None

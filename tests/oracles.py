@@ -53,26 +53,58 @@ def complete_naive(fr):
     return Frame.build(n, r, s)
 
 
-def force_naive(m, w, f):
-    """Forcing by structural recursion over set-of-pairs relations."""
-    fr = m.frame
-    r = r_pairs(fr)
-    s = s_triples(fr)
+def _forces(n, r, s, ev, w, f):
+    """Structural recursion over the pair sets ``r``, ``s`` and the
+    valuation ``ev`` (atom -> set of worlds)."""
 
     def go(w, f):
         if isinstance(f, Bottom):
             return False
         if isinstance(f, Atom):
-            return w in set(m.ev_set(f.name))
+            return w in ev.get(f.name, ())
         if isinstance(f, Implies):
             return not go(w, f.lhs) or go(w, f.rhs)
         if isinstance(f, Box):
-            return all(go(u, f.body) for u in range(fr.n) if (w, u) in r)
+            return all(go(u, f.body) for u in range(n) if (w, u) in r)
         assert isinstance(f, Rhd)
-        return all(any((w, u, v) in s and go(v, f.rhs) for v in range(fr.n))
-                   for u in range(fr.n) if (w, u) in r and go(u, f.lhs))
+        return all(any((w, u, v) in s and go(v, f.rhs) for v in range(n))
+                   for u in range(n) if (w, u) in r and go(u, f.lhs))
 
     return go(w, f)
+
+
+def force_naive(m, w, f):
+    """Forcing by structural recursion over set-of-pairs relations."""
+    fr = m.frame
+    ev = {a: set(m.ev_set(a)) for a in m.ev}
+    return _forces(fr.n, r_pairs(fr), s_triples(fr), ev, w, f)
+
+
+def _atom_names(f):
+    if isinstance(f, Atom):
+        return {f.name}
+    return set().union(*(_atom_names(g) for g in f.kids))
+
+
+def frame_valid_naive(fr, f):
+    """Frame validity one valuation at a time, in valuation-number order,
+    by the recursion behind ``force_naive``.
+
+    Valuation ``vid`` gives the i-th sorted atom the worlds ``w`` with bit
+    ``i * n + w`` of ``vid`` set.  Returns ``(valid, ev, world)``: the first
+    refuting valuation (atom -> frozenset) and its least failing world, or
+    ``(True, None, None)``.
+    """
+    names = sorted(_atom_names(f))
+    n = fr.n
+    r, s = r_pairs(fr), s_triples(fr)
+    for vid in range(1 << len(names) * n):
+        ev = {a: frozenset(w for w in range(n) if vid >> i * n + w & 1)
+              for i, a in enumerate(names)}
+        for w in range(n):
+            if not _forces(n, r, s, ev, w, f):
+                return False, ev, w
+    return True, None, None
 
 
 def extension_naive(m, f):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ilkit import checks
 from ilkit.corpus import load
 from ilkit.frames import Frame, Model, WorldSet, chain, fan, random_frame, tree
 from ilkit.pencil import (
@@ -122,3 +123,14 @@ def test_nondefinability_demo_is_deterministic():
     a = nondefinability_demo(m=1, trials=5, depth=1, seed=3)
     b = nondefinability_demo(m=1, trials=5, depth=1, seed=3)
     assert (a.ok, a.bad_witness) == (b.ok, b.bad_witness)
+
+
+def test_nondefinability_demo_refuses_empty_runs():
+    for kwargs in [dict(m=1, trials=0), dict(m=1, trials=-3),
+                   dict(m=1, trials=5, depth=-1), dict(m=0, trials=5)]:
+        with pytest.raises(ValueError):
+            nondefinability_demo(**kwargs)
+    with pytest.raises(ValueError):
+        checks.pencil_demo(fan=1, trials=0)
+    with pytest.raises(ValueError):
+        checks.pencil_demo(fan=1, trials=5, depth=-1)

@@ -1,12 +1,15 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ilkit.calculus import SCHEMAS
 from ilkit.corpus import corpus_models, load
-from ilkit.formula import TOP, enumerate_formulas, parse
-from ilkit.frames import Model, WorldSet, chain, fan, random_frame
+from ilkit.formula import TOP, atoms, enumerate_formulas, parse
+from ilkit.frames import Model, WorldSet, all_frames, chain, fan, random_frame
 from ilkit.semantics import (
-    check_bisim, equiv_up_to, extension, force, frame_valid, max_bisim,
-    model_valid,
+    SWEEP_BLOCK_BITS, VALUATION_BITS_LIMIT, check_bisim, equiv_up_to,
+    extension, first_apart, force, frame_valid, max_bisim, model_valid,
 )
 
 import oracles
@@ -57,6 +60,55 @@ def test_frame_valid_reports_least_counterexample():
     assert frame_valid(chain(2), parse("[]a -> [][]a")).valid
     # GL's frame counterpart holds on every finite transitive frame
     assert frame_valid(fan(2), parse("[]([]a -> a) -> []a")).valid
+
+
+def _verdict(v):
+    ev = v.ev and {a: frozenset(ws) for a, ws in v.ev.items()}
+    return v.valid, ev, v.world
+
+
+def test_frame_valid_matches_naive_oracle_on_small_frames():
+    formulas = list(enumerate_formulas(["p", "q"], 2, 2)) + list(SCHEMAS.values())
+    for n in (1, 2, 3):
+        for fr in all_frames(n):
+            for f in formulas:
+                assert _verdict(frame_valid(fr, f)) == \
+                    oracles.frame_valid_naive(fr, f), (fr, f)
+
+
+def test_frame_valid_matches_naive_oracle_on_corpus():
+    # the oracle sweeps one valuation at a time, so keep it to 2^12 of them
+    formulas = list(enumerate_formulas(["p", "q"], 2, 2))[::7] + list(SCHEMAS.values())
+    for name, m in corpus_models():
+        for f in formulas:
+            if len(atoms(f)) * m.frame.n <= 12:
+                assert _verdict(frame_valid(m.frame, f)) == \
+                    oracles.frame_valid_naive(m.frame, f), (name, f)
+
+
+def test_frame_valid_least_countermodel_past_the_first_block():
+    # 7 atoms on 2 worlds: g owns valuation bits 12 and 13, so every
+    # valuation of the first block leaves g empty and the formula true
+    assert SWEEP_BLOCK_BITS == 12
+    for text, ev in [
+            ("g -> a | b | c | d | e | f | []F", {"g": {0}}),
+            ("g -> a | b | c | d | e | ~f | []F", {"f": {0}, "g": {0}})]:
+        f = parse(text)
+        got = _verdict(frame_valid(chain(2), f))
+        assert got == oracles.frame_valid_naive(chain(2), f)
+        assert got == (False, {a: frozenset(ev.get(a, ())) for a in "abcdefg"}, 0)
+
+
+def test_frame_valid_full_bits_limit_budget():
+    fr = chain(10)
+    assert 2 * fr.n == VALUATION_BITS_LIMIT
+    t0 = time.perf_counter()
+    assert frame_valid(fr, parse("[](a -> b) -> ([]a -> []b)")).valid
+    # refuted only where b holds at the last world: valuation 2^19
+    v = frame_valid(fr, parse("[]F & b -> a"))
+    seconds = time.perf_counter() - t0
+    assert _verdict(v) == (False, {"a": frozenset(), "b": frozenset({9})}, 9)
+    assert seconds < 3
 
 
 def test_frame_valid_refuses_oversized_sweeps():
@@ -134,3 +186,20 @@ def test_equiv_up_to_finds_separating_formula():
     # worlds 1 and 2 of the duplicated fan agree on everything bounded
     m = Model(fan(2), {"p": [1, 2]})
     assert equiv_up_to(m, 1, m, 2, depth=2) is None
+
+
+def test_first_apart_takes_pairs_then_pool_order():
+    m3 = load("chain3")
+    pool = list(enumerate_formulas(["p", "q"], 1, 3))
+    pairs = [(0, 0), (1, 1), (0, 2), (1, 2)]
+    expected = next(((wl, wr), f) for wl, wr in pairs for f in pool
+                    if (wl in oracles.extension_naive(m3, f))
+                    != (wr in oracles.extension_naive(m3, f)))
+    assert expected[0] == (0, 2)
+    assert first_apart(m3, m3, pairs, depth=1) == expected
+    assert equiv_up_to(m3, 0, m3, 2, depth=1) is expected[1]
+    assert first_apart(m3, m3, [(0, 0), (1, 1)], depth=1) is None
+
+    bad, good = load("pencil-bad1"), load("pencil-good1")
+    z = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (4, 5)]
+    assert first_apart(bad, good, z, depth=2, size_bound=2) is None
