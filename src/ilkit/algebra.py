@@ -10,7 +10,10 @@ nodes like formulas; ``translate`` and ``eval_term`` are each one loop over
 ``formula.postorder``, and ``term_to_str`` streams through one work stack.
 Forcing (``semantics``) evaluates through the same mask kernels defined
 here; the independent reference for both routes is the naive evaluator in
-``tests/oracles.py``.
+``tests/oracles.py``.  ``eval_term`` stays a per-valuation evaluator on
+purpose: the translation-agreement check holds it against forcing.  Term
+validity over all valuations goes through ``semantics.frame_valid``, whose
+bit-parallel sweep table covers set terms and formulas alike.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from .formula import ParseError, atoms, parse, to_str
 from .frameio import FrameFormatError, load_model, to_dot
 from .frames import Model, WorldSet
 from .pencil import build_demo_pair, nondefinability_demo
-from .semantics import check_bisim, extension, frame_valid, max_bisim
+from .semantics import VALUATION_BITS_LIMIT, check_bisim, extension, frame_valid, max_bisim
 
 USAGE_ERROR = 2
 
@@ -301,7 +301,7 @@ def _build_parser():
     p = sub.add_parser("frame-valid", help="search valuations for a countermodel")
     p.add_argument("model")
     p.add_argument("formula")
-    p.add_argument("--bits-limit", type=int, default=20)
+    p.add_argument("--bits-limit", type=int, default=VALUATION_BITS_LIMIT)
     p.set_defaults(fn=_cmd_frame_valid)
 
     p = sub.add_parser("bisim", help="check or compute a bisimulation")

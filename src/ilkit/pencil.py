@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .formula import enumerate_formulas
 from .frames import Frame, Model, WorldSet, bits, complete
 from .semantics import check_bisim, first_apart
 
@@ -166,6 +167,8 @@ def nondefinability_demo(m: int = 3, trials: int = 100, depth: int = 2,
         return report
     rng = random.Random(seed)
     atoms = ("p", "q")
+    # one pool for every trial: the intern table would free it in between
+    formulas = list(enumerate_formulas(atoms, depth, size_bound))
     for trial in range(trials):
         ev_bad = {a: WorldSet(bad.n, rng.randrange(1 << bad.n)) for a in atoms}
         ev_good = transfer_valuation(ev_bad, m)
@@ -176,7 +179,7 @@ def nondefinability_demo(m: int = 3, trials: int = 100, depth: int = 2,
             report.bisim_ok = False
             report.failure = ("bisim", trial, ev_bad, verdict)
             return report
-        apart = first_apart(mb, mg, z_template, depth, atoms, size_bound)
+        apart = first_apart(mb, mg, z_template, formulas)
         if apart is not None:
             report.equiv_ok = False
             report.failure = ("equiv", trial, ev_bad, *apart)

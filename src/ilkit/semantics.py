@@ -12,15 +12,18 @@ Frame validity extends the bitmask from worlds to (valuation x world):
 ``j`` is its truth under the block's ``j``-th valuation.  Atoms are fixed
 truth-table columns (or constants, for valuation bits above the block), and
 each connective is a few big-int operations per world, so one pass over the
-formula decides a whole block.
+formula decides a whole block.  Formulas and the set terms of ``algebra``
+share one sweep table, ``_COLUMN_OPS``, so the same sweep decides whether a
+term denotes every world under every valuation of its set variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import r_inv_dual_mask, s_inv_mask
-from .formula import (Atom, Bottom, Box, Formula, Implies, Rhd,
+from .algebra import (_TERM_OF, Complement, DiaOp, Full, Intersection, Union,
+                      Var, r_inv_dual_mask, s_inv_mask)
+from .formula import (Atom, Bottom, Box, Formula, Implies, Node, Rhd,
                       enumerate_formulas, postorder, truth_columns)
 from .frames import Frame, Model, WorldSet, bits
 
@@ -72,59 +75,85 @@ class FrameVerdict:
         return self.valid
 
 
-def _sweep_block(nodes, atom_cols: dict, succ: list, ones: int) -> dict:
-    """Per-world truth columns of each node over one block of valuations.
+def _meet(succ, ones, a):
+    """Box and ``Rhat_inv``: per world, the AND of ``a`` over its R-successors."""
+    col = []
+    for row in succ:
+        meet = ones
+        for u, _ in row:
+            meet &= a[u]
+        col.append(meet)
+    return col
 
-    ``succ[w]`` lists the R-successors ``u`` of ``w``, each with its
-    S_w-successors; bit ``j`` of a column is the truth under the block's
-    ``j``-th valuation, and ``ones`` has a bit for every valuation.
+
+def _s_meet(succ, ones, a, b):
+    """``|>`` and ``S_inv``: per world w, the AND over R-successors u of
+    ``a[u]`` implying the OR of ``b`` over S_w[u]."""
+    col = []
+    for row in succ:
+        meet = ones
+        for u, s_row in row:
+            reach = 0
+            for x in s_row:
+                reach |= b[x]
+            meet &= (a[u] ^ ones) | reach
+        col.append(meet)
+    return col
+
+
+# Columns of a node from the block's ``succ`` and ``ones`` and the columns of
+# its subterms, for formulas and set terms alike; ``R_inv`` is the dual of
+# ``Rhat_inv``.
+_COLUMN_OPS = {
+    Bottom: lambda succ, ones: [0] * len(succ),
+    Full: lambda succ, ones: [ones] * len(succ),
+    Implies: lambda succ, ones, a, b: [(x ^ ones) | y for x, y in zip(a, b)],
+    Complement: lambda succ, ones, a: [x ^ ones for x in a],
+    Union: lambda succ, ones, a, b: [x | y for x, y in zip(a, b)],
+    Intersection: lambda succ, ones, a, b: [x & y for x, y in zip(a, b)],
+    Box: _meet,
+    DiaOp: lambda succ, ones, a: [x ^ ones for x in
+                                  _meet(succ, ones, [y ^ ones for y in a])],
+    Rhd: _s_meet,
+}
+_COLUMN_OPS.update({t: _COLUMN_OPS[f] for f, t in _TERM_OF.items()})
+
+
+def _sweep_block(nodes, v: dict, succ: list, ones: int) -> dict:
+    """Add to ``v``, which holds the variables' columns, the per-world truth
+    columns of ``nodes`` (each after its subterms) over one block of
+    valuations.  One table, ``_COLUMN_OPS``, serves formulas and set terms.
+
+    Bit ``j`` of a column is the truth under the block's ``j``-th
+    valuation; ``succ[w]`` lists each R-successor u of w with its
+    S_w-successors, and ``ones`` has a bit for every valuation.
     """
-    v = {}
     for g in nodes:
-        kind = type(g)
-        if kind is Atom:
-            col = atom_cols[g.name]
-        elif kind is Bottom:
-            col = [0] * len(succ)
-        elif kind is Implies:
-            col = [(a ^ ones) | b for a, b in zip(v[g.lhs], v[g.rhs])]
-        elif kind is Box:
-            a = v[g.body]
-            col = []
-            for row in succ:
-                meet = ones
-                for u, _ in row:
-                    meet &= a[u]
-                col.append(meet)
-        else:
-            a, b = v[g.lhs], v[g.rhs]
-            col = []
-            for row in succ:
-                meet = ones
-                for u, s_row in row:
-                    reach = 0
-                    for x in s_row:
-                        reach |= b[x]
-                    meet &= (a[u] ^ ones) | reach
-                col.append(meet)
-        v[g] = col
+        v[g] = _COLUMN_OPS[type(g)](succ, ones, *[v[x] for x in g.kids])
     return v
 
 
-def frame_valid(fr: Frame, f: Formula, bits_limit=VALUATION_BITS_LIMIT) -> FrameVerdict:
-    """Validity of ``f`` on the frame: quantify over all valuations.
+def frame_valid(fr: Frame, f: Node, bits_limit=VALUATION_BITS_LIMIT) -> FrameVerdict:
+    """Validity of the formula or set term ``f`` on the frame: quantify over
+    all valuations of its atoms or set variables (a term is valid when it
+    denotes every world).
 
-    Valuations are numbered by integers whose bits lay out the atom masks
-    atom-major, world-minor (sorted atoms).  They are swept in ascending
-    blocks of ``2**SWEEP_BLOCK_BITS``, each block in one bit-parallel pass
-    over the formula; the first refuting block ends the sweep.  The
-    reported counterexample is the valuation with the smallest number,
-    then the smallest world.
+    Valuations are numbered by integers whose bits lay out the variable
+    masks variable-major, world-minor (sorted names).  They are swept in
+    ascending blocks of ``2**SWEEP_BLOCK_BITS``, each block in one
+    bit-parallel pass over ``f``; the first refuting block ends the sweep.
+    The reported counterexample is the valuation with the smallest number,
+    then the smallest world.  Refuses ``bits_limit`` outside
+    ``0..VALUATION_BITS_LIMIT`` and more than ``2**bits_limit`` valuations.
     """
+    if not 0 <= bits_limit <= VALUATION_BITS_LIMIT:
+        raise ValueError(
+            f"bits limit {bits_limit} is outside 0..{VALUATION_BITS_LIMIT}")
     nodes = list(postorder(f))
-    names = sorted({g.name for g in nodes if type(g) is Atom})
+    leaves = sorted((g for g in nodes if type(g) in (Atom, Var)), key=lambda g: g.name)
+    inner = [g for g in nodes if type(g) not in (Atom, Var)]
     n = fr.n
-    nbits = len(names) * n
+    nbits = len(leaves) * n
     if nbits > bits_limit:
         raise ValueError(
             f"refusing to sweep 2^{nbits} valuations (limit 2^{bits_limit})")
@@ -137,8 +166,8 @@ def frame_valid(fr: Frame, f: Formula, bits_limit=VALUATION_BITS_LIMIT) -> Frame
         # valuation bits below the block width vary inside the block
         cols = [low[t] if t < width else ones if base >> t & 1 else 0
                 for t in range(nbits)]
-        root = _sweep_block(nodes, {name: cols[i * n:(i + 1) * n]
-                                    for i, name in enumerate(names)},
+        root = _sweep_block(inner, {g: cols[i * n:(i + 1) * n]
+                                    for i, g in enumerate(leaves)},
                             succ, ones)[f]
         fail = 0
         for col in root:
@@ -147,8 +176,8 @@ def frame_valid(fr: Frame, f: Formula, bits_limit=VALUATION_BITS_LIMIT) -> Frame
             j = (fail & -fail).bit_length() - 1
             vid = base + j
             world = next(w for w in range(n) if not root[w] >> j & 1)
-            return FrameVerdict(False, {name: WorldSet(n, vid >> i * n & fr.full_mask)
-                                        for i, name in enumerate(names)}, world)
+            return FrameVerdict(False, {g.name: WorldSet(n, vid >> i * n & fr.full_mask)
+                                        for i, g in enumerate(leaves)}, world)
     return FrameVerdict(True)
 
 
@@ -240,20 +269,15 @@ def max_bisim(ml: Model, mr: Model) -> frozenset:
         pairs = keep
 
 
-def first_apart(ml: Model, mr: Model, pairs, depth: int, pool=None,
-                size_bound: int = 3):
-    """First ``(pair, formula)`` within the bounds telling a pair of points
-    apart, or None.
+def first_apart(ml: Model, mr: Model, pairs, formulas):
+    """First ``(pair, formula)`` telling a pair of points apart, or None.
 
-    The formulas over ``pool`` (default: the atoms named by either model)
-    are evaluated once on each model; the search takes the pairs in order,
-    and for each pair the formulas in enumeration order.
+    ``formulas`` lists every formula after its subformulas, as
+    ``enumerate_formulas`` yields them; each is evaluated once on each
+    model.  The search takes the pairs in order, and for each pair the
+    formulas in list order.
     """
-    if pool is None:
-        pool = set(ml.ev) | set(mr.ev)
-    formulas = list(enumerate_formulas(pool, depth, size_bound))
     cl, cr = {}, {}
-    # the enumeration yields every formula after its subformulas
     _fill(ml, formulas, cl)
     _fill(mr, formulas, cr)
     for wl, wr in pairs:
@@ -269,5 +293,8 @@ def equiv_up_to(ml: Model, wl: int, mr: Model, wr: int, depth: int,
 
     ``pool`` defaults to the atoms named by either model.
     """
-    found = first_apart(ml, mr, [(wl, wr)], depth, pool, size_bound)
+    if pool is None:
+        pool = set(ml.ev) | set(mr.ev)
+    found = first_apart(ml, mr, [(wl, wr)],
+                        list(enumerate_formulas(pool, depth, size_bound)))
     return found[1] if found else None

@@ -7,6 +7,8 @@ the fast implementations against these at desk scale.
 
 from itertools import combinations
 
+from ilkit.algebra import (BoxOp, Complement, DiaOp, Empty, Full, Intersection,
+                           SOp, Union, Var)
 from ilkit.formula import Atom, Bottom, Box, Implies, Rhd
 from ilkit.frames import CompletionError, Frame
 
@@ -81,7 +83,7 @@ def force_naive(m, w, f):
 
 
 def _atom_names(f):
-    if isinstance(f, Atom):
+    if isinstance(f, (Atom, Var)):
         return {f.name}
     return set().union(*(_atom_names(g) for g in f.kids))
 
@@ -131,6 +133,56 @@ def r_inv_dual_naive(fr, ys):
     r = r_pairs(fr)
     return frozenset(w for w in range(fr.n)
                      if all(u in ys for u in range(fr.n) if (w, u) in r))
+
+
+def term_valid_naive(fr, t):
+    """Validity of a set term (it denotes every world) one valuation at a
+    time, by structural recursion through ``r_inv_naive``,
+    ``r_inv_dual_naive`` and ``s_inv_naive``.
+
+    Valuations are numbered as in ``frame_valid_naive``, over the sorted set
+    variables.  Returns ``(valid, ev, world)``: the first refuting valuation
+    (variable -> frozenset) and its least missing world, or
+    ``(True, None, None)``.  The frame is fixed, so each preimage is
+    computed once per argument tuple.
+    """
+    names = sorted(_atom_names(t))
+    n = fr.n
+    universe = frozenset(range(n))
+    preimages = {}
+
+    def pre(op, *sets):
+        if (op, *sets) not in preimages:
+            preimages[(op, *sets)] = op(fr, *sets)
+        return preimages[(op, *sets)]
+
+    def value(t, ev):
+        if isinstance(t, Var):
+            return ev[t.name]
+        if isinstance(t, Empty):
+            return frozenset()
+        if isinstance(t, Full):
+            return universe
+        if isinstance(t, Complement):
+            return universe - value(t.arg, ev)
+        if isinstance(t, Union):
+            return value(t.lhs, ev) | value(t.rhs, ev)
+        if isinstance(t, Intersection):
+            return value(t.lhs, ev) & value(t.rhs, ev)
+        if isinstance(t, BoxOp):
+            return pre(r_inv_dual_naive, value(t.arg, ev))
+        if isinstance(t, DiaOp):
+            return pre(r_inv_naive, value(t.arg, ev))
+        assert isinstance(t, SOp)
+        return pre(s_inv_naive, value(t.lhs, ev), value(t.rhs, ev))
+
+    for vid in range(1 << len(names) * n):
+        ev = {a: frozenset(w for w in range(n) if vid >> i * n + w & 1)
+              for i, a in enumerate(names)}
+        missing = universe - value(t, ev)
+        if missing:
+            return False, ev, min(missing)
+    return True, None, None
 
 
 def assuring_naive(fr, fw, member_sets, gw):

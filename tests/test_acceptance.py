@@ -35,6 +35,8 @@ def test_axiom_schemas_frame_valid_everywhere():
 def test_translated_axioms_denote_the_whole_frame():
     r = checks.translation_validity()
     report("translated axioms denote W + inclusion laws", r)
+    assert r.detail == "71296 axiom valuations = W, 35502 inclusions"
+    assert r.seconds < 0.5
 
 
 def test_translation_matches_forcing():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,10 +7,12 @@ from ilkit.algebra import (
     BoxOp, Complement, DiaOp, Empty, Full, Intersection, SOp, Union, Var,
     agreement, eval_term, r_inv, r_inv_dual, s_inv, term_to_str, translate,
 )
+from ilkit.calculus import _META, SCHEMAS, instantiate
+from ilkit.checks import INCLUSION_LAWS
 from ilkit.corpus import corpus_models
-from ilkit.formula import enumerate_formulas, parse
-from ilkit.frames import Model, WorldSet, chain, fan, random_frame
-from ilkit.semantics import extension
+from ilkit.formula import Atom, atoms, enumerate_formulas, parse
+from ilkit.frames import Model, WorldSet, all_frames, chain, fan, random_frame
+from ilkit.semantics import SWEEP_BLOCK_BITS, extension, frame_valid
 
 import oracles
 
@@ -117,3 +121,41 @@ def test_eval_caches_repeated_subterms():
     got = eval_term(fr, {"p": ws(4, [1, 2])}, t, cache)
     assert translate(parse("p |> p")) in cache
     assert got == eval_term(fr, {"p": ws(4, [1, 2])}, t)
+
+
+def _verdict(v):
+    ev = v.ev and {a: frozenset(ws) for a, ws in v.ev.items()}
+    return v.valid, ev, v.world
+
+
+def test_term_validity_matches_naive_oracle_on_small_frames():
+    pq = [Atom("p"), Atom("q")]
+    formulas = list(enumerate_formulas(["p", "q"], 2, 2)) + list(SCHEMAS.values())
+    formulas += [instantiate(schema, dict(zip(_META, args)))
+                 for schema in SCHEMAS.values()
+                 for args in product(pq, repeat=len(atoms(schema)))]
+    a, b = Var("a"), Var("b")
+    # the operators translations never produce
+    extra = [DiaOp(a), Union(Complement(a), Intersection(a, Full())),
+             Union(DiaOp(a), BoxOp(Complement(a))),
+             Union(Complement(DiaOp(DiaOp(a))), DiaOp(a)),
+             Union(Complement(Intersection(DiaOp(a), b)), SOp(Full(), DiaOp(b)))]
+    terms = ([translate(f) for f in formulas] + extra
+             + [term for _, _, term in INCLUSION_LAWS])
+    for n in (1, 2, 3):
+        for fr in all_frames(n):
+            for t in terms:
+                assert _verdict(frame_valid(fr, t)) == \
+                    oracles.term_valid_naive(fr, t), (fr, t)
+
+
+def test_term_validity_least_countermodel_past_the_first_block():
+    # 3 variables x 5 worlds = 15 bits; the term fails only where c holds
+    # at world 3 or 4, which valuation bits 13 and 14 set
+    assert SWEEP_BLOCK_BITS == 12
+    a, b, c = Var("a"), Var("b"), Var("c")
+    t = Union(Union(Complement(c), DiaOp(DiaOp(Full()))), SOp(a, b))
+    got = _verdict(frame_valid(chain(5), t))
+    assert got == oracles.term_valid_naive(chain(5), t)
+    assert got == (False, {"a": frozenset({4}), "b": frozenset(),
+                           "c": frozenset({3})}, 3)

@@ -9,6 +9,7 @@ from ilkit.calculus import derived_theorems, proof_to_dict
 from ilkit.cli import main
 from ilkit.formula import NESTING_LIMIT
 from ilkit.frameio import WORLDS_LIMIT
+from ilkit.semantics import VALUATION_BITS_LIMIT
 
 
 def run(capsys, *argv):
@@ -109,7 +110,7 @@ def test_frame_valid_command(capsys):
     assert out.strip() == "refuted at world 0 under {'a': [0]}"
 
 
-def test_frame_valid_bits_limit(capsys):
+def test_frame_valid_bits_limit(tmp_path, capsys):
     # 4 atoms x 6 worlds = 24 bits: over the default cap, surfaced as usage
     code, _, err = run(capsys, "frame-valid", "pencil-good1",
                        "a -> b -> c -> d -> a")
@@ -117,6 +118,19 @@ def test_frame_valid_bits_limit(capsys):
     code, _, _ = run(capsys, "frame-valid", "chain2", "a -> b -> a",
                      "--bits-limit", "4")
     assert code == 0
+    # 2 atoms x 16 worlds = 32 bits: no flag value may lift the cap, and
+    # a value outside 0..VALUATION_BITS_LIMIT is refused before any sweep
+    path = tmp_path / "wide.vf"
+    path.write_text("worlds 16\nR 0 1\n")
+    t0 = time.perf_counter()
+    for flags in ([], ["--bits-limit", "32"], ["--bits-limit", "21"],
+                  ["--bits-limit", "-1"]):
+        code, out, err = run(capsys, "frame-valid", str(path), "p -> p | q", *flags)
+        assert code == 2 and out == "" and err.startswith("ilkit: "), flags
+    assert time.perf_counter() - t0 < 1
+    code, out, _ = run(capsys, "frame-valid", "chain2", "a -> b -> a",
+                       "--bits-limit", str(VALUATION_BITS_LIMIT))
+    assert code == 0 and out == "frame-valid\n"
 
 
 def test_bisim_command(tmp_path, capsys):

@@ -118,6 +118,9 @@ def test_frame_valid_refuses_oversized_sweeps():
     taut = parse("a & b -> a")
     with pytest.raises(ValueError):
         frame_valid(chain(2), taut, bits_limit=3)
+    for limit in (-1, VALUATION_BITS_LIMIT + 1):
+        with pytest.raises(ValueError, match="outside"):
+            frame_valid(chain(2), taut, bits_limit=limit)
     assert frame_valid(chain(2), taut).valid
 
 
@@ -196,10 +199,10 @@ def test_first_apart_takes_pairs_then_pool_order():
                     if (wl in oracles.extension_naive(m3, f))
                     != (wr in oracles.extension_naive(m3, f)))
     assert expected[0] == (0, 2)
-    assert first_apart(m3, m3, pairs, depth=1) == expected
+    assert first_apart(m3, m3, pairs, pool) == expected
     assert equiv_up_to(m3, 0, m3, 2, depth=1) is expected[1]
-    assert first_apart(m3, m3, [(0, 0), (1, 1)], depth=1) is None
+    assert first_apart(m3, m3, [(0, 0), (1, 1)], pool) is None
 
     bad, good = load("pencil-bad1"), load("pencil-good1")
     z = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (4, 5)]
-    assert first_apart(bad, good, z, depth=2, size_bound=2) is None
+    assert first_apart(bad, good, z, list(enumerate_formulas(["p", "q"], 2, 2))) is None
