@@ -79,14 +79,18 @@ def build_ue(base: Frame, labels=None, max_worlds: int = 100_000) -> UEFrame:
     worlds = [UEWorld(uf, ()) for uf in ufs]
     index = {w: i for i, w in enumerate(worlds)}
     ops = FrameOps(base)
+    # the labels that assure something at each base world, with their rows:
+    # an extension world's moves depend on its ultrafilter only
+    moves = [[(l, row) for l in labels
+              if (row := ops.assured(f.witness, l.min_mask))] for f in ufs]
     one_step = []
     frontier = list(worlds)
     while frontier:
         fresh = []
         for w in frontier:
             wi = index[w]
-            for l in labels:
-                for g in bits(ops.assured(w.uf.witness, l.min_mask)):
+            for l, row in moves[w.uf.witness]:
+                for g in bits(row):
                     child = UEWorld(ufs[g], w.labels + (l,))
                     ci = index.get(child)
                     if ci is None:

@@ -55,6 +55,42 @@ def complete_naive(fr):
     return Frame.build(n, r, s)
 
 
+def validate_naive(fr):
+    """Every frame law checked on the pair sets, one cell at a time, with
+    the violations in ``frames.validate``'s order: the R laws world by
+    world, then the S laws per cell (w, u).  Each witness is the largest
+    offending world (v, or x for transitivity, ascending over v)."""
+    worlds = range(fr.n)
+    r, s = r_pairs(fr), s_triples(fr)
+    bad = []
+    for w in worlds:
+        if (w, w) in r:
+            bad.append(("R-irreflexive", (w,)))
+        for u in worlds:
+            out = [v for v in worlds
+                   if (w, u) in r and (u, v) in r and (w, v) not in r]
+            if out:
+                bad.append(("R-transitive", (w, u, max(out))))
+    for w in worlds:
+        succ = {u for u in worlds if (w, u) in r}
+        for u in worlds:
+            row = {v for v in worlds if (w, u, v) in s}
+            if row and u not in succ:
+                bad.append(("S-domain", (w, u, max(row))))
+            elif row - succ:
+                bad.append(("S-domain", (w, u, max(row - succ))))
+            if u in succ and u not in row:
+                bad.append(("S-reflexive", (w, u)))
+            for v in sorted(row):
+                out = {x for x in worlds if (w, v, x) in s} - row
+                if out:
+                    bad.append(("S-transitive", (w, u, v, max(out))))
+            missing = {v for v in succ if (u, v) in r} - row
+            if u in succ and missing:
+                bad.append(("S-contains-R", (w, u, max(missing))))
+    return tuple(bad)
+
+
 def _forces(n, r, s, ev, w, f):
     """Structural recursion over the pair sets ``r``, ``s`` and the
     valuation ``ev`` (atom -> set of worlds)."""

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -182,6 +183,14 @@ def test_ue_json_digests_frozen():
         h.update(repr(rows).encode() if any(rows) else b"-")
     assert h.hexdigest() == ("17bbf60b60ff75bad6608ed78312adc2"
                              "b2f5471a8def90087f37e6069755796d")
+
+
+def test_validate_extensions_budget():
+    # equal S rows close and check once, and R-leaves share one zero tuple
+    t0 = time.perf_counter()
+    assert validate(build_ue(tree(2, 2)).frame).ok
+    assert validate(build_ue(chain(5)).frame).ok
+    assert time.perf_counter() - t0 < 2
 
 
 def test_ue_serialization():

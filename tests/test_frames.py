@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from ilkit.extension import build_ue
 from ilkit.frames import (
     CompletionError, Frame, Model, WorldSet, all_frames, chain, complete,
     fan, longest_chain, random_frame, tree, validate,
@@ -92,6 +93,49 @@ def test_validate_flags_each_law():
     assert ("S-contains-R", (0, 1, 2)) in validate(broken).violations
 
 
+def test_validate_matches_naive_oracle():
+    # seeded random seed relations, most of them illegal
+    illegal = 0
+    for seed in range(500):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if rng.random() < (0.5 if i < j else 0.06)]
+        triples = [(w, i, j) for w in range(n) for i in range(n)
+                   for j in range(n) if rng.random() < 0.08]
+        fr = Frame.build(n, pairs, triples)
+        got = validate(fr)
+        assert got.violations == oracles.validate_naive(fr)
+        illegal += not got.ok
+    assert illegal >= 300, illegal
+    for n in range(1, 4):
+        for fr in all_frames(n):
+            assert validate(fr).violations == oracles.validate_naive(fr) == ()
+    fr = build_ue(chain(3)).frame
+    assert validate(fr).violations == oracles.validate_naive(fr) == ()
+
+    # u = 1 and u = 3 share the S_0 row {1, 2}, which 2 S_0 3 breaks: the
+    # witness repeats for each; S_4 holds the same row value legally
+    r = [(w, u) for w in (0, 4) for u in (1, 2, 3)]
+    s0 = {1: (1, 2), 2: (2, 3), 3: (1, 2)}
+    s4 = {1: (1, 2), 2: (1, 2), 3: (1, 2, 3)}
+    fr = Frame.build(5, r, [(0, u, v) for u, vs in s0.items() for v in vs]
+                     + [(4, u, v) for u, vs in s4.items() for v in vs])
+    got = validate(fr).violations
+    assert got == oracles.validate_naive(fr)
+    assert [c for k, c in got if k == "S-transitive"] == [
+        (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 2, 3)]
+
+    # leaves 0, 1 and 3 share one zero tuple with the non-leaf 2; the last
+    # leaf, 4, holds a different, nonzero tuple
+    zero = (0,) * 5
+    rows = (zero, zero, zero, zero, (0, 0, 0b100, 0, 0))
+    fr = Frame(5, (0, 0, 0b1000, 0, 0), rows)
+    got = validate(fr).violations
+    assert got == oracles.validate_naive(fr)
+    assert got == (("S-reflexive", (2, 3)), ("S-domain", (4, 2, 2)))
+
+
 def test_complete_closes_seeds():
     fr = complete(Frame.build(3, [(0, 1), (1, 2)]))
     assert fr.r_succ == (0b110, 0b100, 0)
@@ -153,9 +197,39 @@ def test_complete_matches_naive_oracle():
         assert complete(fr) == want
         outcomes["legal"] += 1
     assert min(outcomes.values()) >= 50, outcomes
+    # S seeds as random partitions of R[w], so that several members share
+    # one row value; an extra pair in some of them makes the closure grow
+    grown = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.5]
+        r = oracles.complete_naive(Frame.build(n, pairs)).r_succ
+        triples = []
+        for w in range(n):
+            succ = [u for u in range(n) if r[w] >> u & 1]
+            rest = rng.sample(succ, len(succ))
+            while rest:
+                cut = rng.randint(1, len(rest))
+                block, rest = rest[:cut], rest[cut:]
+                triples += [(w, u, v) for u in block for v in block]
+            if succ and rng.random() < 0.5:
+                triples.append((w, rng.choice(succ), rng.choice(succ)))
+        fr = Frame.build(n, pairs, triples)
+        want = oracles.complete_naive(fr)
+        assert complete(fr) == want
+        grown += want.s_succ != fr.s_succ
+    assert grown >= 100, grown
     for n in range(1, 4):
         for fr in all_frames(n):
             assert complete(fr) == oracles.complete_naive(fr) == fr
+    # the R-leaves 0, 1 and 3 share one zero tuple with the non-leaf 2
+    zero = (0,) * 4
+    fr = Frame(4, (0, 0, 0b1000, 0), (zero,) * 4)
+    assert complete(fr) == oracles.complete_naive(fr)
+    with pytest.raises(CompletionError, match=r"^S_3 seed at 1 leaves"):
+        complete(Frame(4, fr.r_succ, (zero, zero, zero, (0, 0b10, 0, 0))))
 
 
 def test_shapes():
