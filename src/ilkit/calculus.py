@@ -354,9 +354,19 @@ def proof_to_dict(p: Proof) -> dict:
 
 
 def proof_from_dict(d: dict) -> Proof:
-    hyps = tuple(parse(h) for h in d.get("hypotheses", ()))
+    """Rebuild a proof from ``proof_to_dict``'s form.  Raises ValueError
+    unless ``d`` is an object whose ``hypotheses`` and ``steps`` are lists
+    and whose steps are objects."""
+    if not isinstance(d, dict):
+        raise ValueError("a proof must be an object")
+    for key in ("hypotheses", "steps"):
+        if not isinstance(d.get(key, []), list):
+            raise ValueError(f"{key!r} must be a list")
+    hyps = tuple(parse(h) for h in d.get("hypotheses", []))
     steps = []
-    for sd in d.get("steps", ()):
+    for i, sd in enumerate(d.get("steps", [])):
+        if not isinstance(sd, dict):
+            raise ValueError(f"step {i} must be an object")
         cls = _RULES.get(sd.get("rule"))
         if cls is None:
             raise ValueError(f"unknown rule {sd.get('rule')!r}")

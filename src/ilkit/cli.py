@@ -38,7 +38,7 @@ def _load_model_arg(arg: str) -> Model:
     if os.path.exists(arg):
         try:
             return load_model(arg)
-        except FrameFormatError as exc:
+        except (OSError, ValueError) as exc:   # a directory, bad UTF-8, bad frame
             raise UsageError(f"{arg}: {exc}") from None
     try:
         return corpus.load(arg)
@@ -116,11 +116,10 @@ def _cmd_bisim(args) -> int:
     mr = _load_model_arg(args.right)
     if args.z:
         z = _read_pairs(args.z)
-        for i, j in z:
-            if not (0 <= i < ml.frame.n and 0 <= j < mr.frame.n):
-                raise UsageError(f"{args.z}: pair ({i}, {j}) is outside "
-                                 "the models")
-        verdict = check_bisim(ml, mr, z)
+        try:
+            verdict = check_bisim(ml, mr, z)
+        except ValueError as exc:
+            raise UsageError(f"{args.z}: {exc}") from None
         if verdict.ok:
             print(f"bisimulation of {len(set(z))} pairs")
             return 0
@@ -267,6 +266,7 @@ def _cmd_prove_check(args) -> int:
 def _cmd_corpus(args) -> int:
     _check_demo_args(args)
     from .checks import run_all
+    corpus.corpus_models()   # a bad corpus fails before the scoreboard starts
     results = run_all(fan=args.fan, trials=args.trials, depth=args.depth)
     if args.json:
         payload = [{"name": r.name, "ok": r.ok, "detail": r.detail,
@@ -364,7 +364,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, FrameFormatError) as exc:
         print(f"ilkit: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -65,50 +65,31 @@ class SearchExhausted(RuntimeError):
     pass
 
 
-def _demo_candidate(m, removed):
-    """The two frames with S_x missing the pair into fan world ``removed``
-    on the good side, plus the shift pairing."""
-    bad_n = 4 + m
-    r_pairs = [(0, 1), (0, 2), (1, 3), (2, 4), (0, 3)]
-    r_pairs += [(0, 4 + i) for i in range(m)]
-    s_bad = [(0, 1, 2)] + [(0, 3, 4 + i) for i in range(m)]
-    bad = complete(Frame.build(bad_n, r_pairs, s_bad))
-
-    good_n = bad_n + 1
-    r_good = r_pairs + [(0, 4 + m)]
-    s_good = [(0, 1, 2)] + [(0, 3, 4 + i) for i in range(m + 1) if i != removed]
-    good = complete(Frame.build(good_n, r_good, s_good))
-
-    z_template = tuple((w, w) for w in range(5))
-    z_template += tuple((4 + i, 5 + i) for i in range(m))
-    return good, bad, z_template
-
-
 def build_demo_pair(m: int):
     """Returns (good, bad, z_template) for fan size m >= 1.
 
-    Candidates are certified before being handed out: ``bad`` must yield a
+    The pair is certified before being handed out: ``bad`` must yield a
     pencil witness, ``good`` must be in the class, and the shift pairing
-    must pass a bisimulation spot-check on a handful of valuations.  The
-    primary construction drops the S-pair into the first fan world; if it
-    ever failed certification, the other drop positions are searched before
-    giving up.
+    must pass a bisimulation spot-check on a handful of valuations; a pair
+    failing certification raises SearchExhausted.
     """
     if m < 1:
         raise ValueError("fan size must be at least 1")
-    for removed in range(m + 1):
-        good, bad, z_template = _demo_candidate(m, removed)
-        if pencil_check(bad).in_class or not pencil_check(good).in_class:
-            continue
-        rng = random.Random(m)
-        spot = [0, (1 << bad.n) - 1] + [rng.randrange(1 << bad.n) for _ in range(6)]
-        if all(check_bisim(Model(bad, {"p": WorldSet(bad.n, mask)}),
-                           Model(good, transfer_valuation({"p": WorldSet(bad.n, mask)}, m)),
-                           z_template).ok
-               for mask in spot):
-            return good, bad, z_template
-    raise SearchExhausted(
-        f"no certified frame pair with fan size {m} (tried {m + 1} variants)")
+    r_pairs = [(0, 1), (0, 2), (1, 3), (2, 4), (0, 3)] + [(0, 4 + i) for i in range(m)]
+    bad = complete(Frame.build(4 + m, r_pairs,
+                               [(0, 1, 2)] + [(0, 3, 4 + i) for i in range(m)]))
+    # good: one more fan world, and no S_x pair from u into the first one
+    good = complete(Frame.build(5 + m, r_pairs + [(0, 4 + m)],
+                                [(0, 1, 2)] + [(0, 3, 5 + i) for i in range(m)]))
+    z_template = tuple((w, w) for w in range(5)) + tuple((4 + i, 5 + i) for i in range(m))
+    rng = random.Random(m)
+    spot = [0, (1 << bad.n) - 1] + [rng.randrange(1 << bad.n) for _ in range(6)]
+    spot_evs = [{"p": WorldSet(bad.n, mask)} for mask in spot]
+    if (pencil_check(bad).in_class or not pencil_check(good).in_class
+            or not all(check_bisim(Model(bad, ev), Model(good, transfer_valuation(ev, m)),
+                                   z_template).ok for ev in spot_evs)):
+        raise SearchExhausted(f"the frame pair with fan size {m} fails certification")
+    return good, bad, z_template
 
 
 def transfer_valuation(ev: dict, m: int) -> dict:

@@ -15,6 +15,10 @@ each connective is a few big-int operations per world, so one pass over the
 formula decides a whole block.  Formulas and the set terms of ``algebra``
 share one sweep table, ``_COLUMN_OPS``, so the same sweep decides whether a
 term denotes every world under every valuation of its set variables.
+
+Bisimulations are checked on partner bitmasks: the zigzag clause for a
+successor costs one OR per S-successor on its side and one subset test per
+candidate partner on the other.  Pairs outside the models are refused.
 """
 
 from __future__ import annotations
@@ -192,91 +196,79 @@ class BisimVerdict:
         return self.ok
 
 
-def _zigzag_ok(ml, wl, ul, mr, wr, z_fwd):
-    """One direction of the inner clause: choose a partner for ul among the
-    R-successors of wr such that every S-successor on the right is matched
-    by an S-successor on the left."""
+def _zigzag_ok(s_row, partners, cands, s_other):
+    """One direction of the inner clause: some candidate (a set bit of
+    ``cands``) has all its S-successors partnered with ones in ``s_row``."""
+    reach = 0
+    for v in bits(s_row):
+        reach |= partners[v]
+    return any(not s_other[x] & ~reach for x in bits(cands))
+
+
+def _atom_rows(ml: Model, mr: Model):
+    """The sorted atom names, and per model each world's mask of them."""
+    names = sorted(set(ml.ev) | set(mr.ev))
+    return (names, *([sum((m.ev_mask(a) >> w & 1) << i for i, a in enumerate(names))
+                      for w in range(m.frame.n)] for m in (ml, mr)))
+
+
+def _broken(ml: Model, mr: Model, z):
+    """Each pair of ``z`` that breaks a clause, in sorted order, with the
+    first clause it breaks and its witness.  ``z`` goes into partner masks
+    first (``fwd[wl]`` holds wl's partners, ``bwd[wr]`` wr's)."""
     frl, frr = ml.frame, mr.frame
-    for ur in range(frr.n):
-        if not frr.r_succ[wr] >> ur & 1 or ur not in z_fwd.get(ul, ()):
-            continue
-        good = True
-        for vr in range(frr.n):
-            if not frr.s_succ[wr][ur] >> vr & 1:
-                continue
-            if not any(frl.s_succ[wl][ul] >> vl & 1 and vr in z_fwd.get(vl, ())
-                       for vl in range(frl.n)):
-                good = False
-                break
-        if good:
-            return True
-    return False
+    fwd, bwd = [0] * frl.n, [0] * frr.n
+    for wl, wr in z:
+        if not (0 <= wl < frl.n and 0 <= wr < frr.n):
+            raise ValueError(f"pair ({wl}, {wr}) is outside the models")
+        fwd[wl] |= 1 << wr
+        bwd[wr] |= 1 << wl
+    names, sig_l, sig_r = _atom_rows(ml, mr)
+
+    def clause(wl, wr):
+        if apart := sig_l[wl] ^ sig_r[wr]:
+            return "atoms", (names[(apart & -apart).bit_length() - 1],)
+        rl, rr, sl, sr = frl.r_succ[wl], frr.r_succ[wr], frl.s_succ[wl], frr.s_succ[wr]
+        for ul in bits(rl):
+            if not _zigzag_ok(sl[ul], fwd, rr & fwd[ul], sr):
+                return "forth", (ul,)
+        for ur in bits(rr):
+            if not _zigzag_ok(sr[ur], bwd, rl & bwd[ur], sl):
+                return "back", (ur,)
+
+    for wl, row in enumerate(fwd):
+        for wr in bits(row):
+            if found := clause(wl, wr):
+                yield (wl, wr), *found
 
 
 def check_bisim(ml: Model, mr: Model, z) -> BisimVerdict:
-    """Check that the pair set ``z`` is a bisimulation between the models.
-
-    Reports the first failing pair with the broken clause: ``atoms`` (the
-    two worlds disagree on some atom), ``forth`` (an R-successor on the left
-    has no matching successor on the right whose S-successors can all be
-    pulled back), or ``back`` (the mirror image).  The witness is the
-    orphaned successor.
-    """
-    pairs = sorted(set(z))
-    z_fwd = {}
-    z_bwd = {}
-    for wl, wr in pairs:
-        z_fwd.setdefault(wl, set()).add(wr)
-        z_bwd.setdefault(wr, set()).add(wl)
-    names = sorted(set(ml.ev) | set(mr.ev))
-    for wl, wr in pairs:
-        for name in names:
-            if (wl in ml.ev_set(name)) != (wr in mr.ev_set(name)):
-                return BisimVerdict(False, (wl, wr), "atoms", (name,))
-        for ul in bits(ml.frame.r_succ[wl]):
-            if not _zigzag_ok(ml, wl, ul, mr, wr, z_fwd):
-                return BisimVerdict(False, (wl, wr), "forth", (ul,))
-        for ur in bits(mr.frame.r_succ[wr]):
-            if not _zigzag_ok(mr, wr, ur, ml, wl, z_bwd):
-                return BisimVerdict(False, (wl, wr), "back", (ur,))
-    return BisimVerdict(True)
+    """Check that the pair set ``z`` is a bisimulation between the models:
+    the first failing pair with its broken clause and witness, ``atoms`` (an
+    atom the worlds disagree on), ``forth`` (an R-successor on the left that
+    no partner answers with all its S-successors pulled back) or ``back``
+    (the mirror image).  Raises ValueError if a pair lies outside either
+    model."""
+    found = next(_broken(ml, mr, z), None)
+    return BisimVerdict(False, *found) if found else BisimVerdict(True)
 
 
 def max_bisim(ml: Model, mr: Model) -> frozenset:
-    """The largest bisimulation between the models (greatest fixpoint)."""
-    names = sorted(set(ml.ev) | set(mr.ev))
-    pairs = set()
-    for wl in range(ml.frame.n):
-        for wr in range(mr.frame.n):
-            if all((wl in ml.ev_set(a)) == (wr in mr.ev_set(a)) for a in names):
-                pairs.add((wl, wr))
-    while True:
-        z_fwd = {}
-        z_bwd = {}
-        for wl, wr in pairs:
-            z_fwd.setdefault(wl, set()).add(wr)
-            z_bwd.setdefault(wr, set()).add(wl)
-        keep = set()
-        for wl, wr in pairs:
-            ok = all(_zigzag_ok(ml, wl, ul, mr, wr, z_fwd)
-                     for ul in bits(ml.frame.r_succ[wl]))
-            ok = ok and all(_zigzag_ok(mr, wr, ur, ml, wl, z_bwd)
-                            for ur in bits(mr.frame.r_succ[wr]))
-            if ok:
-                keep.add((wl, wr))
-        if keep == pairs:
-            return frozenset(pairs)
-        pairs = keep
+    """The largest bisimulation between the models (greatest fixpoint): from
+    the pairs that agree on atoms, drop those breaking a clause until none
+    does."""
+    _, sig_l, sig_r = _atom_rows(ml, mr)
+    pairs = {(wl, wr) for wl, a in enumerate(sig_l)
+             for wr, b in enumerate(sig_r) if a == b}
+    while drop := {pair for pair, *_ in _broken(ml, mr, pairs)}:
+        pairs -= drop
+    return frozenset(pairs)
 
 
 def first_apart(ml: Model, mr: Model, pairs, formulas):
-    """First ``(pair, formula)`` telling a pair of points apart, or None.
-
-    ``formulas`` lists every formula after its subformulas, as
-    ``enumerate_formulas`` yields them; each is evaluated once on each
-    model.  The search takes the pairs in order, and for each pair the
-    formulas in list order.
-    """
+    """First ``(pair, formula)`` telling a pair of points apart, or None:
+    pairs in order, then ``formulas`` in order (each after its subformulas,
+    as ``enumerate_formulas`` yields them; each evaluated once per model)."""
     cl, cr = {}, {}
     _fill(ml, formulas, cl)
     _fill(mr, formulas, cr)
@@ -289,10 +281,8 @@ def first_apart(ml: Model, mr: Model, pairs, formulas):
 
 def equiv_up_to(ml: Model, wl: int, mr: Model, wr: int, depth: int,
                 pool=None, size_bound: int = 3):
-    """First formula within the bounds telling the two points apart, or None.
-
-    ``pool`` defaults to the atoms named by either model.
-    """
+    """First formula within the bounds telling the two points apart, or None;
+    ``pool`` defaults to the atoms named by either model."""
     if pool is None:
         pool = set(ml.ev) | set(mr.ev)
     found = first_apart(ml, mr, [(wl, wr)],

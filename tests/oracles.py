@@ -5,7 +5,7 @@ the bitmask paths entirely, and prefers clarity over speed.  Tests hold
 the fast implementations against these at desk scale.
 """
 
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 from ilkit.algebra import (BoxOp, Complement, DiaOp, Empty, Full, Intersection,
                            SOp, Union, Var)
@@ -239,6 +239,59 @@ def assuring_naive(fr, fw, member_sets, gw):
                     if gw not in a or gw not in r_inv_dual_naive(fr, a):
                         return False
     return True
+
+
+def _bisim_failures(ml, mr, z):
+    """Each pair of ``z`` that breaks a clause, in sorted order, with the
+    first clause it breaks and its witness: atoms by sorted name, then
+    forth by ascending left successor, then back by ascending right
+    successor.  Relations are pair sets indexed by world."""
+    fwd = set(z)
+    bwd = {(b, a) for a, b in fwd}
+    names = sorted(set(ml.ev) | set(mr.ev))
+    sides = []
+    for m in (ml, mr):
+        r, s = r_pairs(m.frame), s_triples(m.frame)
+        succ = {w: sorted(u for x, u in r if x == w) for w in range(m.frame.n)}
+        s_succ = {(w, u): {v for x, y, v in s if (x, y) == (w, u)} for w, u in r}
+        sides.append((succ, s_succ, {a: set(m.ev_set(a)) for a in names}))
+    (succ_l, ss_l, ev_l), (succ_r, ss_r, ev_r) = sides
+
+    def zigzag(w, u, ss, w2, succ2, ss2, rel):
+        # some successor u2 of w2 related to u has each of its S-successors
+        # related back from an S-successor of u
+        return any((u, u2) in rel
+                   and all(any((v, v2) in rel for v in ss[w, u]) for v2 in ss2[w2, u2])
+                   for u2 in succ2[w2])
+
+    for wl, wr in sorted(fwd):
+        broken = chain(
+            (("atoms", a) for a in names if (wl in ev_l[a]) != (wr in ev_r[a])),
+            (("forth", ul) for ul in succ_l[wl]
+             if not zigzag(wl, ul, ss_l, wr, succ_r, ss_r, fwd)),
+            (("back", ur) for ur in succ_r[wr]
+             if not zigzag(wr, ur, ss_r, wl, succ_l, ss_l, bwd)))
+        for clause, witness in islice(broken, 1):
+            yield (wl, wr), clause, (witness,)
+
+
+def bisim_naive(ml, mr, z):
+    """``check_bisim`` on pair sets: ``(ok, pair, clause, witness)`` for the
+    first failing pair, or ``(True, None, None, None)``."""
+    for pair, clause, witness in _bisim_failures(ml, mr, z):
+        return False, pair, clause, witness
+    return True, None, None, None
+
+
+def max_bisim_naive(ml, mr):
+    """The largest bisimulation: from every pair, drop the pairs that break
+    a clause until none does."""
+    z = {(i, j) for i in range(ml.frame.n) for j in range(mr.frame.n)}
+    while True:
+        drop = {pair for pair, _, _ in _bisim_failures(ml, mr, z)}
+        if not drop:
+            return frozenset(z)
+        z -= drop
 
 
 def pencil_naive(fr):

@@ -168,6 +168,9 @@ def test_rhd_mono_needs_tautologous_antecedent():
 def test_proof_dict_errors():
     with pytest.raises(ValueError):
         proof_from_dict({"steps": [{"rule": "guess", "formula": "p"}]})
+    for doc in ([1, 2], {"hypotheses": "p"}, {"steps": "p"}, {"steps": [1]}):
+        with pytest.raises(ValueError):
+            proof_from_dict(doc)
     d = proof_to_dict(derived_theorems()["rhd-refl"][1])
     assert d["steps"][-1]["rule"] == "mp"
     assert all(isinstance(s["formula"], str) for s in d["steps"])

@@ -102,6 +102,41 @@ def test_nesting_limit(tmp_path, capsys):
     assert err.startswith("ilkit: cannot parse") and "nested deeper" in err
 
 
+def test_unreadable_model_files(tmp_path, capsys):
+    raw = tmp_path / "raw.vf"
+    raw.write_bytes(b"worlds 2\nR 0 1\n\xff\n")
+    for path, reason in ((tmp_path, "Is a directory"),
+                         (raw, "can't decode byte 0xff")):
+        code, out, err = run(capsys, "mc", str(path), "p")
+        assert code == 2 and out == ""
+        assert err.startswith(f"ilkit: {path}: ") and reason in err
+        assert err.count("\n") == 1
+
+
+def test_unreadable_corpus(tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing"
+    monkeypatch.setenv("ILKIT_CORPUS", str(missing))
+    for argv in (["mc", "chain3", "p"], ["corpus"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"ilkit: {missing}: ") and err.count("\n") == 1
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "broken.vf").write_text("worlds 2\nR 0 x\n")
+    (corpus / "chain2.vf").write_text("worlds 2\nR 0 1\n")
+    monkeypatch.setenv("ILKIT_CORPUS", str(corpus))
+    for argv in (["mc", "broken", "p"], ["corpus"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"ilkit: {corpus / 'broken.vf'}: line 2: cannot read 'R 0 x'\n"
+    code, out, _ = run(capsys, "mc", "chain2", "p")
+    assert code == 1 and out.startswith("0: false")
+    (corpus / "broken.vf").write_bytes(b"\xfe\n")
+    code, out, err = run(capsys, "corpus")
+    assert code == 2 and out == ""
+    assert err.startswith(f"ilkit: {corpus / 'broken.vf'}: 'utf-8' codec")
+
+
 def test_frame_valid_command(capsys):
     code, out, _ = run(capsys, "frame-valid", "chain2", "[]a -> [][]a")
     assert code == 0 and out.strip() == "frame-valid"
@@ -253,6 +288,15 @@ def test_prove_check_command(tmp_path, capsys):
     garbled.write_text("{not json")
     code, _, err = run(capsys, "prove-check", str(garbled))
     assert code == 2
+
+    for doc, reason in (([1, 2], "a proof must be an object"),
+                        ({"hypotheses": "p", "steps": []}, "'hypotheses' must be a list"),
+                        ({"steps": {"rule": "taut"}}, "'steps' must be a list"),
+                        ({"steps": [["taut"]]}, "step 0 must be an object")):
+        garbled.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "prove-check", str(garbled))
+        assert code == 2 and out == ""
+        assert err == f"ilkit: {garbled}: {reason}\n"
 
 
 def test_pencil_demo_command(capsys):

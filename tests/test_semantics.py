@@ -1,4 +1,7 @@
+import random
+import re
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ilkit.calculus import SCHEMAS
 from ilkit.corpus import corpus_models, load
 from ilkit.formula import TOP, atoms, enumerate_formulas, parse
-from ilkit.frames import Model, WorldSet, all_frames, chain, fan, random_frame
+from ilkit.frames import Frame, Model, WorldSet, all_frames, bits, chain, fan, random_frame
 from ilkit.semantics import (
     SWEEP_BLOCK_BITS, VALUATION_BITS_LIMIT, check_bisim, equiv_up_to,
     extension, first_apart, force, frame_valid, max_bisim, model_valid,
@@ -178,6 +181,75 @@ def test_pencil_pair_bisimulation():
     z = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (4, 5)]
     assert check_bisim(bad, good, z).ok
     assert set(z) <= max_bisim(bad, good)
+
+
+def _pq(rng, n):
+    return {a: WorldSet(n, rng.randrange(1 << n)) for a in ("p", "q")}
+
+
+def _renamed(m, rng):
+    """An isomorphic copy of the model under a random renaming, and the
+    renaming as a list."""
+    fr, n = m.frame, m.frame.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    r = [(perm[w], perm[u]) for w in range(n) for u in bits(fr.r_succ[w])]
+    s = [(perm[w], perm[u], perm[v]) for w in range(n) for u in bits(fr.r_succ[w])
+         for v in bits(fr.s_succ[w][u])]
+    ev = {a: [perm[w] for w in ws] for a, ws in m.ev.items()}
+    return Model(Frame.build(n, r, s), ev), perm
+
+
+def test_bisim_matches_naive_oracle():
+    rng = random.Random(8)
+    failures = Counter()
+
+    def agree(ml, mr, *zs):
+        z = max_bisim(ml, mr)
+        assert z == oracles.max_bisim_naive(ml, mr)
+        every = [(i, j) for i in range(ml.frame.n) for j in range(mr.frame.n)]
+        subsets = [rng.sample(every, rng.randrange(len(every) + 1)) for _ in range(2)]
+        for pairs in (z, *zs, *subsets):
+            v = check_bisim(ml, mr, pairs)
+            assert (v.ok, v.pair, v.clause, v.witness) == oracles.bisim_naive(ml, mr, pairs)
+            failures[v.clause] += 1
+
+    small = [fr for n in (1, 2, 3) for fr in all_frames(n)]
+    for fl in small:
+        for fr in small:
+            for _ in range(2):
+                agree(Model(fl, _pq(rng, fl.n)), Model(fr, _pq(rng, fr.n)))
+    for seed in range(40):
+        nl, nr = rng.randrange(4, 9), rng.randrange(4, 9)
+        agree(Model(random_frame(nl, seed), _pq(rng, nl)),
+              Model(random_frame(nr, seed + 100), _pq(rng, nr)))
+    for n in range(12, 17):
+        ml = Model(random_frame(n, 200 + n), _pq(rng, n))
+        mr, perm = _renamed(ml, rng)
+        z = [(w, perm[w]) for w in range(n)]
+        swapped = [(w, perm[(w + 1) % n]) for w in range(n)]
+        agree(ml, mr, z, swapped)
+        assert check_bisim(ml, mr, z).ok
+    assert min(failures[c] for c in ("atoms", "forth", "back")) >= 20
+
+    m = load("chain3")
+    for pair in ((-1, 0), (0, m.frame.n)):
+        with pytest.raises(ValueError, match=re.escape(f"pair {pair} is outside")):
+            check_bisim(m, m, [(0, 0), pair])
+
+
+def test_bisim_budget():
+    rng = random.Random(64)
+    ml = Model(random_frame(64, 1), _pq(rng, 64))
+    mr, perm = _renamed(ml, rng)
+    t0 = time.perf_counter()
+    assert check_bisim(ml, mr, [(w, perm[w]) for w in range(64)]).ok
+    assert time.perf_counter() - t0 < 0.5
+    ml = Model(random_frame(48, 1), _pq(rng, 48))
+    mr, perm = _renamed(ml, rng)
+    t0 = time.perf_counter()
+    assert {(w, perm[w]) for w in range(48)} <= max_bisim(ml, mr)
+    assert time.perf_counter() - t0 < 2
 
 
 def test_equiv_up_to_finds_separating_formula():
