@@ -6,7 +6,8 @@ The pencil condition — x R y, y S_x z, z R u, y R v, v S_x u imply
 y R u — carves a class of frames.  The demo pair puts one frame inside
 the class and one outside, yet every valuation on the one transfers to
 the other so that paired worlds are bisimilar.  A defining formula would
-have to disagree somewhere on the pair; bounded search finds none.
+have to disagree somewhere on the pair; a bounded search under every
+valuation finds none.
 """
 
 from ilkit import (
@@ -31,7 +32,7 @@ for wb, wg in z[:4]:
     f = equiv_up_to(mb, wb, mg, wg, depth=2, pool=["p"])
     print(f"  worlds {wb}/{wg}: separating formula up to depth 2 ->", f)
 
-# The packaged demo repeats this over many random valuations.
-report = nondefinability_demo(m=2, trials=25, depth=1, seed=1)
+# The packaged demo repeats this under every valuation of two atoms.
+report = nondefinability_demo(m=2, depth=1)
 print("\nfull demo ok:", report.ok,
-      f"({report.trials} trials, fan {report.fan}, depth {report.depth})")
+      f"({report.trials} valuations, fan {report.fan}, depth {report.depth})")

@@ -356,7 +356,8 @@ def proof_to_dict(p: Proof) -> dict:
 def proof_from_dict(d: dict) -> Proof:
     """Rebuild a proof from ``proof_to_dict``'s form.  Raises ValueError
     unless ``d`` is an object whose ``hypotheses`` and ``steps`` are lists
-    and whose steps are objects."""
+    and whose steps are objects with a string ``schema`` and integer
+    ``premise``, ``implication`` and ``index``."""
     if not isinstance(d, dict):
         raise ValueError("a proof must be an object")
     for key in ("hypotheses", "steps"):
@@ -371,6 +372,8 @@ def proof_from_dict(d: dict) -> Proof:
         if cls is None:
             raise ValueError(f"unknown rule {sd.get('rule')!r}")
         args = [sd[f.name] for f in fields(cls)]
-        rule = cls(*args) if cls is AxiomInstance else cls(*map(int, args))
-        steps.append(ProofStep(parse(sd["formula"]), rule))
+        want = str if cls is AxiomInstance else int
+        if bad := [f.name for f, arg in zip(fields(cls), args) if type(arg) is not want]:
+            raise ValueError(f"step {i}: {bad[0]!r} must be of type {want.__name__}")
+        steps.append(ProofStep(parse(sd["formula"]), cls(*args)))
     return Proof(hyps, tuple(steps))

@@ -543,15 +543,15 @@ def witness_search(max_n=3) -> CheckResult:
 # ------------------------------------------------------------ demo + base
 
 
-def pencil_demo(fan=3, trials=100, depth=2) -> CheckResult:
+def pencil_demo(fan=3, depth=2) -> CheckResult:
     """The non-definability demo succeeds end to end."""
     from .pencil import nondefinability_demo
 
     def body():
-        report = nondefinability_demo(m=fan, trials=trials, depth=depth)
+        report = nondefinability_demo(m=fan, depth=depth)
         if not report.ok:
             return False, f"demo failed: {report.failure}"
-        return True, (f"fan {fan}, {trials} trials, depth {depth}; "
+        return True, (f"fan {fan}, {report.trials} valuations, depth {depth}; "
                       f"violation witness {report.bad_witness}")
 
     return _timed("pencil-demo", body)
@@ -606,7 +606,7 @@ def proof_checking() -> CheckResult:
     return _timed("proof-checking", body)
 
 
-def run_all(fan=3, trials=100, depth=2) -> list[CheckResult]:
+def run_all(fan=3, depth=2) -> list[CheckResult]:
     """Every scoreboard check, in dependency order."""
     results = [
         frame_enumeration(),
@@ -621,7 +621,7 @@ def run_all(fan=3, trials=100, depth=2) -> list[CheckResult]:
         extension_truth(),
         saturation(),
         witness_search(),
-        pencil_demo(fan=fan, trials=trials, depth=depth),
+        pencil_demo(fan=fan, depth=depth),
         classical_baseline(),
     ])
     return results

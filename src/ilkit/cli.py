@@ -23,7 +23,7 @@ from .filters import Filter, Ultrafilter, all_assuring_triples, assuring
 from .formula import ParseError, atoms, parse, to_str
 from .frameio import FrameFormatError, load_model, to_dot
 from .frames import Model, WorldSet
-from .pencil import build_demo_pair, nondefinability_demo
+from .pencil import FAN_LIMIT, build_demo_pair, nondefinability_demo
 from .semantics import VALUATION_BITS_LIMIT, check_bisim, extension, frame_valid, max_bisim
 
 USAGE_ERROR = 2
@@ -219,20 +219,20 @@ def _cmd_ue(args) -> int:
 
 
 def _check_demo_args(args):
-    for name, value, least in (("fan", args.fan, 1), ("trials", args.trials, 1),
-                               ("depth", args.depth, 0)):
+    for name, value, least in (("fan", args.fan, 1), ("depth", args.depth, 0)):
         if value < least:
             raise UsageError(f"--{name} must be at least {least}, got {value}")
+    if args.fan > FAN_LIMIT:
+        raise UsageError(f"--fan must be at most {FAN_LIMIT}, got {args.fan}")
 
 
 def _cmd_pencil_demo(args) -> int:
     _check_demo_args(args)
-    report = nondefinability_demo(m=args.fan, trials=args.trials,
-                                  depth=args.depth, seed=args.seed)
+    report = nondefinability_demo(m=args.fan, depth=args.depth)
     print(f"bad frame violation witness: {report.bad_witness}")
     print(f"good frame in class: {report.good_in_class}")
-    print(f"bisimulation in all {report.trials} trials: {report.bisim_ok}")
-    print(f"formula agreement to depth {report.depth} in all trials: "
+    print(f"bisimulation under all {report.trials} valuations: {report.bisim_ok}")
+    print(f"formula agreement to depth {report.depth} under all valuations: "
           f"{report.equiv_ok}")
     if args.dot_prefix:
         good, bad, _ = build_demo_pair(args.fan)
@@ -267,7 +267,7 @@ def _cmd_corpus(args) -> int:
     _check_demo_args(args)
     from .checks import run_all
     corpus.corpus_models()   # a bad corpus fails before the scoreboard starts
-    results = run_all(fan=args.fan, trials=args.trials, depth=args.depth)
+    results = run_all(fan=args.fan, depth=args.depth)
     if args.json:
         payload = [{"name": r.name, "ok": r.ok, "detail": r.detail,
                     "seconds": r.seconds} for r in results]
@@ -339,9 +339,7 @@ def _build_parser():
     p = sub.add_parser("pencil-demo",
                        help="show the pencil class escaping modal definability")
     p.add_argument("--fan", type=int, default=3)
-    p.add_argument("--trials", type=int, default=100)
     p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dot-prefix", help="write <prefix>-bad.dot and <prefix>-good.dot")
     p.set_defaults(fn=_cmd_pencil_demo)
 
@@ -351,7 +349,6 @@ def _build_parser():
 
     p = sub.add_parser("corpus", help="run the scoreboard over the bundled corpus")
     p.add_argument("--fan", type=int, default=3)
-    p.add_argument("--trials", type=int, default=100)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_corpus)

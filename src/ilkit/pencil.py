@@ -20,12 +20,14 @@ what rescues the condition there.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .formula import enumerate_formulas
+from .formula import Atom, enumerate_formulas
 from .frames import Frame, Model, WorldSet, bits, complete
-from .semantics import check_bisim, first_apart
+from .semantics import VALUATION_BITS_LIMIT, check_bisim, sweep_apart
+
+# the largest fan m the demo can sweep: two atoms on the 4 + m worlds of ``bad``
+FAN_LIMIT = VALUATION_BITS_LIMIT // 2 - 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,8 +72,8 @@ def build_demo_pair(m: int):
 
     The pair is certified before being handed out: ``bad`` must yield a
     pencil witness, ``good`` must be in the class, and the shift pairing
-    must pass a bisimulation spot-check on a handful of valuations; a pair
-    failing certification raises SearchExhausted.
+    must pass the forth and back clauses of a bisimulation (which ignore
+    the valuation); a pair failing certification raises SearchExhausted.
     """
     if m < 1:
         raise ValueError("fan size must be at least 1")
@@ -82,12 +84,8 @@ def build_demo_pair(m: int):
     good = complete(Frame.build(5 + m, r_pairs + [(0, 4 + m)],
                                 [(0, 1, 2)] + [(0, 3, 5 + i) for i in range(m)]))
     z_template = tuple((w, w) for w in range(5)) + tuple((4 + i, 5 + i) for i in range(m))
-    rng = random.Random(m)
-    spot = [0, (1 << bad.n) - 1] + [rng.randrange(1 << bad.n) for _ in range(6)]
-    spot_evs = [{"p": WorldSet(bad.n, mask)} for mask in spot]
     if (pencil_check(bad).in_class or not pencil_check(good).in_class
-            or not all(check_bisim(Model(bad, ev), Model(good, transfer_valuation(ev, m)),
-                                   z_template).ok for ev in spot_evs)):
+            or not check_bisim(Model(bad), Model(good), z_template).ok):
         raise SearchExhausted(f"the frame pair with fan size {m} fails certification")
     return good, bad, z_template
 
@@ -107,7 +105,7 @@ def transfer_valuation(ev: dict, m: int) -> dict:
 @dataclass
 class DemoReport:
     fan: int
-    trials: int
+    trials: int   # valuations swept
     depth: int
     bad_witness: PencilWitness
     good_in_class: bool
@@ -123,46 +121,33 @@ class DemoReport:
         return self.ok
 
 
-def nondefinability_demo(m: int = 3, trials: int = 100, depth: int = 2,
-                         seed: int = 0, size_bound: int = 2) -> DemoReport:
-    """Run the whole argument at desk scale.
+def nondefinability_demo(m: int = 3, depth: int = 2, size_bound: int = 2) -> DemoReport:
+    """Run the whole argument at desk scale, under every valuation.
 
-    Builds the certified pair and, for ``trials`` seeded random valuations
-    of two atoms on ``bad``, verifies that the transferred models pass the
-    bisimulation check on the pairing and that every paired point forces
-    the same formulas up to the given depth and size.  Any failure is
-    recorded with its witness and stops the run.  Raises ValueError unless
-    ``m >= 1``, ``trials >= 1`` and ``depth >= 0``.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    ``build_demo_pair`` has certified the pencil verdicts and the forth and
+    back clauses, which ignore the valuation.  The demo sweeps every
+    valuation of p and q on ``bad``, moved to ``good`` by
+    ``transfer_valuation``, comparing the formulas within the bounds (atoms
+    first, so the atoms clause too) at every pair.  A failure ``(kind,
+    valuation, pair, formula)`` names the least valuation, then pair, then
+    formula; its kind is ``"bisim"`` on an atom, else ``"equiv"``.  Raises
+    ValueError, before building a frame, unless ``1 <= m <= FAN_LIMIT`` and
+    ``depth >= 0``."""
+    if m > FAN_LIMIT:
+        raise ValueError(f"fan size must be at most {FAN_LIMIT}, got {m}")
     if depth < 0:
         raise ValueError("depth must be at least 0")
     good, bad, z_template = build_demo_pair(m)
-    bad_verdict = pencil_check(bad)
-    good_verdict = pencil_check(good)
-    report = DemoReport(m, trials, depth, bad_verdict.witness,
-                        good_verdict.in_class, True, True)
-    if not report.good_in_class:
-        report.failure = ("pencil", good_verdict.witness)
-        return report
-    rng = random.Random(seed)
     atoms = ("p", "q")
-    # one pool for every trial: the intern table would free it in between
-    formulas = list(enumerate_formulas(atoms, depth, size_bound))
-    for trial in range(trials):
-        ev_bad = {a: WorldSet(bad.n, rng.randrange(1 << bad.n)) for a in atoms}
-        ev_good = transfer_valuation(ev_bad, m)
-        mb = Model(bad, ev_bad)
-        mg = Model(good, ev_good)
-        verdict = check_bisim(mb, mg, z_template)
-        if not verdict.ok:
-            report.bisim_ok = False
-            report.failure = ("bisim", trial, ev_bad, verdict)
-            return report
-        apart = first_apart(mb, mg, z_template, formulas)
-        if apart is not None:
-            report.equiv_ok = False
-            report.failure = ("equiv", trial, ev_bad, *apart)
-            return report
+    report = DemoReport(m, 1 << len(atoms) * bad.n, depth, pencil_check(bad).witness,
+                        pencil_check(good).in_class, True, True)
+    # world g of good takes the atoms of world src[g] of bad
+    moved = transfer_valuation({w: WorldSet(bad.n, 1 << w) for w in range(bad.n)}, m)
+    src = [next(w for w, ws in moved.items() if g in ws) for g in range(good.n)]
+    found = sweep_apart(bad, good, src, z_template,
+                        list(enumerate_formulas(atoms, depth, size_bound)))
+    if found is not None:
+        atom = isinstance(found[2], Atom)   # the atoms clause
+        report.bisim_ok, report.equiv_ok = not atom, atom
+        report.failure = ("bisim" if atom else "equiv", *found)
     return report

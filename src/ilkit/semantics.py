@@ -7,7 +7,7 @@ over ``formula.postorder``, so model checking a formula costs one pass over
 its distinct subterms, at any depth.
 
 Frame validity extends the bitmask from worlds to (valuation x world):
-``frame_valid`` sweeps the valuations in ascending blocks of
+``frame_valid`` sweeps the valuations in ascending blocks of up to
 ``2**SWEEP_BLOCK_BITS``, giving each node one Python int per world whose bit
 ``j`` is its truth under the block's ``j``-th valuation.  Atoms are fixed
 truth-table columns (or constants, for valuation bits above the block), and
@@ -15,6 +15,7 @@ each connective is a few big-int operations per world, so one pass over the
 formula decides a whole block.  Formulas and the set terms of ``algebra``
 share one sweep table, ``_COLUMN_OPS``, so the same sweep decides whether a
 term denotes every world under every valuation of its set variables.
+``sweep_apart`` sweeps two frames at once and compares paired points.
 
 Bisimulations are checked on partner bitmasks: the zigzag clause for a
 successor costs one OR per S-successor on its side and one subset test per
@@ -33,6 +34,8 @@ from .frames import Frame, Model, WorldSet, bits
 
 VALUATION_BITS_LIMIT = 20
 SWEEP_BLOCK_BITS = 12
+SWEEP_MEMORY_BITS = 23   # a block's columns hold at most 2**23 bits (1 MiB)
+_FULL = Full()
 
 
 # Extension mask of a node from its subterms' masks ``v``; atoms read the model.
@@ -44,20 +47,15 @@ _FORCING = {
 }
 
 
-def _fill(m: Model, nodes, masks: dict) -> None:
-    """Add to ``masks`` the extension of each node (children first) it lacks."""
-    for g in nodes:
-        if g not in masks:
-            masks[g] = (m.ev_mask(g.name) if isinstance(g, Atom)
-                        else _FORCING[type(g)](m.frame, masks, g))
-
-
 def extension(m: Model, f: Formula, cache=None) -> WorldSet:
     """The set of worlds forcing ``f``; ``cache`` (formula -> mask) may be
     shared by calls on the same model."""
     if cache is None:
         cache = {}
-    _fill(m, postorder(f, lambda g: g not in cache), cache)
+    for g in postorder(f, lambda g: g not in cache):
+        if g not in cache:   # cached nodes come unopened
+            cache[g] = (m.ev_mask(g.name) if isinstance(g, Atom)
+                        else _FORCING[type(g)](m.frame, cache, g))
     return WorldSet(m.frame.n, cache[f])
 
 
@@ -137,52 +135,82 @@ def _sweep_block(nodes, v: dict, succ: list, ones: int) -> dict:
     return v
 
 
+def _succ_lists(fr: Frame, shift: int = 0) -> list:
+    """Per world, each R-successor with its S-successors, numbered ``shift`` up."""
+    return [[(u + shift, tuple(bits(fr.s_succ[w][u] << shift)))
+             for u in bits(fr.r_succ[w])] for w in range(fr.n)]
+
+
+def _first_failure(nodes, succ: list, n: int, layout, checks, bits_limit=VALUATION_BITS_LIMIT):
+    """The least valuation of the leaves of ``nodes`` on ``n`` worlds, by
+    name, under which a check ``(g, a, h, b)`` fails (node ``g`` at world
+    ``a`` differs from node ``h`` at world ``b``), with its first failing
+    check; or None.  Valuations go in ascending blocks, as wide as
+    ``SWEEP_BLOCK_BITS`` and ``SWEEP_MEMORY_BITS`` allow, through the frame
+    ``succ``, whose world w takes the leaves of world ``layout[w]``.
+    Refuses more than ``2**bits_limit`` valuations."""
+    leaves = sorted((g for g in nodes if type(g) in (Atom, Var)), key=lambda g: g.name)
+    inner = [g for g in nodes if type(g) not in (Atom, Var)]
+    nbits = len(leaves) * n
+    if nbits > bits_limit:
+        raise ValueError(
+            f"refusing to sweep 2^{nbits} valuations (limit 2^{bits_limit})")
+    width = max(0, min(nbits, SWEEP_BLOCK_BITS,
+                       SWEEP_MEMORY_BITS - (len(nodes) * len(layout) - 1).bit_length()))
+    ones = (1 << (1 << width)) - 1
+    low = truth_columns(width)
+    for base in range(0, 1 << nbits, 1 << width):
+        # valuation bits below the block width vary inside the block
+        cols = [low[t] if t < width else ones if base >> t & 1 else 0
+                for t in range(nbits)]
+        v = _sweep_block(inner, {g: [cols[i * n + w] for w in layout]
+                                 for i, g in enumerate(leaves)}, succ, ones)
+        fail = 0
+        for g, a, h, b in checks:
+            fail |= v[g][a] ^ v[h][b]
+        if fail:
+            j = (fail & -fail).bit_length() - 1
+            return ({g.name: WorldSet(n, base + j >> i * n & (1 << n) - 1)
+                     for i, g in enumerate(leaves)},
+                    next((g, a, h, b) for g, a, h, b in checks if (v[g][a] ^ v[h][b]) >> j & 1))
+    return None
+
+
 def frame_valid(fr: Frame, f: Node, bits_limit=VALUATION_BITS_LIMIT) -> FrameVerdict:
     """Validity of the formula or set term ``f`` on the frame: quantify over
     all valuations of its atoms or set variables (a term is valid when it
     denotes every world).
 
     Valuations are numbered by integers whose bits lay out the variable
-    masks variable-major, world-minor (sorted names).  They are swept in
-    ascending blocks of ``2**SWEEP_BLOCK_BITS``, each block in one
-    bit-parallel pass over ``f``; the first refuting block ends the sweep.
-    The reported counterexample is the valuation with the smallest number,
-    then the smallest world.  Refuses ``bits_limit`` outside
+    masks variable-major, world-minor (sorted names), and swept in
+    ascending blocks, each in one bit-parallel pass over ``f``.  The
+    counterexample is the valuation with the smallest number, then the
+    smallest world.  Refuses ``bits_limit`` outside
     ``0..VALUATION_BITS_LIMIT`` and more than ``2**bits_limit`` valuations.
     """
     if not 0 <= bits_limit <= VALUATION_BITS_LIMIT:
         raise ValueError(
             f"bits limit {bits_limit} is outside 0..{VALUATION_BITS_LIMIT}")
-    nodes = list(postorder(f))
-    leaves = sorted((g for g in nodes if type(g) in (Atom, Var)), key=lambda g: g.name)
-    inner = [g for g in nodes if type(g) not in (Atom, Var)]
-    n = fr.n
-    nbits = len(leaves) * n
-    if nbits > bits_limit:
-        raise ValueError(
-            f"refusing to sweep 2^{nbits} valuations (limit 2^{bits_limit})")
-    width = min(nbits, SWEEP_BLOCK_BITS)
-    ones = (1 << (1 << width)) - 1
-    low = truth_columns(width)
-    succ = [[(u, tuple(bits(fr.s_succ[w][u]))) for u in bits(fr.r_succ[w])]
-            for w in range(n)]
-    for base in range(0, 1 << nbits, 1 << width):
-        # valuation bits below the block width vary inside the block
-        cols = [low[t] if t < width else ones if base >> t & 1 else 0
-                for t in range(nbits)]
-        root = _sweep_block(inner, {g: cols[i * n:(i + 1) * n]
-                                    for i, g in enumerate(leaves)},
-                            succ, ones)[f]
-        fail = 0
-        for col in root:
-            fail |= col ^ ones
-        if fail:
-            j = (fail & -fail).bit_length() - 1
-            vid = base + j
-            world = next(w for w in range(n) if not root[w] >> j & 1)
-            return FrameVerdict(False, {g.name: WorldSet(n, vid >> i * n & fr.full_mask)
-                                        for i, g in enumerate(leaves)}, world)
-    return FrameVerdict(True)
+    # valid: at every world, the same column as the term denoting every world
+    found = _first_failure([*postorder(f), _FULL], _succ_lists(fr), fr.n, range(fr.n),
+                           [(f, w, _FULL, w) for w in range(fr.n)], bits_limit)
+    return FrameVerdict(True) if found is None else FrameVerdict(False, found[0], found[1][1])
+
+
+def sweep_apart(frl: Frame, frr: Frame, world_map, pairs, formulas):
+    """The first ``(valuation, pair, formula)`` telling a pair's points
+    apart: the least valuation of the atoms on ``frl`` (numbered as in
+    ``frame_valid``), world w of ``frr`` taking those of world
+    ``world_map[w]``, then ``pairs`` and ``formulas`` (subformulas first) in
+    order; or None.  One sweep covers both frames, ``frr``'s worlds last."""
+    n = frl.n
+    found = _first_failure(formulas, _succ_lists(frl) + _succ_lists(frr, n), n,
+                           [*range(n), *world_map],
+                           [(f, wl, f, n + wr) for wl, wr in pairs for f in formulas])
+    if found is None:
+        return None
+    ev, (f, wl, _, wr) = found
+    return ev, (wl, wr - n), f
 
 
 @dataclass(frozen=True)
@@ -265,26 +293,12 @@ def max_bisim(ml: Model, mr: Model) -> frozenset:
     return frozenset(pairs)
 
 
-def first_apart(ml: Model, mr: Model, pairs, formulas):
-    """First ``(pair, formula)`` telling a pair of points apart, or None:
-    pairs in order, then ``formulas`` in order (each after its subformulas,
-    as ``enumerate_formulas`` yields them; each evaluated once per model)."""
-    cl, cr = {}, {}
-    _fill(ml, formulas, cl)
-    _fill(mr, formulas, cr)
-    for wl, wr in pairs:
-        for f in formulas:
-            if cl[f] >> wl & 1 != cr[f] >> wr & 1:
-                return (wl, wr), f
-    return None
-
-
 def equiv_up_to(ml: Model, wl: int, mr: Model, wr: int, depth: int,
                 pool=None, size_bound: int = 3):
     """First formula within the bounds telling the two points apart, or None;
     ``pool`` defaults to the atoms named by either model."""
     if pool is None:
         pool = set(ml.ev) | set(mr.ev)
-    found = first_apart(ml, mr, [(wl, wr)],
-                        list(enumerate_formulas(pool, depth, size_bound)))
-    return found[1] if found else None
+    cl, cr = {}, {}   # each formula comes after its subformulas: one node filled per call
+    return next((f for f in enumerate_formulas(pool, depth, size_bound)
+                 if force(ml, wl, f, cl) != force(mr, wr, f, cr)), None)

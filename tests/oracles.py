@@ -20,7 +20,7 @@ def r_pairs(fr):
 
 def s_triples(fr):
     return {(w, i, j) for w in range(fr.n)
-            for i in range(fr.n) for j in range(fr.n)
+            for i in range(fr.n) if fr.s_succ[w][i] for j in range(fr.n)
             if fr.s_succ[w][i] >> j & 1}
 
 
@@ -146,7 +146,10 @@ def frame_valid_naive(fr, f):
 
 
 def extension_naive(m, f):
-    return frozenset(w for w in range(m.frame.n) if force_naive(m, w, f))
+    fr = m.frame
+    r, s = r_pairs(fr), s_triples(fr)
+    ev = {a: set(m.ev_set(a)) for a in m.ev}
+    return frozenset(w for w in range(fr.n) if _forces(fr.n, r, s, ev, w, f))
 
 
 def s_inv_naive(fr, xs, ys):

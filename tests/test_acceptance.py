@@ -86,7 +86,7 @@ def test_pencil_demo_cli():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from ilkit.cli import main; sys.exit(main(sys.argv[1:]))",
-         "pencil-demo", "--fan", "3", "--trials", "100", "--depth", "2"],
+         "pencil-demo", "--fan", "3", "--depth", "2"],
         capture_output=True, text=True)
     seconds = time.perf_counter() - t0
     ok = proc.returncode == 0

@@ -46,3 +46,24 @@ def test_pass_runner_names_resolve():
                          ("extension", "check_truth_theorem"),
                          ("frames", "validate")):
         assert callable(_resolve(module, name)), f"ilkit.{module}.{name}"
+
+
+def test_traced_work_counts(monkeypatch):
+    """Each layer's work count, read off a real call's positional
+    arguments and result as the tracer reads it."""
+    from ilkit.calculus import check_proof, derived_theorems
+    from ilkit.extension import build_ue
+    from ilkit.frames import chain
+    from ilkit.pencil import nondefinability_demo
+
+    proof = derived_theorems()["four"][1]
+    expected = {
+        "pencil.nondefinability_demo": ((), nondefinability_demo(m=1, depth=0), 1024),
+        "extension.build_ue": ((chain(2),), build_ue(chain(2)), 4),
+        "calculus.check_proof": ((proof,), check_proof(proof), len(proof.steps)),
+    }
+    tracing = _harness_module("tracing", monkeypatch)
+    counted = {layer: work for _, _, layer, work in tracing.LAYERS if callable(work)}
+    assert set(counted) == set(expected)
+    for layer, (args, result, count) in expected.items():
+        assert counted[layer](args, result) == count, layer

@@ -292,7 +292,21 @@ def test_prove_check_command(tmp_path, capsys):
     for doc, reason in (([1, 2], "a proof must be an object"),
                         ({"hypotheses": "p", "steps": []}, "'hypotheses' must be a list"),
                         ({"steps": {"rule": "taut"}}, "'steps' must be a list"),
-                        ({"steps": [["taut"]]}, "step 0 must be an object")):
+                        ({"steps": [["taut"]]}, "step 0 must be an object"),
+                        ({"steps": [{"rule": "axiom", "schema": ["K"], "formula": "p -> p"}]},
+                         "step 0: 'schema' must be of type str"),
+                        ({"steps": [{"rule": "axiom", "schema": {"K": 1}, "formula": "p"}]},
+                         "step 0: 'schema' must be of type str"),
+                        ({"steps": [{"rule": "nec", "premise": 1.7, "formula": "[]p"}]},
+                         "step 0: 'premise' must be of type int"),
+                        ({"steps": [{"rule": "nec", "premise": True, "formula": "[]p"}]},
+                         "step 0: 'premise' must be of type int"),
+                        ({"steps": [{"rule": "mp", "premise": 0, "implication": "1",
+                                     "formula": "p"}]},
+                         "step 0: 'implication' must be of type int"),
+                        ({"hypotheses": ["p"],
+                          "steps": [{"rule": "hyp", "index": 0.0, "formula": "p"}]},
+                         "step 0: 'index' must be of type int")):
         garbled.write_text(json.dumps(doc))
         code, out, err = run(capsys, "prove-check", str(garbled))
         assert code == 2 and out == ""
@@ -300,25 +314,31 @@ def test_prove_check_command(tmp_path, capsys):
 
 
 def test_pencil_demo_command(capsys):
-    code, out, _ = run(capsys, "pencil-demo", "--fan", "1",
-                       "--trials", "5", "--depth", "1")
+    code, out, _ = run(capsys, "pencil-demo", "--fan", "1", "--depth", "1")
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("bad frame violation witness:")
+    assert lines[2:4] == ["bisimulation under all 1024 valuations: True",
+                          "formula agreement to depth 1 under all valuations: True"]
     assert lines[-1] == ("demo: the pencil class has no modal definition "
                          "at this depth")
     for command in ("pencil-demo", "corpus"):
-        for flag, value, least in (("--fan", "0", 1), ("--trials", "0", 1),
-                                   ("--trials", "-3", 1), ("--depth", "-1", 0)):
+        for flag, value, least in (("--fan", "0", 1), ("--fan", "-3", 1),
+                                   ("--depth", "-1", 0)):
             code, out, err = run(capsys, command, flag, value)
             assert code == 2 and out == ""
             assert err == f"ilkit: {flag} must be at least {least}, got {value}\n"
+        # past the fan bound the sweep would exceed its valuation limit;
+        # corpus refuses before the scoreboard starts
+        code, out, err = run(capsys, command, "--fan", "7")
+        assert code == 2 and out == ""
+        assert err == "ilkit: --fan must be at most 6, got 7\n"
 
 
 def test_pencil_demo_writes_dot(tmp_path, capsys):
     prefix = str(tmp_path / "pair")
-    code, out, _ = run(capsys, "pencil-demo", "--fan", "1", "--trials", "2",
-                       "--depth", "1", "--dot-prefix", prefix)
+    code, out, _ = run(capsys, "pencil-demo", "--fan", "1", "--depth", "1",
+                       "--dot-prefix", prefix)
     assert code == 0
     bad = (tmp_path / "pair-bad.dot").read_text()
     good = (tmp_path / "pair-good.dot").read_text()

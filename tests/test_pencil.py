@@ -1,12 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ilkit import checks
+from ilkit import checks, pencil
 from ilkit.corpus import load
+from ilkit.formula import Atom, enumerate_formulas
 from ilkit.frames import Frame, Model, WorldSet, chain, fan, random_frame, tree
 from ilkit.pencil import (
-    PencilWitness, SearchExhausted, build_demo_pair, nondefinability_demo,
-    pencil_check, transfer_valuation,
+    FAN_LIMIT, PencilWitness, SearchExhausted, build_demo_pair,
+    nondefinability_demo, pencil_check, transfer_valuation,
 )
 from ilkit.semantics import check_bisim
 
@@ -111,26 +114,88 @@ def test_transferred_models_are_bisimilar():
 
 
 def test_nondefinability_demo_runs_clean():
-    report = nondefinability_demo(m=1, trials=8, depth=1, seed=7)
+    report = nondefinability_demo(m=1, depth=1)
     assert report.ok
     assert report.bad_witness == PencilWitness(x=0, y=1, z=2, u=4, v=3)
     assert report.good_in_class and report.bisim_ok and report.equiv_ok
     assert report.failure is None
-    assert report.fan == 1 and report.trials == 8 and report.depth == 1
+    assert report.fan == 1 and report.trials == 1024 and report.depth == 1
 
 
-def test_nondefinability_demo_is_deterministic():
-    a = nondefinability_demo(m=1, trials=5, depth=1, seed=3)
-    b = nondefinability_demo(m=1, trials=5, depth=1, seed=3)
-    assert (a.ok, a.bad_witness) == (b.ok, b.bad_witness)
+def test_nondefinability_demo_sweeps_every_valuation():
+    # two atoms on the 4 + m worlds of ``bad``
+    for m in range(1, FAN_LIMIT + 1):
+        report = nondefinability_demo(m)
+        assert report.ok, (m, report.failure)
+        assert report.trials == 1 << 2 * (4 + m)
 
 
-def test_nondefinability_demo_refuses_empty_runs():
-    for kwargs in [dict(m=1, trials=0), dict(m=1, trials=-3),
-                   dict(m=1, trials=5, depth=-1), dict(m=0, trials=5)]:
+def test_nondefinability_demo_refuses_empty_runs(monkeypatch):
+    assert FAN_LIMIT == 6
+    built = []
+    monkeypatch.setattr(pencil, "build_demo_pair",
+                        lambda m: built.append(m) or build_demo_pair(m))
+    for kwargs in [dict(m=0), dict(m=-3), dict(m=FAN_LIMIT + 1), dict(m=100_000),
+                   dict(m=1, depth=-1)]:
         with pytest.raises(ValueError):
             nondefinability_demo(**kwargs)
+    for kwargs in [dict(fan=FAN_LIMIT + 1), dict(fan=1, depth=-1)]:
+        with pytest.raises(ValueError):
+            checks.pencil_demo(**kwargs)
+    # the fan and depth bounds are checked before any frame is built
+    assert built == [0, -3]
     with pytest.raises(ValueError):
-        checks.pencil_demo(fan=1, trials=0)
-    with pytest.raises(ValueError):
-        checks.pencil_demo(fan=1, trials=5, depth=-1)
+        build_demo_pair(0)
+
+
+def _valuation(n, vid):
+    return {"p": WorldSet(n, vid & (1 << n) - 1), "q": WorldSet(n, vid >> n)}
+
+
+def _naive_first_failure(m, depth, size_bound, vids, transfer=transfer_valuation):
+    """The first valuation in ``vids`` under which a pool formula tells a
+    pair of the pairing apart, with the first such pair and formula and
+    ``bisim_naive``'s verdict, or None; one valuation at a time, through
+    the oracles.  On the way, ``bisim_naive`` must fail exactly where an
+    atom tells a pair apart, as forth and back ignore the valuation."""
+    good, bad, z = build_demo_pair(m)
+    pool = list(enumerate_formulas(("p", "q"), depth, size_bound))
+    for vid in vids:
+        ev = _valuation(bad.n, vid)
+        mb, mg = Model(bad, ev), Model(good, transfer(ev, m))
+        ext_b = {f: oracles.extension_naive(mb, f) for f in pool}
+        ext_g = {f: oracles.extension_naive(mg, f) for f in pool}
+        apart = [((wb, wg), f) for wb, wg in z for f in pool
+                 if (wb in ext_b[f]) != (wg in ext_g[f])]
+        bisim = oracles.bisim_naive(mb, mg, z)
+        assert bisim[0] == all(type(f) is not Atom for _, f in apart)
+        if apart:
+            return ev, *apart[0], bisim
+    return None
+
+
+def test_sweep_agrees_with_per_valuation_oracles():
+    # every valuation at fan 1, a seeded sample at fan 3
+    assert nondefinability_demo(m=1, depth=1, size_bound=1).ok
+    assert _naive_first_failure(1, 1, 1, range(1 << 10)) is None
+    assert nondefinability_demo(m=3, depth=2).ok
+    rng = random.Random(3)
+    assert _naive_first_failure(3, 2, 2, rng.sample(range(1 << 14), 64)) is None
+
+
+def test_swapped_transfer_is_caught_at_its_least_valuation(monkeypatch):
+    def swapped(ev, m):
+        # good's fan worlds 6 and 7 trade their atoms
+        out = {}
+        for name, ws in transfer_valuation(ev, m).items():
+            mask = ws.mask & ~0b11000000 | (ws.mask >> 6 & 1) << 7 | (ws.mask >> 7 & 1) << 6
+            out[name] = WorldSet(ws.n, mask)
+        return out
+
+    ev, pair, f, bisim = _naive_first_failure(3, 2, 2, range(1 << 14), swapped)
+    assert (ev, pair, f) == (_valuation(7, 1 << 5), (5, 6), Atom("p"))
+    assert bisim == (False, (5, 6), "atoms", ("p",))
+    monkeypatch.setattr(pencil, "transfer_valuation", swapped)
+    report = nondefinability_demo(m=3, depth=2)
+    assert not report.ok and not report.bisim_ok and report.equiv_ok
+    assert report.failure == ("bisim", ev, pair, f)

@@ -6,13 +6,14 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ilkit import semantics
 from ilkit.calculus import SCHEMAS
 from ilkit.corpus import corpus_models, load
 from ilkit.formula import TOP, atoms, enumerate_formulas, parse
 from ilkit.frames import Frame, Model, WorldSet, all_frames, bits, chain, fan, random_frame
 from ilkit.semantics import (
     SWEEP_BLOCK_BITS, VALUATION_BITS_LIMIT, check_bisim, equiv_up_to,
-    extension, first_apart, force, frame_valid, max_bisim, model_valid,
+    extension, force, frame_valid, max_bisim, model_valid, sweep_apart,
 )
 
 import oracles
@@ -263,18 +264,48 @@ def test_equiv_up_to_finds_separating_formula():
     assert equiv_up_to(m, 1, m, 2, depth=2) is None
 
 
-def test_first_apart_takes_pairs_then_pool_order():
+def test_sweep_apart_takes_valuation_then_pair_then_formula(monkeypatch):
+    fr = load("chain3").frame
+    pool = list(enumerate_formulas(["p", "q"], 1, 2))
+    world_map = [0, 2, 1]    # the right model's worlds 1 and 2 trade atoms
+
+    def naive(pairs):
+        for vid in range(1 << 6):
+            ev = {"p": WorldSet(3, vid & 7), "q": WorldSet(3, vid >> 3)}
+            moved = {a: WorldSet.from_iter(3, [w for w in range(3) if world_map[w] in ws])
+                     for a, ws in ev.items()}
+            ext_l = {f: oracles.extension_naive(Model(fr, ev), f) for f in pool}
+            ext_r = {f: oracles.extension_naive(Model(fr, moved), f) for f in pool}
+            for wl, wr in pairs:
+                for f in pool:
+                    if (wl in ext_l[f]) != (wr in ext_r[f]):
+                        return ev, (wl, wr), f
+
+    # the least valuation wins over the order of the pairs ...
+    late = naive([(0, 0), (1, 1), (2, 2), (1, 2)])
+    assert late[1:] == ((1, 2), parse("[]p")) and not late[0]["p"] and not late[0]["q"]
+    # ... and the order of the pairs over the order of the pool: (1, 1)
+    # differs on p, which comes before the formula telling (0, 0) apart
+    early = naive([(0, 0), (1, 1), (2, 2)])
+    assert early[0] == {"p": WorldSet(3, 0b010), "q": WorldSet(3, 0)}
+    assert early[1] == (0, 0) and early[2] != parse("p")
+    assert naive([(1, 1)]) == (early[0], (1, 1), parse("p"))
+    for block_bits in (SWEEP_BLOCK_BITS, 1):   # valuation 2 opens the second 1-bit block
+        monkeypatch.setattr(semantics, "SWEEP_BLOCK_BITS", block_bits)
+        assert sweep_apart(fr, fr, world_map, [(0, 0), (1, 1), (2, 2), (1, 2)], pool) == late
+        assert sweep_apart(fr, fr, world_map, [(0, 0), (1, 1), (2, 2)], pool) == early
+        assert sweep_apart(fr, fr, [0, 1, 2], [(0, 0), (1, 1), (2, 2)], pool) is None
+    with pytest.raises(ValueError):
+        sweep_apart(fr, fr, world_map, [(0, 0)], list(enumerate_formulas("pqrstuvw", 0, 0)))
+
     m3 = load("chain3")
     pool = list(enumerate_formulas(["p", "q"], 1, 3))
-    pairs = [(0, 0), (1, 1), (0, 2), (1, 2)]
-    expected = next(((wl, wr), f) for wl, wr in pairs for f in pool
-                    if (wl in oracles.extension_naive(m3, f))
-                    != (wr in oracles.extension_naive(m3, f)))
-    assert expected[0] == (0, 2)
-    assert first_apart(m3, m3, pairs, pool) == expected
-    assert equiv_up_to(m3, 0, m3, 2, depth=1) is expected[1]
-    assert first_apart(m3, m3, [(0, 0), (1, 1)], pool) is None
+    expected = next(f for f in pool if (0 in oracles.extension_naive(m3, f))
+                    != (2 in oracles.extension_naive(m3, f)))
+    assert equiv_up_to(m3, 0, m3, 2, depth=1) is expected
+    assert equiv_up_to(m3, 0, m3, 0, depth=1) is None
+    assert equiv_up_to(m3, 1, m3, 1, depth=1) is None
 
     bad, good = load("pencil-bad1"), load("pencil-good1")
     z = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (4, 5)]
-    assert first_apart(bad, good, z, list(enumerate_formulas(["p", "q"], 2, 2))) is None
+    assert all(equiv_up_to(bad, wl, good, wr, 2, ["p", "q"], 2) is None for wl, wr in z)
