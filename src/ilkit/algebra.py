@@ -156,7 +156,7 @@ def eval_term(fr: Frame, env: dict, t: SetTerm, cache=None) -> WorldSet:
     (term -> mask) may be shared by calls with the same frame and valuation."""
     if cache is None:
         cache = {}
-    for u in postorder(t):
+    for u in () if t in cache else postorder(t):
         if u in cache:
             continue
         if isinstance(u, Var):

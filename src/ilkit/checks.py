@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cache, reduce
 from itertools import product
 
 from .algebra import (BoxOp, Complement, Intersection, SOp, Union, Var,
@@ -32,7 +33,7 @@ from .extension import (ResourceLimitError, build_ue, build_ue_model,
                         find_assured_successor, witness_from_negated)
 from .filters import (FrameOps, Ultrafilter, all_proper_filters,
                       all_ultrafilters, assuring_family, b_set)
-from .formula import Atom, enumerate_formulas, parse
+from .formula import Atom, conj, enumerate_formulas, parse
 from .frames import Frame, Model, WorldSet, all_frames, bits, chain, validate
 from .semantics import extension, frame_valid
 
@@ -58,13 +59,9 @@ def _timed(name, body):
     return CheckResult(name, ok, detail, time.perf_counter() - t0)
 
 
-_FRAME_CACHE = {}
-
-
+@cache
 def _frames_for(n: int) -> list[Frame]:
-    if n not in _FRAME_CACHE:
-        _FRAME_CACHE[n] = list(all_frames(n))
-    return _FRAME_CACHE[n]
+    return list(all_frames(n))
 
 
 def _frames_up_to(max_n: int):
@@ -103,6 +100,20 @@ def frame_enumeration(max_n=3) -> CheckResult:
 # ------------------------------------------------------- axiom soundness
 
 
+def _instances(picks):
+    """(schema, arguments, instance) for each schema and tuple of ``picks``."""
+    return [(name, args, instantiate(SCHEMAS[name], dict(zip(_META, args))))
+            for name, arity in _SCHEMA_ARITY.items() for args in product(picks, repeat=arity)]
+
+
+def _first_refuted(fr: Frame, batch, instances):
+    """The first ``(schema, arguments, instance)`` refuted on ``fr``, with its
+    verdict, or None; one sweep of ``batch``, their conjunction, clears all."""
+    if frame_valid(fr, batch).valid:
+        return None
+    return next(((x, v) for x in instances if not (v := frame_valid(fr, x[2])).valid), None)
+
+
 def axiom_soundness(max_n=3) -> CheckResult:
     """Every schema instance is valid on every small frame.
 
@@ -111,7 +122,9 @@ def axiom_soundness(max_n=3) -> CheckResult:
     extension as the valuation varies; so ``frame_valid`` on the schema
     itself, sweeping all mask tuples for the metavariables, covers every
     instance over any pool.  A stride of literal depth-1 instances
-    additionally goes through ``frame_valid``.
+    additionally goes through ``frame_valid``: one sweep of their
+    conjunction per frame, and one per instance only on a frame that
+    refutes it, to name the first refuted instance.
     """
 
     def body():
@@ -127,18 +140,16 @@ def axiom_soundness(max_n=3) -> CheckResult:
         # literal instances over 2 atoms at depth <= 1, via frame_valid
         depth1 = _pool(depth=1, size=2)
         picks = depth1[::max(1, len(depth1) // 4)][:4]
-        literals = [(name, args, instantiate(SCHEMAS[name], dict(zip(_META, args))))
-                    for name, arity in _SCHEMA_ARITY.items()
-                    for args in product(picks, repeat=arity)]
+        literals = _instances(picks)
+        batch = reduce(conj, [f for _, _, f in literals])
         literal_cases = 0
         for fr in _frames_up_to(max_n):
-            for name, args, f in literals:
-                verdict = frame_valid(fr, f)
-                literal_cases += 1
-                if not verdict.valid:
-                    return False, (f"{name}{tuple(map(str, args))} refuted "
-                                   f"on n={fr.n} frame at world "
-                                   f"{verdict.world}")
+            literal_cases += len(literals)
+            if found := _first_refuted(fr, batch, literals):
+                (name, args, _), verdict = found
+                return False, (f"{name}{tuple(map(str, args))} refuted "
+                               f"on n={fr.n} frame at world "
+                               f"{verdict.world}")
         return True, (f"{mask_cases} mask instances + {literal_cases} literal "
                       f"instances, 0 counterexamples")
 
@@ -161,25 +172,24 @@ INCLUSION_LAWS = (
 def translation_validity(max_n=3) -> CheckResult:
     """Translated axioms denote W; the inclusion laws hold exhaustively.
 
-    Each translated axiom instance over p, q and each of ``INCLUSION_LAWS``
-    is one ``frame_valid`` sweep per frame, counted as 2^(2n) valuations
-    per instance (even with one atom) and 2^(kn) per law over k variables.
+    The translated axiom instances over p, q are one ``frame_valid`` sweep
+    of their intersection per frame (and one per instance only where that
+    fails), counted as 2^(2n) valuations per instance (even with one atom);
+    each of ``INCLUSION_LAWS`` is one sweep per frame, 2^(kn) over k variables.
     """
 
     def body():
-        pq = [Atom("p"), Atom("q")]
-        terms = [(name, translate(instantiate(SCHEMAS[name], dict(zip(_META, args)))))
-                 for name, arity in _SCHEMA_ARITY.items()
-                 for args in product(pq, repeat=arity)]
+        terms = [(name, args, translate(f))
+                 for name, args, f in _instances([Atom("p"), Atom("q")])]
+        batch = reduce(Intersection, [t for _, _, t in terms])
         axiom_cases = 0
         for fr in _frames_up_to(max_n):
-            for name, term in terms:
-                verdict = frame_valid(fr, term)
-                axiom_cases += 1 << 2 * fr.n
-                if not verdict.valid:
-                    got = eval_term(fr, verdict.ev, term).mask
-                    return False, (f"{name} translation misses "
-                                   f"{fr.full_mask ^ got:#x} on n={fr.n}")
+            axiom_cases += len(terms) << 2 * fr.n
+            if found := _first_refuted(fr, batch, terms):
+                (name, _, term), verdict = found
+                got = eval_term(fr, verdict.ev, term).mask
+                return False, (f"{name} translation misses "
+                               f"{fr.full_mask ^ got:#x} on n={fr.n}")
         incl_cases = 0
         for fr in _frames_up_to(max_n):
             for law, nvars, term in INCLUSION_LAWS:

@@ -13,14 +13,13 @@ set in ``f``, then both A and its box-preimage must lie in ``g``.  Because
 minimum B, quantifying over all finite choices of members collapses to the
 single choice {B}; ``assuring_family`` keeps the raw quantifier for
 arbitrary finite families, and the test suite holds a naive oracle against
-the reduction.  ``FrameOps`` tabulates both, as one bitmask of successors
-per (f, label), together with the frame's preimage operators.
+the reduction.  ``FrameOps`` tabulates both, once per frame, as one bitmask
+of successors per (f, label), together with the frame's preimage operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .algebra import r_inv_dual_mask, r_inv_mask, s_inv_mask
 from .frames import Frame, WorldSet, bits
@@ -137,23 +136,27 @@ class FrameOps:
     mask ``m``; ``sinv(y)[x]`` is ``s_inv(x, y)``, one column per ``y``;
     ``assured(fw, lm)`` is the bitmask of witnesses ``g`` that ultrafilter
     ``fw`` assures under the label with minimum ``lm``.  A label's row costs
-    one ``s_inv`` column and covers every ``f`` and ``g`` at once.  Sweeps
-    build one per frame and pass it along; the public per-call functions
-    build a throwaway one.
+    one ``s_inv`` column and covers every ``f`` and ``g`` at once.  The
+    int tables live on the frame, shared by every ``FrameOps(fr)`` (the
+    public per-call functions' too); a frame never refers to a view, so
+    reference counting still frees it.
     """
 
     def __init__(self, fr: Frame):
         self.fr = fr
-        self._sinv = {}
-        self._assured = {}
+        # an attribute, not via ``fr.__dict__``, which would slow the frame's attribute reads
+        if (tables := getattr(fr, "_ops", None)) is None:
+            object.__setattr__(fr, "_ops", tables := ({}, {}, {}))
+        self._sinv, self._assured, self._unary = tables
 
-    @cached_property
-    def rinv(self) -> list[int]:
-        return [r_inv_mask(self.fr, m) for m in range(1 << self.fr.n)]
+    def _table(self, op) -> list[int]:
+        col = self._unary.get(op)
+        if col is None:
+            col = self._unary[op] = [op(self.fr, m) for m in range(1 << self.fr.n)]
+        return col
 
-    @cached_property
-    def rdual(self) -> list[int]:
-        return [r_inv_dual_mask(self.fr, m) for m in range(1 << self.fr.n)]
+    rinv = property(lambda self: self._table(r_inv_mask))
+    rdual = property(lambda self: self._table(r_inv_dual_mask))
 
     def sinv(self, y: int) -> list[int]:
         col = self._sinv.get(y)

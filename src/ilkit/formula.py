@@ -9,8 +9,8 @@ of the toolkit only ever pattern-matches on the core.
 Nodes are hash-consed: building a node equal to a live one returns that
 node, so ``==`` is ``is`` and ``parse(to_str(f)) is f``.  Walks over formulas
 and the set terms of ``algebra`` are loops, not recursion: over ``postorder``
-(each distinct subterm once, after its subterms), or for printing, which
-repeats shared subterms, over one work stack.
+(each distinct subterm once, after its subterms; immutable, so cached on the
+root), or for printing, which repeats shared subterms, over one work stack.
 
 ASCII grammar (loosest binding first)::
 
@@ -42,11 +42,12 @@ class Node:
     """Immutable hash-consed tree node, the base of formulas and set terms.
 
     A node class lists its constructor arguments in ``__slots__``; ``kids``
-    holds those that are nodes.  Construction returns the live equal node
-    if there is one; the table is weak, so a node dies with its last user.
+    holds those that are nodes, ``_walk`` a cached ``postorder``.  Building
+    returns the live equal node if there is one; the table is weak, so a
+    node dies with its last user.
     """
 
-    __slots__ = ("kids", "__weakref__")
+    __slots__ = ("kids", "_walk", "__weakref__")
 
     def __new__(cls, *args):
         key = (cls, *args)
@@ -68,20 +69,28 @@ class Node:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-def postorder(root: Node, enter=None):
-    """Yield each distinct subterm of ``root`` once, after its subterms;
-    with ``enter``, nodes failing ``enter(node)`` are yielded unopened."""
-    seen = set()
+def postorder(root: Node, enter=None) -> tuple:
+    """Each distinct subterm of ``root`` once, after its subterms; with
+    ``enter``, nodes failing ``enter(node)`` come unopened.  Without
+    ``enter`` the walk is cached on ``root``: its strict subterms only, so
+    no node refers to itself, and on the roots walked only, not on their
+    subterms, so memory stays linear in the roots actually walked."""
+    if enter is None and (walk := getattr(root, "_walk", None)) is not None:
+        return walk + (root,)
+    seen, out = set(), []
     stack = [(root, False)]
     while stack:
         node, ready = stack.pop()
         if ready:
-            yield node
+            out.append(node)
         elif node not in seen:
             seen.add(node)
             stack.append((node, True))
             if enter is None or enter(node):
                 stack.extend((kid, False) for kid in reversed(node.kids))
+    if enter is None:
+        object.__setattr__(root, "_walk", tuple(out[:-1]))
+    return tuple(out)
 
 
 @cache

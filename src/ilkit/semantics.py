@@ -17,14 +17,16 @@ share one sweep table, ``_COLUMN_OPS``, so the same sweep decides whether a
 term denotes every world under every valuation of its set variables.
 ``sweep_apart`` sweeps two frames at once and compares paired points.
 
-Bisimulations are checked on partner bitmasks: the zigzag clause for a
-successor costs one OR per S-successor on its side and one subset test per
-candidate partner on the other.  Pairs outside the models are refused.
+Bisimulations are checked on partner bitmasks: the zigzag clause costs one
+OR per S-successor of a successor, once per call, and one subset test per
+candidate partner.  Pairs outside the models are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .algebra import (_TERM_OF, Complement, DiaOp, Full, Intersection, Union,
                       Var, r_inv_dual_mask, s_inv_mask)
@@ -52,8 +54,8 @@ def extension(m: Model, f: Formula, cache=None) -> WorldSet:
     shared by calls on the same model."""
     if cache is None:
         cache = {}
-    for g in postorder(f, lambda g: g not in cache):
-        if g not in cache:   # cached nodes come unopened
+    for g in () if f in cache else postorder(f):
+        if g not in cache:
             cache[g] = (m.ev_mask(g.name) if isinstance(g, Atom)
                         else _FORCING[type(g)](m.frame, cache, g))
     return WorldSet(m.frame.n, cache[f])
@@ -224,12 +226,12 @@ class BisimVerdict:
         return self.ok
 
 
-def _zigzag_ok(s_row, partners, cands, s_other):
+def _zigzag_ok(memo, key, s_row, partners, cands, s_other):
     """One direction of the inner clause: some candidate (a set bit of
-    ``cands``) has all its S-successors partnered with ones in ``s_row``."""
-    reach = 0
-    for v in bits(s_row):
-        reach |= partners[v]
+    ``cands``) has all its S-successors partnered with ones in ``s_row``.
+    ``memo`` keeps the partners of ``s_row`` per ``key``, its (w, u)."""
+    if (reach := memo.get(key)) is None:
+        reach = memo[key] = reduce(or_, [partners[v] for v in bits(s_row)], 0)
     return any(not s_other[x] & ~reach for x in bits(cands))
 
 
@@ -252,16 +254,17 @@ def _broken(ml: Model, mr: Model, z):
         fwd[wl] |= 1 << wr
         bwd[wr] |= 1 << wl
     names, sig_l, sig_r = _atom_rows(ml, mr)
+    reach_l, reach_r = {}, {}
 
     def clause(wl, wr):
         if apart := sig_l[wl] ^ sig_r[wr]:
             return "atoms", (names[(apart & -apart).bit_length() - 1],)
         rl, rr, sl, sr = frl.r_succ[wl], frr.r_succ[wr], frl.s_succ[wl], frr.s_succ[wr]
         for ul in bits(rl):
-            if not _zigzag_ok(sl[ul], fwd, rr & fwd[ul], sr):
+            if not _zigzag_ok(reach_l, (wl, ul), sl[ul], fwd, rr & fwd[ul], sr):
                 return "forth", (ul,)
         for ur in bits(rr):
-            if not _zigzag_ok(sr[ur], bwd, rl & bwd[ur], sl):
+            if not _zigzag_ok(reach_r, (wr, ur), sr[ur], bwd, rl & bwd[ur], sl):
                 return "back", (ur,)
 
     for wl, row in enumerate(fwd):

@@ -29,7 +29,7 @@ def test_frame_enumeration_exhaustive():
 def test_axiom_schemas_frame_valid_everywhere():
     r = checks.axiom_soundness()
     report("axiom schemas frame-valid on all small frames", r)
-    assert r.seconds < 3
+    assert r.seconds < 1
 
 
 def test_translated_axioms_denote_the_whole_frame():
@@ -79,6 +79,7 @@ def test_extension_saturation():
 def test_witness_searches_complete():
     r = checks.witness_search()
     report("witness searches over all qualifying instances", r)
+    assert r.seconds < 1
 
 
 def test_pencil_demo_cli():

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ilkit import filters
 from ilkit.filters import (
-    Filter, Ultrafilter, all_assuring_triples, all_proper_filters,
+    Filter, FrameOps, Ultrafilter, all_assuring_triples, all_proper_filters,
     all_ultrafilters, assuring, assuring_family, b_set, f_box,
     generate_filter, has_fip, principal_filter,
 )
@@ -173,3 +177,39 @@ def test_assuring_on_fan():
     assert not assuring(fr, u0, up(3, [1]), u2)
     assert assuring(fr, u0, up(3, [1, 2]), u1)
     assert assuring(fr, u0, up(3, [1, 2]), u2)
+
+
+def test_frame_ops_tables_are_built_once_per_frame(monkeypatch):
+    calls = []
+    real = filters.s_inv_mask
+    monkeypatch.setattr(filters, "s_inv_mask", lambda *a: calls.append(a) or real(*a))
+    fr = random_frame(4, 7)
+    ops = FrameOps(fr)
+    rows = [ops.assured(w, lm) for w in range(4) for lm in range(1, 16)]
+    family = ops.family_rows([0b0011, 0b0110])
+    built = len(calls)
+    assert built > 0
+    again = FrameOps(fr)
+    assert [again.assured(w, lm) for w in range(4) for lm in range(1, 16)] == rows
+    assert again.family_rows([0b0011, 0b0110]) == family
+    assert again.rinv is ops.rinv and again.rdual is ops.rdual
+    # the public per-call functions read the same tables
+    u, l = Ultrafilter(4, 0), Filter(4, 0b0100)
+    assuring(fr, u, l, Ultrafilter(4, 2))
+    assuring_family(fr, u, [WorldSet(4, 0b0011)], u)
+    b_set(fr, u, l)
+    all_assuring_triples(fr)
+    assert len(calls) == built
+
+
+def test_frame_with_filled_tables_dies_by_reference_counting():
+    fr = random_frame(4, 7)
+    ops = FrameOps(fr)
+    assert ops.assured(0, 0b0001) is not None and ops.rinv and ops.sinv(0b0110)
+    ref = weakref.ref(fr)
+    gc.disable()   # the tables must form no cycle with the frame
+    try:
+        del fr, ops
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ilkit.algebra import eval_term, term_to_str, translate
-from ilkit.calculus import is_tautology
+from ilkit.calculus import SCHEMAS, is_tautology
 from ilkit.formula import (
     Atom, Bottom, Box, Implies, Rhd, BOT, NESTING_LIMIT, TOP,
     atoms, conj, dia, disj, enumerate_formulas, iff, modal_depth, neg,
-    parse, ParseError, size, to_str,
+    parse, ParseError, postorder, size, to_str,
 )
 from ilkit.frames import Model, chain
 from ilkit.semantics import extension, frame_valid
@@ -170,6 +170,41 @@ def test_interned_node_is_freed_with_its_last_user():
     assert ref() is None
 
 
+def _fresh_walk(root):
+    """``postorder`` without its cache: an ``enter`` that opens every node."""
+    return postorder(root, lambda g: True)
+
+
+def test_cached_walk_matches_a_fresh_walk():
+    roots = [*enumerate_formulas(["p", "q"], 2, 2), *SCHEMAS.values(),
+             *map(translate, SCHEMAS.values()), _deep_formula()]
+    for root in roots:
+        fresh = _fresh_walk(root)
+        assert fresh[-1] is root and len(set(fresh)) == len(fresh)
+        assert postorder(root) == fresh   # fills the cache, or reads it
+        assert root._walk == fresh[:-1]   # strict subterms: no self-reference
+        assert postorder(root) == fresh
+    # only the roots walked hold a cache: the deep formula's subterms do not
+    deep = roots[-1]
+    assert getattr(deep.kids[-1], "_walk", None) is None
+
+
+def test_cached_walk_leaves_pickling_and_freeing_alone():
+    f = Rhd(Box(Atom("walked_once")), neg(Atom("walked_once")))
+    before = pickle.dumps(f)
+    postorder(f)
+    assert f._walk
+    assert pickle.dumps(f) == before
+    assert pickle.loads(before) is f
+    ref = weakref.ref(f)
+    gc.disable()   # reference counting alone must free it: the cache is no cycle
+    try:
+        del f
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_parser_nesting_limit():
     deepest = "(" * NESTING_LIMIT + "p" + ")" * NESTING_LIMIT
     assert parse(deepest) is Atom("p")
@@ -181,12 +216,18 @@ def test_parser_nesting_limit():
     assert size(parse(" -> ".join(["p"] * 5000))) == 4999
 
 
-def test_deep_formulas_walk_without_recursion():
+def _deep_formula():
+    """10,000 connectives deep, cycling through box, negation, ``q |>`` and ``q ->``."""
     p, q = Atom("p"), Atom("q")
     wrap = [Box, neg, lambda g: Rhd(q, g), lambda g: Implies(q, g)]
     f = p
     for i in range(10_000):
         f = wrap[i % 4](f)
+    return f
+
+
+def test_deep_formulas_walk_without_recursion():
+    f = _deep_formula()
     assert size(f) == 10_000
     assert modal_depth(f) == 5_000
     assert atoms(f) == {"p", "q"}

@@ -251,6 +251,14 @@ def test_bisim_budget():
     t0 = time.perf_counter()
     assert {(w, perm[w]) for w in range(48)} <= max_bisim(ml, mr)
     assert time.perf_counter() - t0 < 2
+    # without a valuation few pairs fall to atoms, so most rounds run the
+    # zigzag clauses: each pair's pulled-back partners are computed once a round
+    ml = Model(random_frame(48, 1), {})
+    mr, perm = _renamed(ml, rng)
+    t0 = time.perf_counter()
+    z = max_bisim(ml, mr)
+    assert time.perf_counter() - t0 < 5
+    assert {(w, perm[w]) for w in range(48)} <= z and len(z) == 82
 
 
 def test_equiv_up_to_finds_separating_formula():
