@@ -9,10 +9,10 @@ search), the pencil non-definability demo, and the classical baseline.
 one line per check.
 
 The sweeps call the public library functions wherever speed permits.
-The family-lemma sweep reads the frame's ``FrameOps`` and a raw-family
-verdict table of its own, and cross-checks that table against
-``assuring_family`` on a stride sample, so a divergence between table and
-implementation still fails the scoreboard.
+The labeling-lemma sweeps test whole rows of instances of the frame's
+``FrameOps`` and of a packed raw-family table of their own, which they
+cross-check against ``assuring_family`` on a stride sample, so a
+divergence between table and implementation still fails the scoreboard.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import product
+from operator import and_, or_
 
 from .algebra import (BoxOp, Complement, Intersection, SOp, Union, Var,
                       agreement, eval_term, translate)
@@ -33,13 +34,14 @@ from .extension import (ResourceLimitError, build_ue, build_ue_model,
                         find_assured_successor, witness_from_negated)
 from .filters import (FrameOps, Ultrafilter, all_proper_filters,
                       all_ultrafilters, assuring_family, b_set)
-from .formula import Atom, conj, enumerate_formulas, parse
+from .formula import Atom, atoms, conj, enumerate_formulas, parse
 from .frames import Frame, Model, WorldSet, all_frames, bits, chain, validate
 from .semantics import extension, frame_valid
 
 EXPECTED_FRAME_COUNTS = {1: 1, 2: 3, 3: 34}
 
-_SCHEMA_ARITY = {"K": 2, "GL": 1, "J1": 2, "J2": 3, "J3": 3, "J4": 2, "J5": 1}
+# each schema's metavariables are a prefix of _META
+_SCHEMA_ARITY = {name: len(atoms(f) & set(_META)) for name, f in SCHEMAS.items()}
 
 
 @dataclass
@@ -235,38 +237,40 @@ def translation_agreement(max_n=3) -> CheckResult:
 # ------------------------------------------------------- labeling lemmas
 
 
-def _family_tables(ops):
+def _family_tables(ops) -> list[int]:
     """The raw-family verdict table for the family-indexed assuring sweep.
 
-    Returns (famv, members) where ``famv[fam][fw]`` is the bitmask of g
-    witnesses assured under the raw family encoded by the bitmask ``fam``
-    (bit i = member set i+1).  Written apart from ``FrameOps.family_rows``
-    on purpose: the sweep holds ``assuring_family`` against this table.
+    One packed int per raw family ``fam`` (bit i = member set i+1): bit
+    ``fw*n + gw`` is set when witness fw assures gw under that family.
+    Written apart from ``FrameOps.family_rows`` on purpose: the sweep holds
+    ``assuring_family`` against this table.
     """
     fr = ops.fr
     n, full = fr.n, fr.full_mask
     nmasks = 1 << n
-    sinv = [ops.sinv(y) for y in range(nmasks)]
-    rdual = ops.rdual
-    members = list(range(1, nmasks))
-    gate = [m & rdual[m] for m in range(nmasks)]
-    famv = []
-    for fam in range(1 << len(members)):
+    # fires[y]: bit fw*nmasks + a is set when U{fw} moves the successors
+    # outside the set a into y, so that a's hypothesis fires there
+    fires = [sum(1 << fw * nmasks + a for fw in range(n) for a in range(nmasks)
+                 if col[full & ~a] >> fw & 1) for col in map(ops.sinv, range(nmasks))]
+    # allowed[t]: the g that every set a in the mask t, and a's box preimage, hold
+    allowed = _subset_folds([a & ops.rdual[a] for a in range(nmasks)], and_, full)
+    tables = []
+    for fam in range(1 << nmasks - 1):
         unions = {0}
-        for i, m in enumerate(members):
-            if fam >> i & 1:
-                comp = full & ~m
-                unions |= {u | comp for u in unions}
-        rows = []
-        for fw in range(n):
-            ok = full
-            for amask in range(nmasks):
-                abar = full & ~amask
-                if any(sinv[u][abar] >> fw & 1 for u in unions):
-                    ok &= gate[amask]
-            rows.append(ok)
-        famv.append(rows)
-    return famv, members
+        for i in bits(fam):
+            unions |= {u | full & ~(i + 1) for u in unions}
+        fired = reduce(or_, [fires[u] for u in unions])
+        tables.append(sum(allowed[fired >> fw * nmasks & (1 << nmasks) - 1] << fw * n
+                          for fw in range(n)))
+    return tables
+
+
+def _subset_folds(values, op, empty) -> list[int]:
+    """``out[t]``: ``op`` folded over the ``values[i]`` for the bits i of t."""
+    out = [empty]
+    for v in values:
+        out += [op(o, v) for o in out]
+    return out
 
 
 def _lap(spans, row, t0):
@@ -275,164 +279,164 @@ def _lap(spans, row, t0):
     return now
 
 
+LABEL_LEMMAS = """assuring-pulls-back-membership assuring-pushes-label-forward
+    assuring-pulls-back-label assuring-transitive fired-sets-box-closed
+    fired-sets-meet-closed family-shrink-monotone family-successor-transfer
+    family-superset-padding family-box-padding family-generates-filter-label
+    family-table-probe min-set-reduction-oracle""".split()
+
+
 def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
     """One result per labeling-lemma sweep, all exhaustive at small n.
+
+    Each instance of a lemma is one bit of a row: a mask over subsets, an
+    assured row, or the packed rows of a raw family or a label (bit
+    ``fw*n + gw``).  A block tests a whole row with one mask operation (an
+    AND-NOT per family pair, an XOR per label) and adds the row's instance
+    count in bulk; only a failing row is scanned, lowest bit first, for
+    the first failing instance in sweep order, which the detail names.
 
     Each frame runs six blocks of sweeps, several rows to a block.  A
     block's measured time, summed over frames, goes on the first row it
     checks; its other rows read 0.0.  Building a shared table counts
     toward the first block that uses it: the raw-family table and its
-    ``s_inv`` columns toward ``family-table-probe``, and each lazily
-    filled ``FrameOps`` label row toward the block that first reads it.
+    ``s_inv`` columns toward ``family-table-probe``, the ``FrameOps``
+    label rows toward ``assuring-pulls-back-membership``.
     """
-    fails = {}
-    counts = {}
-    spans = {}
+    fails, spans, where = {}, {}, ""
+    counts = dict.fromkeys(LABEL_LEMMAS, 0)
 
-    def hit(lemma, cond, witness):
-        counts[lemma] = counts.get(lemma, 0) + 1
-        if not cond and lemma not in fails:
-            fails[lemma] = witness
+    def fail(lemma, at):
+        fails.setdefault(lemma, f"{where} {at}")
 
     for fr in _frames_up_to(max_n):
         t = time.perf_counter()
         n, full = fr.n, fr.full_mask
         nmasks = 1 << n
         ops = FrameOps(fr)
-        famv, members = _family_tables(ops)
+        tab = _family_tables(ops)
         where = f"n={n} {fr.r_succ}"
 
-        # cross-check the family table against the public function
-        probe = 0
-        for fam in range(len(famv)):
-            for fw in range(n):
-                for gw in range(n):
-                    probe += 1
-                    if probe % 23:
-                        continue
-                    sets = [WorldSet(n, members[i]) for i in range(len(members))
-                            if fam >> i & 1]
-                    real = assuring_family(fr, Ultrafilter(n, fw), sets,
-                                           Ultrafilter(n, gw))
-                    hit("family-table-probe",
-                        real == bool(famv[fam][fw] >> gw & 1),
-                        f"{where} fam={fam} f=U{fw} g=U{gw}")
+        # cross-check every 23rd (fam, f, g) of the table against the public function
+        counts["family-table-probe"] += len(tab) * n * n // 23
+        for k in range(22, len(tab) * n * n, 23):
+            fam, fw, gw = k // (n * n), k // n % n, k % n
+            sets = [WorldSet(n, i + 1) for i in bits(fam)]
+            real = assuring_family(fr, Ultrafilter(n, fw), sets, Ultrafilter(n, gw))
+            if real != bool(tab[fam] >> fw * n + gw & 1):
+                fail("family-table-probe", f"fam={fam} f=U{fw} g=U{gw}")
         t = _lap(spans, "family-table-probe", t)
 
+        # masks over subsets x: x contains lm (so over[1 << g] holds g);
+        # rinv[x] misses f; x or rdual[x] misses g
         rinv, rdual, assured = ops.rinv, ops.rdual, ops.assured
+        over = [sum(1 << x for x in range(nmasks) if x & lm == lm) for lm in range(nmasks)]
+        unpulled = [sum(1 << x for x in range(nmasks) if not rinv[x] >> f & 1)
+                    for f in range(n)]
+        unpushed = [sum(1 << x for x in range(nmasks) if not (x & rdual[x]) >> g & 1)
+                    for g in range(n)]
         triples = [(fw, lm, gw) for fw in range(n) for lm in range(1, nmasks)
                    for gw in bits(assured(fw, lm))]
         for fw, lm, gw in triples:
-            for x in range(nmasks):
-                if x >> gw & 1:
-                    hit("assuring-pulls-back-membership",
-                        rinv[x] >> fw & 1, f"{where} U{fw} up{lm:#x} U{gw} X={x:#x}")
-                if x & lm == lm:
-                    hit("assuring-pushes-label-forward",
-                        x >> gw & 1 and rdual[x] >> gw & 1,
-                        f"{where} U{fw} up{lm:#x} U{gw} member={x:#x}")
-                    hit("assuring-pulls-back-label",
-                        rinv[x] >> fw & 1,
-                        f"{where} U{fw} up{lm:#x} U{gw} member={x:#x}")
+            at = f"U{fw} up{lm:#x} U{gw}"
+            counts["assuring-pulls-back-membership"] += nmasks >> 1
+            counts["assuring-pushes-label-forward"] += over[lm].bit_count()
+            counts["assuring-pulls-back-label"] += over[lm].bit_count()
+            if bad := over[1 << gw] & unpulled[fw]:
+                fail("assuring-pulls-back-membership", f"{at} X={next(bits(bad)):#x}")
+            if bad := over[lm] & unpushed[gw]:
+                fail("assuring-pushes-label-forward", f"{at} member={next(bits(bad)):#x}")
+            if bad := over[lm] & unpulled[fw]:
+                fail("assuring-pulls-back-label", f"{at} member={next(bits(bad)):#x}")
         t = _lap(spans, "assuring-pulls-back-membership", t)
+        # every successor of g under some label, and how many (g, label, h) there are
+        reach = [reduce(or_, (assured(g, mm) for mm in range(1, nmasks))) for g in range(n)]
+        nreach = [sum(assured(g, mm).bit_count() for mm in range(1, nmasks)) for g in range(n)]
         for fw, lm, gw in triples:
-            for mm in range(1, nmasks):
-                for hw in bits(assured(gw, mm)):
-                    hit("assuring-transitive",
-                        assured(fw, lm) >> hw & 1,
-                        f"{where} U{fw} up{lm:#x} U{gw} up{mm:#x} U{hw}")
+            counts["assuring-transitive"] += nreach[gw]
+            if reach[gw] & ~(row := assured(fw, lm)):
+                mm = next(mm for mm in range(1, nmasks) if assured(gw, mm) & ~row)
+                hw = next(bits(assured(gw, mm) & ~row))
+                fail("assuring-transitive", f"U{fw} up{lm:#x} U{gw} up{mm:#x} U{hw}")
         t = _lap(spans, "assuring-transitive", t)
 
+        # a fired family is a mask over subsets, out its complement;
+        # boxed_into[t] and meets_into[c][t]: the subsets whose box
+        # preimage, or meet with c, lies in the mask t
+        boxed_into = _subset_folds([sum(1 << c for c in range(nmasks) if rdual[c] == y)
+                                    for y in range(nmasks)], or_, 0)
+        meets_into = [_subset_folds([sum(1 << d for d in range(nmasks) if c & d == y)
+                                     for y in range(nmasks)], or_, 0) for c in range(nmasks)]
         for f in all_ultrafilters(fr):
             for l in all_proper_filters(n):
-                fired = {ws.mask for ws in b_set(fr, f, l)}
-                for c in fired:
-                    hit("fired-sets-box-closed", rdual[c] in fired,
-                        f"{where} U{f.witness} up{l.min_mask:#x} C={c:#x}")
-                    for d in fired:
-                        hit("fired-sets-meet-closed", c & d in fired,
-                            f"{where} U{f.witness} up{l.min_mask:#x} "
-                            f"C={c:#x} D={d:#x}")
+                fired = sum(1 << ws.mask for ws in b_set(fr, f, l))
+                out, size = (1 << nmasks) - 1 & ~fired, fired.bit_count()
+                counts["fired-sets-box-closed"] += size
+                counts["fired-sets-meet-closed"] += size * size
+                at = f"U{f.witness} up{l.min_mask:#x}"
+                if bad := fired & boxed_into[out]:
+                    fail("fired-sets-box-closed", f"{at} C={next(bits(bad)):#x}")
+                for c in bits(fired):
+                    if bad := fired & meets_into[c][out]:
+                        fail("fired-sets-meet-closed", f"{at} C={c:#x} D={next(bits(bad)):#x}")
+                        break
         t = _lap(spans, "fired-sets-box-closed", t)
 
-        cond = [[all(not (x >> hw & 1) or rinv[x] >> gw & 1
-                     for x in range(nmasks)) for hw in range(n)]
-                for gw in range(n)]
-        nfam = len(famv)
-        for fam in range(nfam):
-            rows = famv[fam]
+        # cond[g]: the h that every subset holding h has g in its diamond
+        # preimage; need[row] gathers cond over the g of a row, with a count
+        cond = [full & ~reduce(or_, bits(unpulled[g]), 0) for g in range(n)]
+        need = [reduce(or_, (cond[g] for g in bits(row)), 0) for row in range(nmasks)]
+        ntransfer = [sum(cond[g].bit_count() for g in bits(row)) for row in range(nmasks)]
+        packed = [sum(assured(fw, lm) << fw * n for fw in range(n)) if lm else 0
+                  for lm in range(nmasks)]
+        for fam, rows in enumerate(tab):
             sub = fam
             while True:
-                subrows = famv[sub]
-                for fw in range(n):
-                    hit("family-shrink-monotone",
-                        rows[fw] & ~subrows[fw] == 0,
-                        f"{where} fam={fam:#x} sub={sub:#x} f=U{fw}")
+                if bad := rows & ~tab[sub]:
+                    fail("family-shrink-monotone",
+                         f"fam={fam:#x} sub={sub:#x} f=U{next(bits(bad)) // n}")
                 if sub == 0:
                     break
                 sub = (sub - 1) & fam
+            counts["family-shrink-monotone"] += n << fam.bit_count()
             for fw in range(n):
-                row = rows[fw]
-                for gw in bits(row):
-                    for hw in range(n):
-                        if cond[gw][hw]:
-                            hit("family-successor-transfer",
-                                row >> hw & 1,
-                                f"{where} fam={fam:#x} U{fw} U{gw} U{hw}")
-            for i, x in enumerate(members):
-                if not fam >> i & 1:
-                    continue
-                for y in range(1, nmasks):
-                    if y & x == x:
-                        ext = fam | 1 << (y - 1)
-                        for fw in range(n):
-                            hit("family-superset-padding",
-                                rows[fw] & ~famv[ext][fw] == 0,
-                                f"{where} fam={fam:#x} y={y:#x} f=U{fw}")
-            ext = fam
-            inter = full
-            for i, x in enumerate(members):
-                if fam >> i & 1:
-                    ext |= 1 << (rdual[x] - 1)
-                    inter &= x
-            for fw in range(n):
-                hit("family-box-padding", rows[fw] & ~famv[ext][fw] == 0,
-                    f"{where} fam={fam:#x} f=U{fw}")
-            genmin = inter if fam else full
-            if genmin:
-                for fw in range(n):
-                    for gw in bits(rows[fw]):
-                        hit("family-generates-filter-label",
-                            assured(fw, genmin) >> gw & 1,
-                            f"{where} fam={fam:#x} U{fw} U{gw}")
+                row = rows >> fw * n & full
+                counts["family-successor-transfer"] += ntransfer[row]
+                if need[row] & ~row:
+                    gw = next(g for g in bits(row) if cond[g] & ~row)
+                    hw = next(bits(cond[gw] & ~row))
+                    fail("family-successor-transfer", f"fam={fam:#x} U{fw} U{gw} U{hw}")
+            ext, inter = fam, full
+            for x in (i + 1 for i in bits(fam)):
+                counts["family-superset-padding"] += n * over[x].bit_count()
+                for y in bits(over[x]):
+                    if bad := rows & ~tab[fam | 1 << y - 1]:
+                        fail("family-superset-padding",
+                             f"fam={fam:#x} y={y:#x} f=U{next(bits(bad)) // n}")
+                ext |= 1 << rdual[x] - 1
+                inter &= x
+            counts["family-box-padding"] += n
+            if bad := rows & ~tab[ext]:
+                fail("family-box-padding", f"fam={fam:#x} f=U{next(bits(bad)) // n}")
+            if inter:
+                counts["family-generates-filter-label"] += rows.bit_count()
+                if bad := rows & ~packed[inter]:
+                    b = next(bits(bad))
+                    fail("family-generates-filter-label", f"fam={fam:#x} U{b // n} U{b % n}")
         t = _lap(spans, "family-shrink-monotone", t)
 
         for lm in range(1, nmasks):
-            supfam = 0
-            for i, mm in enumerate(members):
-                if mm & lm == lm:
-                    supfam |= 1 << i
-            for fw in range(n):
-                for gw in range(n):
-                    hit("min-set-reduction-oracle",
-                        (assured(fw, lm) >> gw & 1) == (famv[supfam][fw] >> gw & 1),
-                        f"{where} U{fw} up{lm:#x} U{gw}")
+            counts["min-set-reduction-oracle"] += n * n
+            # over[lm] >> 1 is the raw family of every member of up{lm}
+            if bad := packed[lm] ^ tab[over[lm] >> 1]:
+                b = next(bits(bad))
+                fail("min-set-reduction-oracle", f"U{b // n} up{lm:#x} U{b % n}")
         _lap(spans, "min-set-reduction-oracle", t)
 
-    order = ["assuring-pulls-back-membership", "assuring-pushes-label-forward",
-             "assuring-pulls-back-label", "assuring-transitive",
-             "fired-sets-box-closed", "fired-sets-meet-closed",
-             "family-shrink-monotone", "family-successor-transfer",
-             "family-superset-padding", "family-box-padding",
-             "family-generates-filter-label", "family-table-probe",
-             "min-set-reduction-oracle"]
-    out = []
-    for name in order:
-        ok = name not in fails
-        detail = (f"{counts.get(name, 0)} instances"
-                  if ok else f"first failure at {fails[name]}")
-        out.append(CheckResult(name, ok, detail, spans.get(name, 0.0)))
-    return out
+    return [CheckResult(name, name not in fails,
+                        f"first failure at {fails[name]}" if name in fails
+                        else f"{counts[name]} instances", spans.get(name, 0.0))
+            for name in LABEL_LEMMAS]
 
 
 # -------------------------------------------------- ultrafilter extension

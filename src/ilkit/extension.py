@@ -18,14 +18,18 @@ baseline: over a finite frame that one is isomorphic to the frame itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .algebra import r_inv_mask, s_inv_mask
+from .algebra import s_inv_mask
 from .filters import (Filter, FrameOps, Ultrafilter, all_proper_filters,
                       all_ultrafilters)
 from .formula import TOP, conj, dia
 from .frames import Frame, Model, WorldSet, _closure, bits, complete
 from .semantics import extension as forcing_extension
 from .semantics import force
+
+SATURATION_POOL_LIMIT = 12   # pool formulas: check_saturation forces 2^k conjunctions
+LABEL_MEMBER_LIMIT = 8       # filter members: check_label_saturation tabulates 2^k subfamilies
 
 
 class ResourceLimitError(RuntimeError):
@@ -139,13 +143,9 @@ def build_ue_model(m: Model, labels=None, max_worlds: int = 100_000) -> UEModel:
     """Extension of a model: a world holds an atom iff the atom's base
     extension belongs to the world's ultrafilter."""
     ue = build_ue(m.frame, labels, max_worlds)
-    ev = {}
-    for name, ws in m.ev.items():
-        mask = 0
-        for i, w in enumerate(ue.worlds):
-            if w.uf.contains(ws):
-                mask |= 1 << i
-        ev[name] = WorldSet(len(ue.worlds), mask)
+    ev = {name: WorldSet(len(ue), sum(1 << i for i, w in enumerate(ue.worlds)
+                                      if w.uf.contains(ws)))
+          for name, ws in m.ev.items()}
     return UEModel(ue, Model(ue.frame, ev))
 
 
@@ -178,7 +178,7 @@ def check_truth_theorem(m: Model, pool, ue_model: UEModel = None) -> UEVerdict:
     return UEVerdict(True)
 
 
-def check_saturation(um: UEModel, pool, pool_limit: int = 12) -> UEVerdict:
+def check_saturation(um: UEModel, pool) -> UEVerdict:
     """Modal saturation over a finite pool.
 
     A set of pool formulas is locally possible at a world when, for every
@@ -187,51 +187,45 @@ def check_saturation(um: UEModel, pool, pool_limit: int = 12) -> UEVerdict:
     successor.  The detail of a failure is (world, offending tuple).
     """
     pool = list(pool)
-    if len(pool) > pool_limit:
+    if len(pool) > SATURATION_POOL_LIMIT:
         raise ValueError(f"pool of {len(pool)} formulas means "
-                         f"2^{len(pool)} subsets; limit is {pool_limit}")
+                         f"2^{len(pool)} subsets; limit is {SATURATION_POOL_LIMIT}")
     model = um.model
     cache = {}
     conj_mask = {}
     dia_mask = {}
-    for bits in range(1 << len(pool)):
-        g = TOP
-        chosen = [pool[t] for t in range(len(pool)) if bits >> t & 1]
-        for h in chosen:
-            g = h if g is TOP else conj(g, h)
-        conj_mask[bits] = forcing_extension(model, g, cache).mask
-        dia_mask[bits] = forcing_extension(model, dia(g), cache).mask
+    for picked in range(1 << len(pool)):
+        chosen = [pool[t] for t in bits(picked)]
+        g = reduce(conj, chosen) if chosen else TOP
+        conj_mask[picked] = forcing_extension(model, g, cache).mask
+        dia_mask[picked] = forcing_extension(model, dia(g), cache).mask
     for i in range(model.frame.n):
         succ = model.frame.r_succ[i]
-        for bits in range(1 << len(pool)):
-            possible = True
-            sub = bits
-            while True:
-                if not dia_mask[sub] >> i & 1:
-                    possible = False
-                    break
-                if sub == 0:
-                    break
-                sub = (sub - 1) & bits
-            if possible and succ & conj_mask[bits] == 0:
-                sigma = tuple(pool[t] for t in range(len(pool)) if bits >> t & 1)
+        for picked in range(1 << len(pool)):
+            # possible: the diamond of every subset's conjunction holds at i
+            sub = picked
+            while sub and dia_mask[sub] >> i & 1:
+                sub = (sub - 1) & picked
+            if dia_mask[sub] >> i & 1 and succ & conj_mask[picked] == 0:
+                sigma = tuple(pool[t] for t in bits(picked))
                 return UEVerdict(False, (um.ue.worlds[i], sigma))
     return UEVerdict(True)
 
 
-def check_label_saturation(fr: Frame, member_limit: int = 8) -> UEVerdict:
+def check_label_saturation(fr: Frame) -> UEVerdict:
     """If every finite subfamily of a proper filter label admits an assured
     successor, the whole filter does.  Checked literally: the hypothesis
-    ranges over all subfamilies of the filter's member list."""
+    ranges over all subfamilies of the filter's member list.  The filters
+    up{w} have the most members, 2^(n-1), checked before any is built."""
+    most = (1 << fr.n) // 2
+    if most > LABEL_MEMBER_LIMIT:
+        raise ValueError(f"a {fr.n}-world frame has filters of {most} members; "
+                         f"limit is {LABEL_MEMBER_LIMIT}")
     ops = FrameOps(fr)
     for l in all_proper_filters(fr.n):
         members = [ws.mask for ws in l.members()]
-        if len(members) > member_limit:
-            raise ValueError(f"filter has {len(members)} members; "
-                             f"limit is {member_limit}")
-        subfamilies = [ops.family_rows([members[t] for t in range(len(members))
-                                        if bits >> t & 1])
-                       for bits in range(1 << len(members))]
+        subfamilies = [ops.family_rows([members[t] for t in bits(picked)])
+                       for picked in range(1 << len(members))]
         for f in all_ultrafilters(fr):
             hypothesis = all(rows[f.witness] for rows in subfamilies)
             if hypothesis and not ops.assured(f.witness, l.min_mask):
@@ -292,29 +286,21 @@ def classical_ue(fr: Frame, m: Model = None) -> ClassicalUE:
 
     Worlds are the ultrafilters (indexed by witness); f sees g exactly when
     every set in g has its R-preimage in f, checked literally against all
-    subsets.  The S component is completed minimally from the edge relation
-    since only the box fragment is meaningful here.
+    subsets: each preimage ``rinv[x]`` is ANDed into ``seen_by[g]`` for
+    every g in x.  The S component is completed minimally from the edge
+    relation since only the box fragment is meaningful here.
     """
-    ufs = all_ultrafilters(fr)
     n = fr.n
-    pairs = []
-    for f in ufs:
-        for g in ufs:
-            if all(not g.contains(x) or f.contains(r_inv_mask(fr, x))
-                   for x in range(1 << n)):
-                pairs.append((f.witness, g.witness))
+    rinv = FrameOps(fr).rinv
+    seen_by = [fr.full_mask] * n
+    for x in range(1 << n):
+        for g in bits(x):
+            seen_by[g] &= rinv[x]
+    pairs = [(f, g) for g in range(n) for f in bits(seen_by[g])]
     frame = complete(Frame.build(n, pairs))
-    model = None
-    if m is not None:
-        ev = {}
-        for name, ws in m.ev.items():
-            mask = 0
-            for f in ufs:
-                if f.contains(ws):
-                    mask |= 1 << f.witness
-            ev[name] = WorldSet(n, mask)
-        model = Model(frame, ev)
-    return ClassicalUE(frame, tuple(f.witness for f in ufs), model)
+    # the principal ultrafilter at x holds a set exactly when x is in it
+    model = None if m is None else Model(frame, m.ev)
+    return ClassicalUE(frame, tuple(f.witness for f in all_ultrafilters(fr)), model)
 
 
 def ue_to_dict(ue: UEFrame) -> dict:

@@ -2,15 +2,21 @@
 
 Everything here works over plain frozensets and tuple relations, avoids
 the bitmask paths entirely, and prefers clarity over speed.  Tests hold
-the fast implementations against these at desk scale.
+the fast implementations against these at desk scale.  The exceptions are
+the labeling-lemma and classical-extension oracles: bitmask sweeps that
+check one instance per call, kept as references for the row-at-a-time
+tests that replaced them (the labeling one reads the same ``FrameOps``
+tables as the scoreboard).
 """
 
 from itertools import chain, combinations, islice
 
 from ilkit.algebra import (BoxOp, Complement, DiaOp, Empty, Full, Intersection,
-                           SOp, Union, Var)
+                           SOp, Union, Var, r_inv_mask)
+from ilkit.filters import (FrameOps, Ultrafilter, all_proper_filters,
+                           all_ultrafilters, assuring_family, b_set)
 from ilkit.formula import Atom, Bottom, Box, Implies, Rhd
-from ilkit.frames import CompletionError, Frame
+from ilkit.frames import CompletionError, Frame, WorldSet, bits
 
 
 def r_pairs(fr):
@@ -242,6 +248,186 @@ def assuring_naive(fr, fw, member_sets, gw):
                     if gw not in a or gw not in r_inv_dual_naive(fr, a):
                         return False
     return True
+
+
+def family_tables_naive(ops):
+    """Per raw family ``fam`` (bit i = member set i+1), per witness f, the
+    mask of g that f assures: every finite choice of members, one set A and
+    one f at a time."""
+    fr = ops.fr
+    n, full = fr.n, fr.full_mask
+    nmasks = 1 << n
+    sinv = [ops.sinv(y) for y in range(nmasks)]
+    rdual = ops.rdual
+    famv = []
+    for fam in range(1 << nmasks - 1):
+        unions = {0}
+        for i in range(nmasks - 1):
+            if fam >> i & 1:
+                comp = full & ~(i + 1)
+                unions |= {u | comp for u in unions}
+        rows = []
+        for fw in range(n):
+            ok = full
+            for amask in range(nmasks):
+                if any(sinv[u][full & ~amask] >> fw & 1 for u in unions):
+                    ok &= amask & rdual[amask]
+            rows.append(ok)
+        famv.append(rows)
+    return famv
+
+
+def label_lemmas_naive(frames):
+    """``(name, ok, detail)`` per labeling lemma, in scoreboard order: every
+    instance checked by its own call, the first failure per lemma kept.
+
+    Reads the same ``FrameOps`` tables as the scoreboard and the raw-family
+    table of ``family_tables_naive``, so a fault planted in either shows in
+    both sweeps.
+    """
+    fails, counts = {}, {}
+
+    def hit(lemma, cond, witness):
+        counts[lemma] = counts.get(lemma, 0) + 1
+        if not cond and lemma not in fails:
+            fails[lemma] = witness
+
+    for fr in frames:
+        n, full = fr.n, fr.full_mask
+        nmasks = 1 << n
+        ops = FrameOps(fr)
+        famv = family_tables_naive(ops)
+        members = list(range(1, nmasks))
+        where = f"n={n} {fr.r_succ}"
+
+        probe = 0
+        for fam in range(len(famv)):
+            for fw in range(n):
+                for gw in range(n):
+                    probe += 1
+                    if probe % 23:
+                        continue
+                    sets = [WorldSet(n, members[i]) for i in range(len(members))
+                            if fam >> i & 1]
+                    real = assuring_family(fr, Ultrafilter(n, fw), sets,
+                                           Ultrafilter(n, gw))
+                    hit("family-table-probe",
+                        real == bool(famv[fam][fw] >> gw & 1),
+                        f"{where} fam={fam} f=U{fw} g=U{gw}")
+
+        rinv, rdual, assured = ops.rinv, ops.rdual, ops.assured
+        triples = [(fw, lm, gw) for fw in range(n) for lm in range(1, nmasks)
+                   for gw in bits(assured(fw, lm))]
+        for fw, lm, gw in triples:
+            for x in range(nmasks):
+                if x >> gw & 1:
+                    hit("assuring-pulls-back-membership",
+                        rinv[x] >> fw & 1, f"{where} U{fw} up{lm:#x} U{gw} X={x:#x}")
+                if x & lm == lm:
+                    hit("assuring-pushes-label-forward",
+                        x >> gw & 1 and rdual[x] >> gw & 1,
+                        f"{where} U{fw} up{lm:#x} U{gw} member={x:#x}")
+                    hit("assuring-pulls-back-label",
+                        rinv[x] >> fw & 1,
+                        f"{where} U{fw} up{lm:#x} U{gw} member={x:#x}")
+        for fw, lm, gw in triples:
+            for mm in range(1, nmasks):
+                for hw in bits(assured(gw, mm)):
+                    hit("assuring-transitive",
+                        assured(fw, lm) >> hw & 1,
+                        f"{where} U{fw} up{lm:#x} U{gw} up{mm:#x} U{hw}")
+
+        for f in all_ultrafilters(fr):
+            for l in all_proper_filters(n):
+                fired = {ws.mask for ws in b_set(fr, f, l)}
+                for c in fired:
+                    hit("fired-sets-box-closed", rdual[c] in fired,
+                        f"{where} U{f.witness} up{l.min_mask:#x} C={c:#x}")
+                    for d in fired:
+                        hit("fired-sets-meet-closed", c & d in fired,
+                            f"{where} U{f.witness} up{l.min_mask:#x} "
+                            f"C={c:#x} D={d:#x}")
+
+        cond = [[all(not (x >> hw & 1) or rinv[x] >> gw & 1
+                     for x in range(nmasks)) for hw in range(n)]
+                for gw in range(n)]
+        for fam in range(len(famv)):
+            rows = famv[fam]
+            sub = fam
+            while True:
+                subrows = famv[sub]
+                for fw in range(n):
+                    hit("family-shrink-monotone",
+                        rows[fw] & ~subrows[fw] == 0,
+                        f"{where} fam={fam:#x} sub={sub:#x} f=U{fw}")
+                if sub == 0:
+                    break
+                sub = (sub - 1) & fam
+            for fw in range(n):
+                row = rows[fw]
+                for gw in bits(row):
+                    for hw in range(n):
+                        if cond[gw][hw]:
+                            hit("family-successor-transfer",
+                                row >> hw & 1,
+                                f"{where} fam={fam:#x} U{fw} U{gw} U{hw}")
+            for i, x in enumerate(members):
+                if not fam >> i & 1:
+                    continue
+                for y in range(1, nmasks):
+                    if y & x == x:
+                        ext = fam | 1 << (y - 1)
+                        for fw in range(n):
+                            hit("family-superset-padding",
+                                rows[fw] & ~famv[ext][fw] == 0,
+                                f"{where} fam={fam:#x} y={y:#x} f=U{fw}")
+            ext = fam
+            inter = full
+            for i, x in enumerate(members):
+                if fam >> i & 1:
+                    ext |= 1 << (rdual[x] - 1)
+                    inter &= x
+            for fw in range(n):
+                hit("family-box-padding", rows[fw] & ~famv[ext][fw] == 0,
+                    f"{where} fam={fam:#x} f=U{fw}")
+            genmin = inter if fam else full
+            if genmin:
+                for fw in range(n):
+                    for gw in bits(rows[fw]):
+                        hit("family-generates-filter-label",
+                            assured(fw, genmin) >> gw & 1,
+                            f"{where} fam={fam:#x} U{fw} U{gw}")
+
+        for lm in range(1, nmasks):
+            supfam = 0
+            for i, mm in enumerate(members):
+                if mm & lm == lm:
+                    supfam |= 1 << i
+            for fw in range(n):
+                for gw in range(n):
+                    hit("min-set-reduction-oracle",
+                        (assured(fw, lm) >> gw & 1) == (famv[supfam][fw] >> gw & 1),
+                        f"{where} U{fw} up{lm:#x} U{gw}")
+
+    order = ["assuring-pulls-back-membership", "assuring-pushes-label-forward",
+             "assuring-pulls-back-label", "assuring-transitive",
+             "fired-sets-box-closed", "fired-sets-meet-closed",
+             "family-shrink-monotone", "family-successor-transfer",
+             "family-superset-padding", "family-box-padding",
+             "family-generates-filter-label", "family-table-probe",
+             "min-set-reduction-oracle"]
+    return [(name, name not in fails,
+             f"{counts.get(name, 0)} instances" if name not in fails
+             else f"first failure at {fails[name]}") for name in order]
+
+
+def classical_edges_naive(fr):
+    """The classical extension's edges (f, g): every subset that holds g
+    has its R-preimage holding f, asked of each ultrafilter per subset."""
+    ufs = all_ultrafilters(fr)
+    return [(f.witness, g.witness) for f in ufs for g in ufs
+            if all(not g.contains(x) or f.contains(r_inv_mask(fr, x))
+                   for x in range(1 << fr.n))]
 
 
 def _bisim_failures(ml, mr, z):

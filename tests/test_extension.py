@@ -12,8 +12,11 @@ from ilkit.extension import (
 )
 from ilkit.filters import Filter, Ultrafilter
 from ilkit.formula import parse
-from ilkit.frames import Model, WorldSet, chain, fan, tree, validate
+from ilkit.frames import (Frame, Model, WorldSet, all_frames, chain, complete, fan,
+                          random_frame, tree, validate)
 from ilkit.semantics import extension
+
+import oracles
 
 
 def up(n, worlds):
@@ -117,6 +120,16 @@ def test_label_saturation_small_frames():
         check_label_saturation(chain(5))
 
 
+def test_label_saturation_refuses_before_building_filters(monkeypatch):
+    def refuse(n):
+        raise AssertionError("filters built before the member limit was checked")
+
+    # ``ilkit.extension`` names the forcing function, so patch the module's globals
+    monkeypatch.setitem(check_label_saturation.__globals__, "all_proper_filters", refuse)
+    with pytest.raises(ValueError):
+        check_label_saturation(chain(6))
+
+
 def test_find_assured_successor_example():
     fr = chain(3)
     h = find_assured_successor(fr, Ultrafilter(3, 0), up(3, [1, 2]),
@@ -158,6 +171,14 @@ def test_classical_ue_is_isomorphic_to_base():
         assert validate(cue.frame).ok
     cue = classical_ue(chain(2), load("chain2"))
     assert cue.model.ev["p"] == WorldSet.from_iter(2, [1])
+
+
+def test_classical_ue_edges_match_oracle():
+    frames = [fr for n in range(1, 4) for fr in all_frames(n)]
+    frames += [random_frame(5, seed) for seed in range(5)]
+    for fr in frames:
+        want = complete(Frame.build(fr.n, oracles.classical_edges_naive(fr)))
+        assert classical_ue(fr).frame == want
 
 
 def test_ue_json_digests_frozen():
