@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, reduce, wraps
 from itertools import product
 from operator import and_, or_
 
@@ -39,6 +40,9 @@ from .frames import Frame, Model, WorldSet, all_frames, bits, chain, validate
 from .semantics import extension, frame_valid
 
 EXPECTED_FRAME_COUNTS = {1: 1, 2: 3, 3: 34}
+# the frame sweeps run on every frame of at most MAX_N worlds, the
+# classical baseline on one more
+MAX_N = 3
 
 # each schema's metavariables are a prefix of _META
 _SCHEMA_ARITY = {name: len(atoms(f) & set(_META)) for name, f in SCHEMAS.items()}
@@ -55,10 +59,17 @@ class CheckResult:
         return self.ok
 
 
-def _timed(name, body):
-    t0 = time.perf_counter()
-    ok, detail = body()
-    return CheckResult(name, ok, detail, time.perf_counter() - t0)
+def _check(name):
+    """Turn a function returning ``(ok, detail)`` into a timed check named
+    ``name`` that returns a ``CheckResult``."""
+    def decorate(body):
+        @wraps(body)
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            ok, detail = body(*args, **kwargs)
+            return CheckResult(name, ok, detail, time.perf_counter() - t0)
+        return timed
+    return decorate
 
 
 @cache
@@ -66,8 +77,10 @@ def _frames_for(n: int) -> list[Frame]:
     return list(all_frames(n))
 
 
-def _frames_up_to(max_n: int):
-    for n in range(1, max_n + 1):
+def _frames_up_to(limit: int):
+    """Every frame of at most ``limit`` worlds, smallest first: the one
+    frame source of the sweeps."""
+    for n in range(1, limit + 1):
         yield from _frames_for(n)
 
 
@@ -78,25 +91,20 @@ def _pool(depth=2, size=2, modalities=("box", "rhd")):
 # ---------------------------------------------------------------- frames
 
 
-def frame_enumeration(max_n=3) -> CheckResult:
+@_check("frame-enumeration")
+def frame_enumeration():
     """All small frames generate and pass the law checker; counts frozen."""
-
-    def body():
-        counts = {}
-        for n in range(1, max_n + 1):
-            frames = _frames_for(n)
-            counts[n] = len(frames)
-            for fr in frames:
-                verdict = validate(fr)
-                if not verdict:
-                    return False, f"n={n} frame breaks {verdict.violations[0]}"
-        for n, want in EXPECTED_FRAME_COUNTS.items():
-            if n <= max_n and counts[n] != want:
-                return False, f"n={n}: {counts[n]} frames, expected {want}"
-        summary = "/".join(str(counts[n]) for n in sorted(counts))
-        return True, f"counts {summary}, all valid"
-
-    return _timed("frame-enumeration", body)
+    counts = Counter()
+    for fr in _frames_up_to(MAX_N):
+        counts[fr.n] += 1
+        verdict = validate(fr)
+        if not verdict:
+            return False, f"n={fr.n} frame breaks {verdict.violations[0]}"
+    for n, want in EXPECTED_FRAME_COUNTS.items():
+        if counts[n] != want:
+            return False, f"n={n}: {counts[n]} frames, expected {want}"
+    summary = "/".join(str(counts[n]) for n in sorted(counts))
+    return True, f"counts {summary}, all valid"
 
 
 # ------------------------------------------------------- axiom soundness
@@ -116,7 +124,8 @@ def _first_refuted(fr: Frame, batch, instances):
     return next(((x, v) for x in instances if not (v := frame_valid(fr, x[2])).valid), None)
 
 
-def axiom_soundness(max_n=3) -> CheckResult:
+@_check("axiom-soundness")
+def axiom_soundness():
     """Every schema instance is valid on every small frame.
 
     A schema instance's extension only depends on the extensions of the
@@ -128,34 +137,29 @@ def axiom_soundness(max_n=3) -> CheckResult:
     conjunction per frame, and one per instance only on a frame that
     refutes it, to name the first refuted instance.
     """
-
-    def body():
-        mask_cases = 0
-        for fr in _frames_up_to(max_n):
-            for name, arity in _SCHEMA_ARITY.items():
-                verdict = frame_valid(fr, SCHEMAS[name])
-                mask_cases += 1 << arity * fr.n
-                if not verdict.valid:
-                    masks = tuple(verdict.ev[var].mask for var in _META[:arity])
-                    return False, (f"{name} fails on n={fr.n} frame "
-                                   f"{fr.r_succ} at masks {masks}")
-        # literal instances over 2 atoms at depth <= 1, via frame_valid
-        depth1 = _pool(depth=1, size=2)
-        picks = depth1[::max(1, len(depth1) // 4)][:4]
-        literals = _instances(picks)
-        batch = reduce(conj, [f for _, _, f in literals])
-        literal_cases = 0
-        for fr in _frames_up_to(max_n):
-            literal_cases += len(literals)
-            if found := _first_refuted(fr, batch, literals):
-                (name, args, _), verdict = found
-                return False, (f"{name}{tuple(map(str, args))} refuted "
-                               f"on n={fr.n} frame at world "
-                               f"{verdict.world}")
-        return True, (f"{mask_cases} mask instances + {literal_cases} literal "
-                      f"instances, 0 counterexamples")
-
-    return _timed("axiom-soundness", body)
+    mask_cases = 0
+    for fr in _frames_up_to(MAX_N):
+        for name, arity in _SCHEMA_ARITY.items():
+            verdict = frame_valid(fr, SCHEMAS[name])
+            mask_cases += 1 << arity * fr.n
+            if not verdict.valid:
+                masks = tuple(verdict.ev[var].mask for var in _META[:arity])
+                return False, (f"{name} fails on n={fr.n} frame "
+                               f"{fr.r_succ} at masks {masks}")
+    # literal instances over 2 atoms at depth <= 1, via frame_valid
+    depth1 = _pool(depth=1, size=2)
+    picks = depth1[::max(1, len(depth1) // 4)][:4]
+    literals = _instances(picks)
+    batch = reduce(conj, [f for _, _, f in literals])
+    literal_cases = 0
+    for fr in _frames_up_to(MAX_N):
+        literal_cases += len(literals)
+        if found := _first_refuted(fr, batch, literals):
+            (name, args, _), verdict = found
+            return False, (f"{name}{tuple(map(str, args))} refuted "
+                           f"on n={fr.n} frame at world {verdict.world}")
+    return True, (f"{mask_cases} mask instances + {literal_cases} literal "
+                  f"instances, 0 counterexamples")
 
 
 # ------------------------------------------------------- set translation
@@ -171,7 +175,8 @@ INCLUSION_LAWS = (
 )
 
 
-def translation_validity(max_n=3) -> CheckResult:
+@_check("translation-validity")
+def translation_validity():
     """Translated axioms denote W; the inclusion laws hold exhaustively.
 
     The translated axiom instances over p, q are one ``frame_valid`` sweep
@@ -179,59 +184,52 @@ def translation_validity(max_n=3) -> CheckResult:
     fails), counted as 2^(2n) valuations per instance (even with one atom);
     each of ``INCLUSION_LAWS`` is one sweep per frame, 2^(kn) over k variables.
     """
-
-    def body():
-        terms = [(name, args, translate(f))
-                 for name, args, f in _instances([Atom("p"), Atom("q")])]
-        batch = reduce(Intersection, [t for _, _, t in terms])
-        axiom_cases = 0
-        for fr in _frames_up_to(max_n):
-            axiom_cases += len(terms) << 2 * fr.n
-            if found := _first_refuted(fr, batch, terms):
-                (name, _, term), verdict = found
-                got = eval_term(fr, verdict.ev, term).mask
-                return False, (f"{name} translation misses "
-                               f"{fr.full_mask ^ got:#x} on n={fr.n}")
-        incl_cases = 0
-        for fr in _frames_up_to(max_n):
-            for law, nvars, term in INCLUSION_LAWS:
-                incl_cases += 1 << nvars * fr.n
-                if not frame_valid(fr, term).valid:
-                    return False, f"{law} fails on n={fr.n}"
-        return True, f"{axiom_cases} axiom valuations = W, {incl_cases} inclusions"
-
-    return _timed("translation-validity", body)
+    terms = [(name, args, translate(f))
+             for name, args, f in _instances([Atom("p"), Atom("q")])]
+    batch = reduce(Intersection, [t for _, _, t in terms])
+    axiom_cases = 0
+    for fr in _frames_up_to(MAX_N):
+        axiom_cases += len(terms) << 2 * fr.n
+        if found := _first_refuted(fr, batch, terms):
+            (name, _, term), verdict = found
+            got = eval_term(fr, verdict.ev, term).mask
+            return False, (f"{name} translation misses "
+                           f"{fr.full_mask ^ got:#x} on n={fr.n}")
+    incl_cases = 0
+    for fr in _frames_up_to(MAX_N):
+        for law, nvars, term in INCLUSION_LAWS:
+            incl_cases += 1 << nvars * fr.n
+            if not frame_valid(fr, term).valid:
+                return False, f"{law} fails on n={fr.n}"
+    return True, f"{axiom_cases} axiom valuations = W, {incl_cases} inclusions"
 
 
-def translation_agreement(max_n=3) -> CheckResult:
+@_check("translation-agreement")
+def translation_agreement():
     """eval_term after translate matches the forcing extension."""
-
-    def body():
-        pool = _pool()
-        terms = [(f, translate(f)) for f in pool]
-        models = [m for _, m in corpus_models() if m.frame.n <= max_n]
-        rng = random.Random(0)
-        for fr in _frames_up_to(max_n):
-            for _ in range(2):
-                models.append(Model(fr, {
-                    "p": WorldSet(fr.n, rng.randrange(1 << fr.n)),
-                    "q": WorldSet(fr.n, rng.randrange(1 << fr.n))}))
-        cases = 0
-        for m in models:
-            env = {"p": m.ev_set("p"), "q": m.ev_set("q")}
-            ext_cache, term_cache = {}, {}
-            for f, t in terms:
-                cases += 1
-                if extension(m, f, ext_cache) != eval_term(m.frame, env, t, term_cache):
-                    return False, f"mismatch on {f} over n={m.frame.n}"
-        # also exercise the public one-shot wrapper on a stride
-        for m in models[:6]:
-            for f in pool[::37]:
-                if not agreement(m, f):
-                    return False, f"agreement() refutes {f}"
-        return True, f"{len(models)} models x {len(pool)} formulas = {cases} cases"
-
-    return _timed("translation-agreement", body)
+    pool = _pool()
+    terms = [(f, translate(f)) for f in pool]
+    models = [m for _, m in corpus_models() if m.frame.n <= MAX_N]
+    rng = random.Random(0)
+    for fr in _frames_up_to(MAX_N):
+        for _ in range(2):
+            models.append(Model(fr, {
+                "p": WorldSet(fr.n, rng.randrange(1 << fr.n)),
+                "q": WorldSet(fr.n, rng.randrange(1 << fr.n))}))
+    cases = 0
+    for m in models:
+        env = {"p": m.ev_set("p"), "q": m.ev_set("q")}
+        ext_cache, term_cache = {}, {}
+        for f, t in terms:
+            cases += 1
+            if extension(m, f, ext_cache) != eval_term(m.frame, env, t, term_cache):
+                return False, f"mismatch on {f} over n={m.frame.n}"
+    # also exercise the public one-shot wrapper on a stride
+    for m in models[:6]:
+        for f in pool[::37]:
+            if not agreement(m, f):
+                return False, f"agreement() refutes {f}"
+    return True, f"{len(models)} models x {len(pool)} formulas = {cases} cases"
 
 
 # ------------------------------------------------------- labeling lemmas
@@ -286,7 +284,7 @@ LABEL_LEMMAS = """assuring-pulls-back-membership assuring-pushes-label-forward
     family-table-probe min-set-reduction-oracle""".split()
 
 
-def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
+def label_lemma_scoreboard() -> list[CheckResult]:
     """One result per labeling-lemma sweep, all exhaustive at small n.
 
     Each instance of a lemma is one bit of a row: a mask over subsets, an
@@ -309,7 +307,7 @@ def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
     def fail(lemma, at):
         fails.setdefault(lemma, f"{where} {at}")
 
-    for fr in _frames_up_to(max_n):
+    for fr in _frames_up_to(MAX_N):
         t = time.perf_counter()
         n, full = fr.n, fr.full_mask
         nmasks = 1 << n
@@ -442,200 +440,167 @@ def label_lemma_scoreboard(max_n=3) -> list[CheckResult]:
 # -------------------------------------------------- ultrafilter extension
 
 
-def extension_construction() -> CheckResult:
+@_check("extension-construction")
+def extension_construction():
     """Frozen chain(2) structure; corpus extensions validate; caps hold."""
-
-    def body():
-        ue = build_ue(chain(2))
-        got = [(w.uf.witness, tuple(l.min_mask for l in w.labels))
-               for w in ue.worlds]
-        want = [(0, ()), (1, ()), (1, (0b10,)), (1, (0b11,))]
-        if got != want:
-            return False, f"chain(2) worlds {got} != {want}"
-        if ue.frame.r_succ != (0b1100, 0, 0, 0):
-            return False, f"chain(2) edges {ue.frame.r_succ}"
-        if ue.frame.s_succ[0] != (0, 0, 0b0100, 0b1000):
-            return False, f"chain(2) root S {ue.frame.s_succ[0]}"
-        if not len(ue) > chain(2).n:
-            return False, "extension failed to grow"
-        try:
-            build_ue(chain(3), max_worlds=5)
-            return False, "cap of 5 not enforced on chain(3)"
-        except ResourceLimitError:
-            pass
-        sizes = []
-        for name, m in corpus_models():
-            ue = build_ue(m.frame, max_worlds=100_000)
-            if len(ue) > 100_000:
-                return False, f"{name}: cap exceeded"
-            verdict = validate(ue.frame)
-            if not verdict:
-                return False, f"{name}: extension breaks {verdict.violations[0]}"
-            sizes.append(f"{name}:{len(ue)}")
-        return True, "chain(2) frozen; " + " ".join(sizes)
-
-    return _timed("extension-construction", body)
+    ue = build_ue(chain(2))
+    got = [(w.uf.witness, tuple(l.min_mask for l in w.labels)) for w in ue.worlds]
+    want = [(0, ()), (1, ()), (1, (0b10,)), (1, (0b11,))]
+    if got != want:
+        return False, f"chain(2) worlds {got} != {want}"
+    if ue.frame.r_succ != (0b1100, 0, 0, 0):
+        return False, f"chain(2) edges {ue.frame.r_succ}"
+    if ue.frame.s_succ[0] != (0, 0, 0b0100, 0b1000):
+        return False, f"chain(2) root S {ue.frame.s_succ[0]}"
+    if not len(ue) > chain(2).n:
+        return False, "extension failed to grow"
+    try:
+        build_ue(chain(3), max_worlds=5)
+        return False, "cap of 5 not enforced on chain(3)"
+    except ResourceLimitError:
+        pass
+    sizes = []
+    for name, m in corpus_models():
+        ue = build_ue(m.frame)
+        verdict = validate(ue.frame)
+        if not verdict:
+            return False, f"{name}: extension breaks {verdict.violations[0]}"
+        sizes.append(f"{name}:{len(ue)}")
+    return True, "chain(2) frozen; " + " ".join(sizes)
 
 
-def extension_truth(max_n=3) -> CheckResult:
+@_check("extension-truth")
+def extension_truth():
     """Base and extension force the same formulas at paired worlds."""
-
-    def body():
-        pool = _pool()
-        models = 0
-        for name, m in corpus_models():
-            if m.frame.n > max_n:
-                continue
-            models += 1
-            verdict = check_truth_theorem(m, pool)
-            if not verdict.ok:
-                return False, f"{name}: {verdict.detail}"
-        return True, f"{models} corpus models x {len(pool)} formulas"
-
-    return _timed("extension-truth", body)
+    pool = _pool()
+    models = 0
+    for name, m in corpus_models():
+        if m.frame.n > MAX_N:
+            continue
+        models += 1
+        verdict = check_truth_theorem(m, pool)
+        if not verdict.ok:
+            return False, f"{name}: {verdict.detail}"
+    return True, f"{models} corpus models x {len(pool)} formulas"
 
 
-def saturation(max_n=3) -> CheckResult:
+@_check("saturation")
+def saturation():
     """Extensions are modally saturated; labels saturate exhaustively."""
-
-    def body():
-        pool = [parse("p"), parse("q"), parse("<>p"), parse("[]q")]
-        for name, m in corpus_models():
-            um = build_ue_model(m)
-            verdict = check_saturation(um, pool)
-            if not verdict.ok:
-                return False, f"{name}: {verdict.detail}"
-        frames = 0
-        for fr in _frames_up_to(max_n):
-            frames += 1
-            verdict = check_label_saturation(fr)
-            if not verdict.ok:
-                return False, f"label saturation fails on n={fr.n}: {verdict.detail}"
-        return True, (f"{len(list(corpus_models()))} corpus extensions, "
-                      f"pool of {len(pool)}; {frames} frames label-saturated")
-
-    return _timed("saturation", body)
+    pool = [parse("p"), parse("q"), parse("<>p"), parse("[]q")]
+    for name, m in corpus_models():
+        verdict = check_saturation(build_ue_model(m), pool)
+        if not verdict.ok:
+            return False, f"{name}: {verdict.detail}"
+    frames = 0
+    for fr in _frames_up_to(MAX_N):
+        frames += 1
+        verdict = check_label_saturation(fr)
+        if not verdict.ok:
+            return False, f"label saturation fails on n={fr.n}: {verdict.detail}"
+    return True, (f"{len(list(corpus_models()))} corpus extensions, "
+                  f"pool of {len(pool)}; {frames} frames label-saturated")
 
 
-def witness_search(max_n=3) -> CheckResult:
+@_check("witness-search")
+def witness_search():
     """Both witness searches succeed on every qualifying instance."""
-
-    def body():
-        found_a = found_b = 0
-        for fr in _frames_up_to(max_n):
-            n, full = fr.n, fr.full_mask
-            nmasks = 1 << n
-            ops = FrameOps(fr)
-            labels = all_proper_filters(n)
-            for f in all_ultrafilters(fr):
-                for amask in range(nmasks):
-                    for bmask in range(nmasks):
-                        a, b = WorldSet(n, amask), WorldSet(n, bmask)
-                        sv = ops.sinv(bmask)[amask]
-                        if sv >> f.witness & 1:
-                            for l in labels:
-                                if ops.assured(f.witness, l.min_mask) & amask:
-                                    h = find_assured_successor(fr, f, l, a, b)
-                                    if h is None:
-                                        return False, (f"no assured successor "
-                                                       f"n={n} U{f.witness} "
-                                                       f"up{l.min_mask:#x} "
-                                                       f"A={amask:#x} B={bmask:#x}")
-                                    found_a += 1
-                        if (full & ~sv) >> f.witness & 1:
-                            pair = witness_from_negated(fr, f, a, b)
-                            if pair is None:
-                                return False, (f"no negated witness n={n} "
-                                               f"U{f.witness} A={amask:#x} "
-                                               f"B={bmask:#x}")
-                            found_b += 1
-        return True, f"{found_a} assured-successor + {found_b} negated instances"
-
-    return _timed("witness-search", body)
+    found_a = found_b = 0
+    for fr in _frames_up_to(MAX_N):
+        n, full = fr.n, fr.full_mask
+        nmasks = 1 << n
+        ops = FrameOps(fr)
+        labels = all_proper_filters(n)
+        for f in all_ultrafilters(fr):
+            for amask in range(nmasks):
+                for bmask in range(nmasks):
+                    a, b = WorldSet(n, amask), WorldSet(n, bmask)
+                    sv = ops.sinv(bmask)[amask]
+                    if sv >> f.witness & 1:
+                        for l in labels:
+                            if ops.assured(f.witness, l.min_mask) & amask:
+                                if find_assured_successor(fr, f, l, a, b) is None:
+                                    return False, (f"no assured successor n={n} "
+                                                   f"U{f.witness} up{l.min_mask:#x} "
+                                                   f"A={amask:#x} B={bmask:#x}")
+                                found_a += 1
+                    if (full & ~sv) >> f.witness & 1:
+                        if witness_from_negated(fr, f, a, b) is None:
+                            return False, (f"no negated witness n={n} U{f.witness} "
+                                           f"A={amask:#x} B={bmask:#x}")
+                        found_b += 1
+    return True, f"{found_a} assured-successor + {found_b} negated instances"
 
 
 # ------------------------------------------------------------ demo + base
 
 
-def pencil_demo(fan=3, depth=2) -> CheckResult:
+@_check("pencil-demo")
+def pencil_demo(fan=3, depth=2):
     """The non-definability demo succeeds end to end."""
     from .pencil import nondefinability_demo
-
-    def body():
-        report = nondefinability_demo(m=fan, depth=depth)
-        if not report.ok:
-            return False, f"demo failed: {report.failure}"
-        return True, (f"fan {fan}, {report.trials} valuations, depth {depth}; "
-                      f"violation witness {report.bad_witness}")
-
-    return _timed("pencil-demo", body)
+    report = nondefinability_demo(m=fan, depth=depth)
+    if not report.ok:
+        return False, f"demo failed: {report.failure}"
+    return True, (f"fan {fan}, {report.trials} valuations, depth {depth}; "
+                  f"violation witness {report.bad_witness}")
 
 
-def classical_baseline(max_n=4) -> CheckResult:
+@_check("classical-baseline")
+def classical_baseline():
     """Classical extensions are isomorphic to their finite bases; the
     box-fragment truth lemma and validity reflection hold on the corpus."""
-
-    def body():
-        frames = 0
-        for fr in _frames_up_to(max_n):
-            frames += 1
-            cue = classical_ue(fr)
-            if cue.witnesses != tuple(range(fr.n)):
-                return False, f"n={fr.n}: witnesses {cue.witnesses}"
-            if cue.frame.r_succ != fr.r_succ:
-                return False, (f"n={fr.n}: classical edges {cue.frame.r_succ} "
-                               f"!= {fr.r_succ}")
-        pool = _pool(modalities=("box",))
-        for name, m in corpus_models():
-            cue = classical_ue(m.frame, m)
-            base_cache, ue_cache = {}, {}
-            for f in pool:
-                base = extension(m, f, base_cache).mask
-                lifted = extension(cue.model, f, ue_cache).mask
-                for i, x in enumerate(cue.witnesses):
-                    if lifted >> i & 1 != base >> x & 1:
-                        return False, f"{name}: truth lemma fails on {f} at U{x}"
-                if frame_valid(cue.frame, f).valid and not frame_valid(m.frame, f).valid:
-                    return False, f"{name}: validity not reflected for {f}"
-        return True, (f"{frames} frames isomorphic; box pool of {len(pool)} "
-                      f"checked on {len(list(corpus_models()))} corpus models")
-
-    return _timed("classical-baseline", body)
+    frames = 0
+    for fr in _frames_up_to(MAX_N + 1):
+        frames += 1
+        cue = classical_ue(fr)
+        if cue.witnesses != tuple(range(fr.n)):
+            return False, f"n={fr.n}: witnesses {cue.witnesses}"
+        if cue.frame.r_succ != fr.r_succ:
+            return False, f"n={fr.n}: classical edges {cue.frame.r_succ} != {fr.r_succ}"
+    pool = _pool(modalities=("box",))
+    for name, m in corpus_models():
+        cue = classical_ue(m.frame, m)
+        base_cache, ue_cache = {}, {}
+        for f in pool:
+            base = extension(m, f, base_cache).mask
+            lifted = extension(cue.model, f, ue_cache).mask
+            for i, x in enumerate(cue.witnesses):
+                if lifted >> i & 1 != base >> x & 1:
+                    return False, f"{name}: truth lemma fails on {f} at U{x}"
+            if frame_valid(cue.frame, f).valid and not frame_valid(m.frame, f).valid:
+                return False, f"{name}: validity not reflected for {f}"
+    return True, (f"{frames} frames isomorphic; box pool of {len(pool)} "
+                  f"checked on {len(list(corpus_models()))} corpus models")
 
 
-def proof_checking() -> CheckResult:
+@_check("proof-checking")
+def proof_checking():
     """The stocked derived theorems all check, axioms included."""
-
-    def body():
-        names = []
-        for name, (formula, proof) in derived_theorems().items():
-            verdict = check_proof(proof)
-            if not verdict.valid:
-                return False, f"{name}: step {verdict.failed_step}: {verdict.reason}"
-            if verdict.conclusion != formula:
-                return False, f"{name}: proves {verdict.conclusion}, not {formula}"
-            names.append(name)
-        return True, f"{len(names)} theorems: " + " ".join(sorted(names))
-
-    return _timed("proof-checking", body)
+    names = []
+    for name, (formula, proof) in derived_theorems().items():
+        verdict = check_proof(proof)
+        if not verdict.valid:
+            return False, f"{name}: step {verdict.failed_step}: {verdict.reason}"
+        if verdict.conclusion != formula:
+            return False, f"{name}: proves {verdict.conclusion}, not {formula}"
+        names.append(name)
+    return True, f"{len(names)} theorems: " + " ".join(sorted(names))
 
 
 def run_all(fan=3, depth=2) -> list[CheckResult]:
     """Every scoreboard check, in dependency order."""
-    results = [
+    return [
         frame_enumeration(),
         axiom_soundness(),
         proof_checking(),
         translation_validity(),
         translation_agreement(),
-    ]
-    results.extend(label_lemma_scoreboard())
-    results.extend([
+        *label_lemma_scoreboard(),
         extension_construction(),
         extension_truth(),
         saturation(),
         witness_search(),
         pencil_demo(fan=fan, depth=depth),
         classical_baseline(),
-    ])
-    return results
+    ]

@@ -238,8 +238,11 @@ def _cmd_pencil_demo(args) -> int:
         good, bad, _ = build_demo_pair(args.fan)
         for tag, fr in (("bad", bad), ("good", good)):
             path = f"{args.dot_prefix}-{tag}.dot"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(to_dot(Model(fr), name=tag))
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(to_dot(Model(fr), name=tag))
+            except OSError as exc:
+                raise UsageError(f"{path}: {exc}") from None
             print(f"wrote {path}")
     if report.ok:
         print("demo: the pencil class has no modal definition at this depth")

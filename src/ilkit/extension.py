@@ -68,10 +68,14 @@ def build_ue(base: Frame, labels=None, max_worlds: int = 100_000) -> UEFrame:
     Worlds are discovered level by level — all label paths of one length
     before any longer path — parents in index order and, per parent, labels
     by minimum mask, target ultrafilters by witness.  Exceeding
-    ``max_worlds`` raises ResourceLimitError rather than truncating.
+    ``max_worlds`` raises ResourceLimitError rather than truncating; a base
+    with more worlds than that raises before any world is built.
     The frame is ``complete`` applied to the closed edge relation and, as
     S seeds, the label-agreement cliques inside each successor set.
     """
+    if base.n > max_worlds:
+        raise ResourceLimitError(f"extension exceeds {max_worlds} worlds; "
+                                 f"the base alone has {base.n}")
     if labels is None:
         labels = all_proper_filters(base.n)
     else:

@@ -1,3 +1,4 @@
+import json
 from functools import reduce
 
 import pytest
@@ -171,3 +172,68 @@ def test_label_lemma_faults_match_per_instance_oracle(monkeypatch, plant):
     got = [(r.name, r.ok, r.detail) for r in checks.label_lemma_scoreboard()]
     assert got == oracles.label_lemmas_naive(frames)
     assert sum(not ok for _, ok, _ in got) >= 2
+
+
+# ------------------------------------------------- run_all and the printers
+
+SCOREBOARD = [
+    "frame_enumeration", "axiom_soundness", "proof_checking", "translation_validity",
+    "translation_agreement", "label_lemma_scoreboard", "extension_construction",
+    "extension_truth", "saturation", "witness_search", "pencil_demo", "classical_baseline",
+]
+
+
+def _stub_scoreboard(monkeypatch, failing=()):
+    """Replace every check with a stub recording its arguments; the
+    label-lemma stub returns two rows, every other stub one row named after it."""
+    calls = []
+
+    def stub_for(i, fn):
+        def stub(*args, **kwargs):
+            calls.append((fn, (args, kwargs)))
+            name = fn.replace("_", "-")
+            if fn == "label_lemma_scoreboard":
+                return [checks.CheckResult(f"lemma-{k}", True, f"{k} instances", 0.5)
+                        for k in (1, 2)]
+            return checks.CheckResult(name, name not in failing, f"detail {i}", i / 8)
+        return stub
+
+    for i, fn in enumerate(SCOREBOARD):
+        monkeypatch.setattr(checks, fn, stub_for(i, fn))
+    return calls
+
+
+def test_run_all_runs_every_check_in_order(monkeypatch):
+    calls = _stub_scoreboard(monkeypatch)
+    results = checks.run_all(fan=2, depth=1)
+    assert [fn for fn, _ in calls] == SCOREBOARD
+    assert dict(calls)["pencil_demo"] == ((), {"fan": 2, "depth": 1})
+    assert [r.name for r in results] == [
+        "frame-enumeration", "axiom-soundness", "proof-checking", "translation-validity",
+        "translation-agreement", "lemma-1", "lemma-2", "extension-construction",
+        "extension-truth", "saturation", "witness-search", "pencil-demo",
+        "classical-baseline"]
+
+
+def test_corpus_prints_text_and_json(monkeypatch, capsys):
+    from ilkit.cli import main
+
+    _stub_scoreboard(monkeypatch)
+    assert main(["corpus"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13
+    assert lines[0] == "PASS frame-enumeration         0.00s  detail 0"
+    assert lines[5] == "PASS lemma-1                   0.50s  1 instances"
+    assert lines[12] == "PASS classical-baseline        1.38s  detail 11"
+
+    _stub_scoreboard(monkeypatch, failing=("saturation",))
+    assert main(["corpus", "--json", "--fan", "2"]) == 1
+    rows = json.loads(out := capsys.readouterr().out)
+    assert out.startswith('[{"detail": "detail 0", "name": "frame-enumeration", '
+                          '"ok": true, "seconds": 0.0}, ')
+    assert [(r["name"], r["ok"]) for r in rows if not r["ok"]] == [("saturation", False)]
+    assert rows[-2] == {"name": "pencil-demo", "ok": True, "detail": "detail 10",
+                        "seconds": 1.25}
+
+    assert main(["corpus", "--fan", "2"]) == 1
+    assert "FAIL saturation                1.00s  detail 8" in capsys.readouterr().out

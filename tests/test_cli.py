@@ -250,6 +250,16 @@ def test_assuring_command_query(capsys):
     assert code == 2 and "nonempty" in err
 
 
+def test_ue_command_caps_the_root_worlds(tmp_path, capsys):
+    path = tmp_path / "three.vf"
+    path.write_text("worlds 3\n")
+    code, out, _ = run(capsys, "ue", str(path), "--cap", "3")
+    assert code == 0 and out.splitlines()[0] == "worlds 3 (base 3)"
+    code, out, err = run(capsys, "ue", str(path), "--cap", "2")
+    assert code == 1 and out == ""
+    assert err == "extension exceeds 2 worlds; the base alone has 3\n"
+
+
 def test_ue_command(capsys):
     code, out, _ = run(capsys, "ue", "chain2")
     assert code == 0
@@ -345,6 +355,10 @@ def test_pencil_demo_writes_dot(tmp_path, capsys):
     assert bad.startswith("digraph bad {")
     assert good.startswith("digraph good {")
     assert f"wrote {prefix}-bad.dot" in out
+    missing = str(tmp_path / "no-such-dir" / "pair")
+    code, _, err = run(capsys, "pencil-demo", "--fan", "1", "--depth", "1",
+                       "--dot-prefix", missing)
+    assert code == 2 and err.startswith(f"ilkit: {missing}-bad.dot: ")
 
 
 def test_entry_point_runs_in_subprocess():

@@ -6,11 +6,11 @@ import pytest
 
 from ilkit.corpus import load
 from ilkit.extension import (
-    ResourceLimitError, UEWorld, build_ue, build_ue_model, check_label_saturation,
-    check_saturation, check_truth_theorem, classical_ue, find_assured_successor,
-    ue_force, ue_to_dict, ue_to_dot, witness_from_negated,
+    ResourceLimitError, UEVerdict, UEWorld, build_ue, build_ue_model,
+    check_label_saturation, check_saturation, check_truth_theorem, classical_ue,
+    find_assured_successor, ue_force, ue_to_dict, ue_to_dot, witness_from_negated,
 )
-from ilkit.filters import Filter, Ultrafilter
+from ilkit.filters import Filter, FrameOps, Ultrafilter
 from ilkit.formula import parse
 from ilkit.frames import (Frame, Model, WorldSet, all_frames, chain, complete, fan,
                           random_frame, tree, validate)
@@ -76,6 +76,18 @@ def test_build_ue_label_restriction_and_guards():
         build_ue(chain(3), max_worlds=5)
 
 
+def test_build_ue_caps_the_root_worlds(monkeypatch):
+    base = complete(Frame.build(3))
+    assert len(build_ue(base, max_worlds=3)) == 3
+
+    def refuse(fr):
+        raise AssertionError("worlds built before the cap was checked")
+
+    monkeypatch.setitem(build_ue.__globals__, "all_ultrafilters", refuse)
+    with pytest.raises(ResourceLimitError, match="exceeds 2 worlds; the base alone has 3"):
+        build_ue(base, max_worlds=2)
+
+
 def test_build_ue_model_lifts_valuation():
     um = build_ue_model(load("chain2"))
     assert um.model.ev["p"] == WorldSet(4, 0b1110)
@@ -128,6 +140,32 @@ def test_label_saturation_refuses_before_building_filters(monkeypatch):
     monkeypatch.setitem(check_label_saturation.__globals__, "all_proper_filters", refuse)
     with pytest.raises(ValueError):
         check_label_saturation(chain(6))
+
+
+def test_check_saturation_names_the_first_unsaturated_world(monkeypatch):
+    um = build_ue_model(load("chain2"))
+    p = parse("p")
+    real = check_saturation.__globals__["forcing_extension"]
+
+    def planted(model, f, cache):
+        # p holds nowhere, while <>p keeps its real extension
+        ext = real(model, f, cache)
+        return WorldSet(ext.n, 0) if f == p else ext
+
+    # ``ilkit.extension`` names the forcing function, so patch the module's globals
+    monkeypatch.setitem(check_saturation.__globals__, "forcing_extension", planted)
+    verdict = check_saturation(um, [p])
+    assert verdict == UEVerdict(False, (UEWorld(Ultrafilter(2, 0), ()), (p,)))
+
+
+def test_check_label_saturation_names_the_first_unassured_label(monkeypatch):
+    class Planted(FrameOps):
+        # U0 assures nothing under up{1}; the raw-family rows stay true
+        def assured(self, fw, lm):
+            return 0 if (fw, lm) == (0, 0b10) else super().assured(fw, lm)
+
+    monkeypatch.setitem(check_label_saturation.__globals__, "FrameOps", Planted)
+    assert check_label_saturation(chain(2)) == UEVerdict(False, (Ultrafilter(2, 0), up(2, [1])))
 
 
 def test_find_assured_successor_example():

@@ -54,7 +54,7 @@ def test_rhd_chain_is_an_error():
 
 def test_parse_errors_carry_positions():
     for text, pos in [("", 0), ("a &", 3), ("(a -> b", 7), ("a @ b", 2),
-                      ("A", 0)]:
+                      ("A", 0), ("p q", 2), ("(p q", 3), ("->p", 0)]:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.position == pos

@@ -178,7 +178,10 @@ def test_sweep_agrees_with_per_valuation_oracles():
     # every valuation at fan 1, a seeded sample at fan 3
     assert nondefinability_demo(m=1, depth=1, size_bound=1).ok
     assert _naive_first_failure(1, 1, 1, range(1 << 10)) is None
-    assert nondefinability_demo(m=3, depth=2).ok
+    r = checks.pencil_demo(fan=3, depth=2)
+    assert (r.name, r.ok, r.detail) == (
+        "pencil-demo", True, "fan 3, 16384 valuations, depth 2; "
+        "violation witness PencilWitness(x=0, y=1, z=2, u=4, v=3)")
     rng = random.Random(3)
     assert _naive_first_failure(3, 2, 2, rng.sample(range(1 << 14), 64)) is None
 
