@@ -8,6 +8,14 @@ search), the pencil non-definability demo, and the classical baseline.
 ``run_all`` drives them in order; the CLI ``corpus`` subcommand prints
 one line per check.
 
+The frame sweeps, but for ``frame-enumeration`` and
+``translation-agreement``, check one representative per isomorphism
+class (``frames.frame_classes``) and weight their counts by its orbit
+size; the laws are first-order, so relabelling keeps them and the counts
+are the labelled sweep's.  A failure names the frame the labelled sweep
+would: the first failing labelled frame's representative, the first of
+its class in ``all_frames`` order, comes no later and fails too.
+
 The sweeps call the public library functions wherever speed permits.
 The labeling-lemma sweeps test whole rows of instances of the frame's
 ``FrameOps`` and of a packed raw-family table of their own, which they
@@ -36,10 +44,12 @@ from .extension import (ResourceLimitError, build_ue, build_ue_model,
 from .filters import (FrameOps, Ultrafilter, all_proper_filters,
                       all_ultrafilters, assuring_family, b_set)
 from .formula import Atom, atoms, conj, enumerate_formulas, parse
-from .frames import Frame, Model, WorldSet, all_frames, bits, chain, validate
+from .frames import (Frame, Model, WorldSet, all_frames, bits, chain,
+                     frame_classes, validate)
 from .semantics import extension, frame_valid
 
-EXPECTED_FRAME_COUNTS = {1: 1, 2: 3, 3: 34}
+# labelled frames of each size up to MAX_N + 1
+EXPECTED_FRAME_COUNTS = {1: 1, 2: 3, 3: 34, 4: 1441}
 # the frame sweeps run on every frame of at most MAX_N worlds, the
 # classical baseline on one more
 MAX_N = 3
@@ -78,10 +88,21 @@ def _frames_for(n: int) -> list[Frame]:
 
 
 def _frames_up_to(limit: int):
-    """Every frame of at most ``limit`` worlds, smallest first: the one
-    frame source of the sweeps."""
+    """Every frame of at most ``limit`` worlds, smallest first."""
     for n in range(1, limit + 1):
         yield from _frames_for(n)
+
+
+@cache
+def _classes_for(n: int) -> list[tuple[Frame, int]]:
+    return list(frame_classes(n))
+
+
+def _classes_up_to(limit: int):
+    """``(representative, orbit size)`` for each isomorphism class of
+    frames of at most ``limit`` worlds, smallest first."""
+    for n in range(1, limit + 1):
+        yield from _classes_for(n)
 
 
 def _pool(depth=2, size=2, modalities=("box", "rhd")):
@@ -93,16 +114,21 @@ def _pool(depth=2, size=2, modalities=("box", "rhd")):
 
 @_check("frame-enumeration")
 def frame_enumeration():
-    """All small frames generate and pass the law checker; counts frozen."""
-    counts = Counter()
+    """All small frames generate and pass the law checker; counts frozen,
+    and the classes' orbit sizes add up to them, up to MAX_N + 1 worlds."""
+    counts, orbits = Counter(), Counter()
     for fr in _frames_up_to(MAX_N):
         counts[fr.n] += 1
         verdict = validate(fr)
         if not verdict:
             return False, f"n={fr.n} frame breaks {verdict.violations[0]}"
+    for fr, orbit in _classes_up_to(MAX_N + 1):
+        orbits[fr.n] += orbit
     for n, want in EXPECTED_FRAME_COUNTS.items():
-        if counts[n] != want:
+        if n <= MAX_N and counts[n] != want:
             return False, f"n={n}: {counts[n]} frames, expected {want}"
+        if orbits[n] != want:
+            return False, f"n={n}: orbits add up to {orbits[n]}, not {want}"
     summary = "/".join(str(counts[n]) for n in sorted(counts))
     return True, f"counts {summary}, all valid"
 
@@ -138,10 +164,10 @@ def axiom_soundness():
     refutes it, to name the first refuted instance.
     """
     mask_cases = 0
-    for fr in _frames_up_to(MAX_N):
+    for fr, orbit in _classes_up_to(MAX_N):
         for name, arity in _SCHEMA_ARITY.items():
             verdict = frame_valid(fr, SCHEMAS[name])
-            mask_cases += 1 << arity * fr.n
+            mask_cases += orbit << arity * fr.n
             if not verdict.valid:
                 masks = tuple(verdict.ev[var].mask for var in _META[:arity])
                 return False, (f"{name} fails on n={fr.n} frame "
@@ -152,8 +178,8 @@ def axiom_soundness():
     literals = _instances(picks)
     batch = reduce(conj, [f for _, _, f in literals])
     literal_cases = 0
-    for fr in _frames_up_to(MAX_N):
-        literal_cases += len(literals)
+    for fr, orbit in _classes_up_to(MAX_N):
+        literal_cases += orbit * len(literals)
         if found := _first_refuted(fr, batch, literals):
             (name, args, _), verdict = found
             return False, (f"{name}{tuple(map(str, args))} refuted "
@@ -188,17 +214,17 @@ def translation_validity():
              for name, args, f in _instances([Atom("p"), Atom("q")])]
     batch = reduce(Intersection, [t for _, _, t in terms])
     axiom_cases = 0
-    for fr in _frames_up_to(MAX_N):
-        axiom_cases += len(terms) << 2 * fr.n
+    for fr, orbit in _classes_up_to(MAX_N):
+        axiom_cases += orbit * len(terms) << 2 * fr.n
         if found := _first_refuted(fr, batch, terms):
             (name, _, term), verdict = found
             got = eval_term(fr, verdict.ev, term).mask
             return False, (f"{name} translation misses "
                            f"{fr.full_mask ^ got:#x} on n={fr.n}")
     incl_cases = 0
-    for fr in _frames_up_to(MAX_N):
+    for fr, orbit in _classes_up_to(MAX_N):
         for law, nvars, term in INCLUSION_LAWS:
-            incl_cases += 1 << nvars * fr.n
+            incl_cases += orbit << nvars * fr.n
             if not frame_valid(fr, term).valid:
                 return False, f"{law} fails on n={fr.n}"
     return True, f"{axiom_cases} axiom valuations = W, {incl_cases} inclusions"
@@ -307,8 +333,9 @@ def label_lemma_scoreboard() -> list[CheckResult]:
     def fail(lemma, at):
         fails.setdefault(lemma, f"{where} {at}")
 
-    for fr in _frames_up_to(MAX_N):
+    for fr, orbit in _classes_up_to(MAX_N):
         t = time.perf_counter()
+        here = Counter()
         n, full = fr.n, fr.full_mask
         nmasks = 1 << n
         ops = FrameOps(fr)
@@ -316,7 +343,7 @@ def label_lemma_scoreboard() -> list[CheckResult]:
         where = f"n={n} {fr.r_succ}"
 
         # cross-check every 23rd (fam, f, g) of the table against the public function
-        counts["family-table-probe"] += len(tab) * n * n // 23
+        here["family-table-probe"] += len(tab) * n * n // 23
         for k in range(22, len(tab) * n * n, 23):
             fam, fw, gw = k // (n * n), k // n % n, k % n
             sets = [WorldSet(n, i + 1) for i in bits(fam)]
@@ -337,9 +364,9 @@ def label_lemma_scoreboard() -> list[CheckResult]:
                    for gw in bits(assured(fw, lm))]
         for fw, lm, gw in triples:
             at = f"U{fw} up{lm:#x} U{gw}"
-            counts["assuring-pulls-back-membership"] += nmasks >> 1
-            counts["assuring-pushes-label-forward"] += over[lm].bit_count()
-            counts["assuring-pulls-back-label"] += over[lm].bit_count()
+            here["assuring-pulls-back-membership"] += nmasks >> 1
+            here["assuring-pushes-label-forward"] += over[lm].bit_count()
+            here["assuring-pulls-back-label"] += over[lm].bit_count()
             if bad := over[1 << gw] & unpulled[fw]:
                 fail("assuring-pulls-back-membership", f"{at} X={next(bits(bad)):#x}")
             if bad := over[lm] & unpushed[gw]:
@@ -351,7 +378,7 @@ def label_lemma_scoreboard() -> list[CheckResult]:
         reach = [reduce(or_, (assured(g, mm) for mm in range(1, nmasks))) for g in range(n)]
         nreach = [sum(assured(g, mm).bit_count() for mm in range(1, nmasks)) for g in range(n)]
         for fw, lm, gw in triples:
-            counts["assuring-transitive"] += nreach[gw]
+            here["assuring-transitive"] += nreach[gw]
             if reach[gw] & ~(row := assured(fw, lm)):
                 mm = next(mm for mm in range(1, nmasks) if assured(gw, mm) & ~row)
                 hw = next(bits(assured(gw, mm) & ~row))
@@ -369,8 +396,8 @@ def label_lemma_scoreboard() -> list[CheckResult]:
             for l in all_proper_filters(n):
                 fired = sum(1 << ws.mask for ws in b_set(fr, f, l))
                 out, size = (1 << nmasks) - 1 & ~fired, fired.bit_count()
-                counts["fired-sets-box-closed"] += size
-                counts["fired-sets-meet-closed"] += size * size
+                here["fired-sets-box-closed"] += size
+                here["fired-sets-meet-closed"] += size * size
                 at = f"U{f.witness} up{l.min_mask:#x}"
                 if bad := fired & boxed_into[out]:
                     fail("fired-sets-box-closed", f"{at} C={next(bits(bad)):#x}")
@@ -396,40 +423,42 @@ def label_lemma_scoreboard() -> list[CheckResult]:
                 if sub == 0:
                     break
                 sub = (sub - 1) & fam
-            counts["family-shrink-monotone"] += n << fam.bit_count()
+            here["family-shrink-monotone"] += n << fam.bit_count()
             for fw in range(n):
                 row = rows >> fw * n & full
-                counts["family-successor-transfer"] += ntransfer[row]
+                here["family-successor-transfer"] += ntransfer[row]
                 if need[row] & ~row:
                     gw = next(g for g in bits(row) if cond[g] & ~row)
                     hw = next(bits(cond[gw] & ~row))
                     fail("family-successor-transfer", f"fam={fam:#x} U{fw} U{gw} U{hw}")
             ext, inter = fam, full
             for x in (i + 1 for i in bits(fam)):
-                counts["family-superset-padding"] += n * over[x].bit_count()
+                here["family-superset-padding"] += n * over[x].bit_count()
                 for y in bits(over[x]):
                     if bad := rows & ~tab[fam | 1 << y - 1]:
                         fail("family-superset-padding",
                              f"fam={fam:#x} y={y:#x} f=U{next(bits(bad)) // n}")
                 ext |= 1 << rdual[x] - 1
                 inter &= x
-            counts["family-box-padding"] += n
+            here["family-box-padding"] += n
             if bad := rows & ~tab[ext]:
                 fail("family-box-padding", f"fam={fam:#x} f=U{next(bits(bad)) // n}")
             if inter:
-                counts["family-generates-filter-label"] += rows.bit_count()
+                here["family-generates-filter-label"] += rows.bit_count()
                 if bad := rows & ~packed[inter]:
                     b = next(bits(bad))
                     fail("family-generates-filter-label", f"fam={fam:#x} U{b // n} U{b % n}")
         t = _lap(spans, "family-shrink-monotone", t)
 
         for lm in range(1, nmasks):
-            counts["min-set-reduction-oracle"] += n * n
+            here["min-set-reduction-oracle"] += n * n
             # over[lm] >> 1 is the raw family of every member of up{lm}
             if bad := packed[lm] ^ tab[over[lm] >> 1]:
                 b = next(bits(bad))
                 fail("min-set-reduction-oracle", f"U{b // n} up{lm:#x} U{b % n}")
         _lap(spans, "min-set-reduction-oracle", t)
+        for name, k in here.items():
+            counts[name] += orbit * k
 
     return [CheckResult(name, name not in fails,
                         f"first failure at {fails[name]}" if name in fails
@@ -493,8 +522,8 @@ def saturation():
         if not verdict.ok:
             return False, f"{name}: {verdict.detail}"
     frames = 0
-    for fr in _frames_up_to(MAX_N):
-        frames += 1
+    for fr, orbit in _classes_up_to(MAX_N):
+        frames += orbit
         verdict = check_label_saturation(fr)
         if not verdict.ok:
             return False, f"label saturation fails on n={fr.n}: {verdict.detail}"
@@ -506,7 +535,7 @@ def saturation():
 def witness_search():
     """Both witness searches succeed on every qualifying instance."""
     found_a = found_b = 0
-    for fr in _frames_up_to(MAX_N):
+    for fr, orbit in _classes_up_to(MAX_N):
         n, full = fr.n, fr.full_mask
         nmasks = 1 << n
         ops = FrameOps(fr)
@@ -523,12 +552,12 @@ def witness_search():
                                     return False, (f"no assured successor n={n} "
                                                    f"U{f.witness} up{l.min_mask:#x} "
                                                    f"A={amask:#x} B={bmask:#x}")
-                                found_a += 1
+                                found_a += orbit
                     if (full & ~sv) >> f.witness & 1:
                         if witness_from_negated(fr, f, a, b) is None:
                             return False, (f"no negated witness n={n} U{f.witness} "
                                            f"A={amask:#x} B={bmask:#x}")
-                        found_b += 1
+                        found_b += orbit
     return True, f"{found_a} assured-successor + {found_b} negated instances"
 
 
@@ -551,8 +580,8 @@ def classical_baseline():
     """Classical extensions are isomorphic to their finite bases; the
     box-fragment truth lemma and validity reflection hold on the corpus."""
     frames = 0
-    for fr in _frames_up_to(MAX_N + 1):
-        frames += 1
+    for fr, orbit in _classes_up_to(MAX_N + 1):
+        frames += orbit
         cue = classical_ue(fr)
         if cue.witnesses != tuple(range(fr.n)):
             return False, f"n={fr.n}: witnesses {cue.witnesses}"

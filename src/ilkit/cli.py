@@ -18,7 +18,8 @@ import sys
 from . import corpus
 from .algebra import eval_term, term_to_str, translate
 from .calculus import check_proof, proof_from_dict
-from .extension import ResourceLimitError, build_ue, ue_to_dict, ue_to_dot
+from .extension import (LABEL_WORLDS_LIMIT, ResourceLimitError, build_ue,
+                        ue_to_dict, ue_to_dot)
 from .filters import Filter, Ultrafilter, all_assuring_triples, assuring
 from .formula import ParseError, atoms, parse, to_str
 from .frameio import FrameFormatError, load_model, to_dot
@@ -162,9 +163,17 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _load_label_base(arg: str) -> Model:
+    """A model whose frame is small enough to list its label filters."""
+    m = _load_model_arg(arg)
+    if m.frame.n > LABEL_WORLDS_LIMIT:
+        raise UsageError(f"{arg}: {m.frame.n} worlds have 2^{m.frame.n} - 1 label "
+                         f"filters; limit is {LABEL_WORLDS_LIMIT} worlds")
+    return m
+
+
 def _cmd_assuring(args) -> int:
-    m = _load_model_arg(args.model)
-    fr = m.frame
+    fr = _load_label_base(args.model).frame
     if args.f is None and args.g is None and args.label is None:
         triples = all_assuring_triples(fr)
         if args.json:
@@ -197,7 +206,7 @@ def _cmd_assuring(args) -> int:
 def _cmd_ue(args) -> int:
     if args.cap < 1:
         raise UsageError(f"--cap must be at least 1, got {args.cap}")
-    m = _load_model_arg(args.model)
+    m = _load_label_base(args.model)
     try:
         ue = build_ue(m.frame, max_worlds=args.cap)
     except ResourceLimitError as exc:

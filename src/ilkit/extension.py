@@ -30,6 +30,7 @@ from .semantics import force
 
 SATURATION_POOL_LIMIT = 12   # pool formulas: check_saturation forces 2^k conjunctions
 LABEL_MEMBER_LIMIT = 8       # filter members: check_label_saturation tabulates 2^k subfamilies
+LABEL_WORLDS_LIMIT = 10      # base worlds: ue and assuring list 2^n - 1 labels, 2^n rows each
 
 
 class ResourceLimitError(RuntimeError):

@@ -390,6 +390,31 @@ def all_frames(n: int):
             yield Frame(n, tuple(r), tuple(combo))
 
 
+def frame_classes(n: int):
+    """Each isomorphism class of ``all_frames(n)`` as ``(representative,
+    orbit size)``, in ``all_frames`` order.
+
+    The first frame not yet seen opens a class and represents it, so a
+    representative is its class's first frame in that order.  Its images
+    under all n! relabellings are marked seen; the orbit size, the number
+    of distinct images, is n!/|Aut|.
+    """
+    # per relabelling p: the image of every mask, and src with src[p[w]] == w
+    relabel = []
+    for p in itertools.permutations(range(n)):
+        image = [sum(1 << p[b] for b in bits(m)) for m in range(1 << n)]
+        relabel.append((image, sorted(range(n), key=p.__getitem__)))
+    seen = set()
+    for fr in all_frames(n):
+        if (fr.r_succ, fr.s_succ) in seen:
+            continue
+        orbit = {(tuple(image[fr.r_succ[w]] for w in src),
+                  tuple(tuple(image[fr.s_succ[w][u]] for u in src) for w in src))
+                 for image, src in relabel}
+        seen |= orbit
+        yield fr, len(orbit)
+
+
 def random_frame(n: int, seed: int) -> Frame:
     """A random legal frame: random strict order, random extra S pairs."""
     rng = random.Random(seed)

@@ -9,7 +9,7 @@ tests that replaced them (the labeling one reads the same ``FrameOps``
 tables as the scoreboard).
 """
 
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, permutations
 
 from ilkit.algebra import (BoxOp, Complement, DiaOp, Empty, Full, Intersection,
                            SOp, Union, Var, r_inv_mask)
@@ -562,3 +562,16 @@ def count_frames_brute(n):
             total *= len(options)
         count += total
     return count
+
+
+def relabel_naive(fr, perm):
+    """``(r_succ, s_succ)`` of ``fr`` with each world w renamed perm[w]."""
+    img = Frame.build(fr.n, [(perm[i], perm[j]) for i, j in r_pairs(fr)],
+                      [(perm[w], perm[i], perm[j]) for w, i, j in s_triples(fr)])
+    return img.r_succ, img.s_succ
+
+
+def canonical_naive(fr):
+    """The least relabelled ``(r_succ, s_succ)`` over all n! permutations:
+    two frames share it exactly when they are isomorphic."""
+    return min(relabel_naive(fr, p) for p in permutations(range(fr.n)))

@@ -168,10 +168,29 @@ def test_label_lemma_faults_match_per_instance_oracle(monkeypatch, plant):
     base = checks._frames_for(3)
     frames = [Frame(3, base[i].r_succ, base[i].s_succ) for i in (1, 14, 20, 32)]
     plant(monkeypatch, frames)
-    monkeypatch.setattr(checks, "_frames_up_to", lambda max_n: frames)
+    monkeypatch.setattr(checks, "_classes_up_to", lambda max_n: [(fr, 1) for fr in frames])
     got = [(r.name, r.ok, r.detail) for r in checks.label_lemma_scoreboard()]
     assert got == oracles.label_lemmas_naive(frames)
     assert sum(not ok for _, ok, _ in got) >= 2
+
+
+# ------------------------------------------ class sweeps, labelled sweeps
+
+CLASS_SWEEPS = ["axiom_soundness", "translation_validity", "label_lemma_scoreboard",
+                "saturation", "witness_search", "classical_baseline"]
+
+
+def _outcome(fn):
+    got = getattr(checks, fn)()
+    return [(r.ok, r.detail) for r in got] if isinstance(got, list) else (got.ok, got.detail)
+
+
+@pytest.mark.parametrize("fn", CLASS_SWEEPS)
+def test_class_sweeps_match_the_labelled_sweep(monkeypatch, fn):
+    want = _outcome(fn)
+    monkeypatch.setattr(checks, "_classes_up_to",
+                        lambda limit: ((fr, 1) for fr in checks._frames_up_to(limit)))
+    assert _outcome(fn) == want
 
 
 # ------------------------------------------------- run_all and the printers

@@ -7,6 +7,8 @@ import pytest
 
 from ilkit.calculus import derived_theorems, proof_to_dict
 from ilkit.cli import main
+from ilkit.corpus import corpus_models
+from ilkit.extension import LABEL_WORLDS_LIMIT
 from ilkit.formula import NESTING_LIMIT
 from ilkit.frameio import WORLDS_LIMIT
 from ilkit.semantics import VALUATION_BITS_LIMIT
@@ -258,6 +260,23 @@ def test_ue_command_caps_the_root_worlds(tmp_path, capsys):
     code, out, err = run(capsys, "ue", str(path), "--cap", "2")
     assert code == 1 and out == ""
     assert err == "extension exceeds 2 worlds; the base alone has 3\n"
+
+
+def test_label_worlds_limit(tmp_path, capsys):
+    # every corpus model is within the limit
+    assert max(m.frame.n for _, m in corpus_models()) <= LABEL_WORLDS_LIMIT
+    # one world over it is refused before any label filter is listed
+    path = tmp_path / "wide.vf"
+    n = LABEL_WORLDS_LIMIT + 1
+    path.write_text(f"worlds {n}\n")
+    for argv in (["ue"], ["ue", "--json"], ["assuring"], ["assuring", "--json"],
+                 ["assuring", "--f", "0", "--label", "0", "--g", "1"]):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and out == ""
+        assert err == (f"ilkit: {path}: {n} worlds have 2^{n} - 1 label filters; "
+                       f"limit is {LABEL_WORLDS_LIMIT} worlds\n")
+        assert time.perf_counter() - t0 < 0.5
 
 
 def test_ue_command(capsys):

@@ -1,4 +1,7 @@
 import random
+from collections import Counter
+from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +9,7 @@ from hypothesis import given, strategies as st
 from ilkit.extension import build_ue
 from ilkit.frames import (
     CompletionError, Frame, Model, WorldSet, all_frames, chain, complete,
-    fan, longest_chain, random_frame, tree, validate,
+    fan, frame_classes, longest_chain, random_frame, tree, validate,
 )
 
 import oracles
@@ -271,6 +274,28 @@ def test_all_frames_matches_brute_oracle(n):
     assert len(frames) == oracles.count_frames_brute(n)
     assert len(set(frames)) == len(frames)
     assert all(validate(fr).ok for fr in frames)
+
+
+def test_frame_class_counts_frozen():
+    assert [len(list(frame_classes(n))) for n in (1, 2, 3, 4)] == [1, 2, 8, 77]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_frame_classes_match_canonical_oracle(n):
+    frames = list(all_frames(n))
+    forms = [oracles.canonical_naive(fr) for fr in frames]
+    classes = list(frame_classes(n))
+    # one representative per canonical form, the first frame holding it
+    first = {}
+    for fr, form in zip(frames, forms):
+        first.setdefault(form, fr)
+    assert [fr for fr, _ in classes] == list(first.values())
+    # a class's members are the frames sharing its form: n!/|Aut| of them
+    members = Counter(forms)
+    for fr, orbit in classes:
+        auts = sum(oracles.relabel_naive(fr, p) == (fr.r_succ, fr.s_succ)
+                   for p in permutations(range(n)))
+        assert orbit == factorial(n) // auts == members[oracles.canonical_naive(fr)]
 
 
 def test_random_frame_is_deterministic_and_legal():
