@@ -88,15 +88,12 @@ def s_inv_mask(fr: Frame, xmask: int, ymask: int) -> int:
     out = 0
     for w in range(fr.n):
         hits = fr.r_succ[w] & xmask
-        ok = True
-        u = 0
-        while hits:
-            if hits & 1 and fr.s_succ[w][u] & ymask == 0:
-                ok = False
+        while hits:   # one step per set bit, not per position
+            low = hits & -hits
+            if fr.s_succ[w][low.bit_length() - 1] & ymask == 0:
                 break
-            hits >>= 1
-            u += 1
-        if ok:
+            hits ^= low
+        else:
             out |= 1 << w
     return out
 

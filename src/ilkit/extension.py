@@ -18,7 +18,7 @@ baseline: over a finite frame that one is isomorphic to the frame itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from .algebra import s_inv_mask
 from .filters import (Filter, FrameOps, Ultrafilter, all_proper_filters,
@@ -30,7 +30,7 @@ from .semantics import force
 
 SATURATION_POOL_LIMIT = 12   # pool formulas: check_saturation forces 2^k conjunctions
 LABEL_MEMBER_LIMIT = 8       # filter members: check_label_saturation tabulates 2^k subfamilies
-LABEL_WORLDS_LIMIT = 10      # base worlds: ue and assuring list 2^n - 1 labels, 2^n rows each
+LABEL_WORLDS_LIMIT = 10      # base worlds: ue and assuring list 2^n - 1 labels
 
 
 class ResourceLimitError(RuntimeError):
@@ -56,7 +56,10 @@ class UEFrame:
         self.worlds = list(worlds)
         self.frame = frame
         self.one_step = tuple(one_step)
-        self.index = {w: i for i, w in enumerate(self.worlds)}
+
+    @cached_property
+    def index(self):
+        return {w: i for i, w in enumerate(self.worlds)}
 
     def __len__(self):
         return len(self.worlds)
@@ -68,49 +71,47 @@ def build_ue(base: Frame, labels=None, max_worlds: int = 100_000) -> UEFrame:
     ``labels`` restricts the label alphabet (default: every proper filter).
     Worlds are discovered level by level — all label paths of one length
     before any longer path — parents in index order and, per parent, labels
-    by minimum mask, target ultrafilters by witness.  Exceeding
-    ``max_worlds`` raises ResourceLimitError rather than truncating; a base
-    with more worlds than that raises before any world is built.
-    The frame is ``complete`` applied to the closed edge relation and, as
-    S seeds, the label-agreement cliques inside each successor set.
+    by minimum mask, target ultrafilters by witness; a world is looked up by
+    (witness, path id), a path id interned from (parent path id, label
+    minimum).  Exceeding ``max_worlds`` raises ResourceLimitError rather
+    than truncating; a base with more worlds than that raises before any
+    world is built.  The frame is ``complete`` applied to the closed edge
+    relation and, as S seeds, the label-agreement cliques inside each
+    successor set.
     """
     if base.n > max_worlds:
         raise ResourceLimitError(f"extension exceeds {max_worlds} worlds; "
                                  f"the base alone has {base.n}")
-    if labels is None:
-        labels = all_proper_filters(base.n)
-    else:
-        labels = list(labels)
-        for l in labels:
-            if not l.is_proper:
-                raise ValueError("labels must be proper filters")
+    labels = all_proper_filters(base.n) if labels is None else list(labels)
+    if any(l.n != base.n or not l.is_proper for l in labels):
+        raise ValueError("labels must be proper filters on the base worlds")
     ufs = all_ultrafilters(base)
     worlds = [UEWorld(uf, ()) for uf in ufs]
-    index = {w: i for i, w in enumerate(worlds)}
     ops = FrameOps(base)
     # the labels that assure something at each base world, with their rows:
     # an extension world's moves depend on its ultrafilter only
     moves = [[(l, row) for l in labels
               if (row := ops.assured(f.witness, l.min_mask))] for f in ufs]
+    path_ids, index, world_path = {}, {}, [0] * len(worlds)
     one_step = []
-    frontier = list(worlds)
+    frontier = range(len(worlds))
     while frontier:
         fresh = []
-        for w in frontier:
-            wi = index[w]
+        for wi in frontier:
+            w = worlds[wi]
             for l, row in moves[w.uf.witness]:
+                pid = path_ids.setdefault((world_path[wi], l.min_mask), len(path_ids) + 1)
                 for g in bits(row):
-                    child = UEWorld(ufs[g], w.labels + (l,))
-                    ci = index.get(child)
+                    ci = index.get((g, pid))
                     if ci is None:
                         if len(worlds) >= max_worlds:
                             raise ResourceLimitError(
                                 f"extension exceeds {max_worlds} worlds; "
                                 "raise the cap or restrict the labels")
-                        ci = len(worlds)
-                        index[child] = ci
-                        worlds.append(child)
-                        fresh.append(child)
+                        ci = index[g, pid] = len(worlds)
+                        worlds.append(UEWorld(ufs[g], w.labels + (l,)))
+                        world_path.append(pid)
+                        fresh.append(ci)
                     one_step.append((wi, ci))
         frontier = fresh
 
@@ -127,7 +128,7 @@ def build_ue(base: Frame, labels=None, max_worlds: int = 100_000) -> UEFrame:
         k = len(w.labels)
         cliques = {}
         for j in bits(r[i]):
-            cliques.setdefault(worlds[j].labels[k], []).append(j)
+            cliques.setdefault(worlds[j].labels[k].min_mask, []).append(j)
         rows = [0] * n if cliques else leaf
         for clique in cliques.values():
             mask = sum(1 << j for j in clique)

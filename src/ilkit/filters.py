@@ -13,8 +13,12 @@ set in ``f``, then both A and its box-preimage must lie in ``g``.  Because
 minimum B, quantifying over all finite choices of members collapses to the
 single choice {B}; ``assuring_family`` keeps the raw quantifier for
 arbitrary finite families, and the test suite holds a naive oracle against
-the reduction.  ``FrameOps`` tabulates both, once per frame, as one bitmask
-of successors per (f, label), together with the frame's preimage operators.
+the reduction.  Rows come in closed form, with no sweep over the sets A:
+at f, under a union of complements ybar, the hypothesis for A fires exactly
+when A contains D = {u in R[f] : S_f[u] misses ybar}.  A meet its
+box-preimage grows with A, so its meet over those A is its value at D.
+``FrameOps`` tabulates the label rows once per frame, one bitmask of
+successors per (f, label), together with the frame's preimage operators.
 """
 
 from __future__ import annotations
@@ -135,8 +139,9 @@ class FrameOps:
     ``rinv[m]`` and ``rdual[m]`` are the diamond and box preimages of every
     mask ``m``; ``sinv(y)[x]`` is ``s_inv(x, y)``, one column per ``y``;
     ``assured(fw, lm)`` is the bitmask of witnesses ``g`` that ultrafilter
-    ``fw`` assures under the label with minimum ``lm``.  A label's row costs
-    one ``s_inv`` column and covers every ``f`` and ``g`` at once.  The
+    ``fw`` assures under the label with minimum ``lm``.  A label's rows cost
+    one pass over each witness's successors and cover every ``f`` and ``g``
+    at once; ``sinv`` columns serve ``b_set`` and the scoreboard.  The
     int tables live on the frame, shared by every ``FrameOps(fr)`` (the
     public per-call functions' too); a frame never refers to a view, so
     reference counting still frees it.
@@ -185,20 +190,14 @@ class FrameOps:
     def _rows(self, ybars) -> list[int]:
         """Per witness f, the witnesses g such that every set A whose
         hypothesis fires at f (A-complement successors move into some
-        ``ybar``) has A and its box-preimage holding g."""
-        n, full = self.fr.n, self.fr.full_mask
-        cols = [self.sinv(y) for y in ybars]
-        rdual = self.rdual
-        rows = [full] * n
-        for amask in range(1 << n):
-            abar = full & ~amask
-            fired = 0
-            for col in cols:
-                fired |= col[abar]
-            if fired:
-                gate = amask & rdual[amask]
-                for fw in bits(fired):
-                    rows[fw] &= gate
+        ``ybar``) has A and its box-preimage holding g: D & rdual[D] for the
+        D of each ``ybar``, as the module docstring argues."""
+        fr, rdual = self.fr, self.rdual
+        rows = [fr.full_mask] * fr.n
+        for fw, srow in enumerate(fr.s_succ):
+            for y in ybars:
+                d = sum(1 << u for u in bits(fr.r_succ[fw]) if not srow[u] & y)
+                rows[fw] &= d & rdual[d]
         return rows
 
 

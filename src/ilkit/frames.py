@@ -364,7 +364,7 @@ def _s_rows_options(n, r, w):
         for idx, (u, v) in enumerate(optional):
             if choice >> idx & 1:
                 rows[u] |= 1 << v
-        if _closure(list(rows), members) == rows:
+        if all(rows[v] & ~rows[u] == 0 for u in members for v in bits(rows[u])):
             out.append(tuple(rows))
     out.sort()
     return out
@@ -377,17 +377,16 @@ def all_frames(n: int):
     per world, S_w over every relation between the forced core and the full
     square on R[w] that stays transitive.
     """
-    off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for choice in range(1 << len(off_diag)):
-        r = [0] * n
-        for idx, (i, j) in enumerate(off_diag):
-            if choice >> idx & 1:
-                r[i] |= 1 << j
-        if _closure(list(r), range(n)) != r:
+    # R rows without their own bit, in the order of counting through the
+    # off-diagonal pairs as bits: row 0 varies fastest, then row 1, ...
+    loopless = [[m for m in range(1 << n) if not m >> w & 1] for w in reversed(range(n))]
+    for rows in itertools.product(*loopless):
+        r = rows[::-1]
+        # transitive without loops makes a strict order
+        if any(r[j] & ~r[i] for i in range(n) for j in bits(r[i])):
             continue
-        per_world = [_s_rows_options(n, r, w) for w in range(n)]
-        for combo in itertools.product(*per_world):
-            yield Frame(n, tuple(r), tuple(combo))
+        for combo in itertools.product(*(_s_rows_options(n, r, w) for w in range(n))):
+            yield Frame(n, r, combo)
 
 
 def frame_classes(n: int):

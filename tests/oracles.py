@@ -6,7 +6,8 @@ the fast implementations against these at desk scale.  The exceptions are
 the labeling-lemma and classical-extension oracles: bitmask sweeps that
 check one instance per call, kept as references for the row-at-a-time
 tests that replaced them (the labeling one reads the same ``FrameOps``
-tables as the scoreboard).
+tables as the scoreboard); and ``assured_rows_naive``, the sweep over
+every set that the closed-form assured rows replaced.
 """
 
 from itertools import chain, combinations, islice, permutations
@@ -248,6 +249,28 @@ def assuring_naive(fr, fw, member_sets, gw):
                     if gw not in a or gw not in r_inv_dual_naive(fr, a):
                         return False
     return True
+
+
+def assured_rows_naive(ops, ybars):
+    """Per witness f, the g assured under the ``ybars`` (unions of member
+    complements) by the sweep over every set A: each A whose hypothesis
+    fires at f, read off the ``ops.sinv`` columns, ANDs A and its box
+    preimage into f's row."""
+    fr = ops.fr
+    n, full = fr.n, fr.full_mask
+    cols = [ops.sinv(y) for y in ybars]
+    rdual = ops.rdual
+    rows = [full] * n
+    for amask in range(1 << n):
+        abar = full & ~amask
+        fired = 0
+        for col in cols:
+            fired |= col[abar]
+        if fired:
+            gate = amask & rdual[amask]
+            for fw in bits(fired):
+                rows[fw] &= gate
+    return rows
 
 
 def family_tables_naive(ops):

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from ilkit.algebra import (
 from ilkit.calculus import _META, SCHEMAS, instantiate
 from ilkit.checks import INCLUSION_LAWS
 from ilkit.corpus import corpus_models
+from ilkit.extension import build_ue
 from ilkit.formula import Atom, atoms, enumerate_formulas, parse
 from ilkit.frames import Model, WorldSet, all_frames, chain, fan, random_frame
 from ilkit.semantics import SWEEP_BLOCK_BITS, extension, frame_valid
@@ -72,6 +74,31 @@ def test_preimages_against_oracle(seed, xm, ym):
             == oracles.r_inv_dual_naive(fr, ys))
     assert (frozenset(s_inv(fr, WorldSet(5, xm), WorldSet(5, ym)))
             == oracles.s_inv_naive(fr, xs, ys))
+
+
+def _worlds(mask):
+    return frozenset(w for w in range(mask.bit_length()) if mask >> w & 1)
+
+
+def test_s_inv_matches_oracle_on_every_pair_n3():
+    for n in (1, 2, 3):
+        for fr in all_frames(n):
+            for xm, ym in product(range(1 << n), repeat=2):
+                assert (frozenset(s_inv(fr, WorldSet(n, xm), WorldSet(n, ym)))
+                        == oracles.s_inv_naive(fr, _worlds(xm), _worlds(ym))), (fr, xm, ym)
+
+
+def test_s_inv_matches_oracle_on_wide_masks():
+    fr = build_ue(chain(4)).frame
+    assert fr.n == 122
+    rng = random.Random(14)
+    for _ in range(40):
+        # sparse y makes some worlds fail, dense x makes long successor walks
+        xm = rng.getrandbits(fr.n) | rng.getrandbits(fr.n)
+        ym = rng.getrandbits(fr.n) & rng.getrandbits(fr.n)
+        got = frozenset(s_inv(fr, WorldSet(fr.n, xm), WorldSet(fr.n, ym)))
+        assert got == oracles.s_inv_naive(fr, _worlds(xm), _worlds(ym))
+        assert got and got != frozenset(range(fr.n))
 
 
 def test_translate_shapes():

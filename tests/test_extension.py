@@ -72,6 +72,8 @@ def test_build_ue_label_restriction_and_guards():
     assert len(only) == 3
     with pytest.raises(ValueError):
         build_ue(chain(2), labels=[Filter(2, 0)])
+    with pytest.raises(ValueError):   # a label over another world set
+        build_ue(chain(2), labels=[Filter(3, 0b010)])
     with pytest.raises(ResourceLimitError):
         build_ue(chain(3), max_worlds=5)
 

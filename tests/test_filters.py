@@ -1,16 +1,23 @@
 import gc
+import importlib
+import random
 import weakref
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ilkit import filters
+from ilkit import algebra, filters
+from ilkit.corpus import load
+from ilkit.extension import build_ue
 from ilkit.filters import (
     Filter, FrameOps, Ultrafilter, all_assuring_triples, all_proper_filters,
     all_ultrafilters, assuring, assuring_family, b_set, f_box,
     generate_filter, has_fip, principal_filter,
 )
-from ilkit.frames import WorldSet, all_frames, chain, fan, random_frame
+from ilkit.frames import (Frame, WorldSet, all_frames, bits, chain, fan,
+                          frame_classes, random_frame, tree)
 
 import oracles
 
@@ -181,25 +188,95 @@ def test_assuring_on_fan():
 
 def test_frame_ops_tables_are_built_once_per_frame(monkeypatch):
     calls = []
-    real = filters.s_inv_mask
-    monkeypatch.setattr(filters, "s_inv_mask", lambda *a: calls.append(a) or real(*a))
+    real_sinv, real_rows = filters.s_inv_mask, FrameOps._rows
+    monkeypatch.setattr(filters, "s_inv_mask",
+                        lambda *a: calls.append("s_inv") or real_sinv(*a))
+    monkeypatch.setattr(FrameOps, "_rows",
+                        lambda self, ybars: calls.append("rows") or real_rows(self, ybars))
     fr = random_frame(4, 7)
+    u, l = Ultrafilter(4, 0), Filter(4, 0b0100)
     ops = FrameOps(fr)
     rows = [ops.assured(w, lm) for w in range(4) for lm in range(1, 16)]
-    family = ops.family_rows([0b0011, 0b0110])
+    fired = b_set(fr, u, l)
     built = len(calls)
-    assert built > 0
+    assert calls.count("rows") == 15 and "s_inv" in calls
     again = FrameOps(fr)
     assert [again.assured(w, lm) for w in range(4) for lm in range(1, 16)] == rows
-    assert again.family_rows([0b0011, 0b0110]) == family
     assert again.rinv is ops.rinv and again.rdual is ops.rdual
     # the public per-call functions read the same tables
-    u, l = Ultrafilter(4, 0), Filter(4, 0b0100)
     assuring(fr, u, l, Ultrafilter(4, 2))
-    assuring_family(fr, u, [WorldSet(4, 0b0011)], u)
-    b_set(fr, u, l)
+    assert b_set(fr, u, l) == fired
     all_assuring_triples(fr)
     assert len(calls) == built
+    # raw families are not tabulated: one closed-form pass per call, no s_inv
+    family = ops.family_rows([0b0011, 0b0110])
+    assert again.family_rows([0b0011, 0b0110]) == family
+    assuring_family(fr, u, [WorldSet(4, 0b0011)], u)
+    assert calls[built:] == ["rows"] * 3
+
+
+def test_assured_table_and_extension_make_no_s_inv_calls(monkeypatch):
+    calls = []
+    # ``ilkit.extension`` the attribute is the forcing function, not the module
+    for module in (algebra, filters, importlib.import_module("ilkit.extension")):
+        real = module.s_inv_mask
+        monkeypatch.setattr(module, "s_inv_mask",
+                            lambda *a, real=real: calls.append(a) or real(*a))
+    fr = tree(2, 2)
+    ops = FrameOps(fr)
+    table = [ops.assured(w, lm) for w in range(fr.n) for lm in range(1, 1 << fr.n)]
+    assert any(table)
+    assert len(build_ue(tree(2, 2))) == 4391
+    assert calls == []
+
+
+def _label_tables_match_sweep(fr):
+    ops, full = FrameOps(fr), fr.full_mask
+    for lm in range(1, 1 << fr.n):
+        want = oracles.assured_rows_naive(ops, (full & ~lm,))
+        assert [ops.assured(fw, lm) for fw in range(fr.n)] == want, (fr, lm)
+
+
+def test_assured_rows_match_sweep_on_every_label_and_family_n3():
+    for n in (1, 2, 3):
+        members = range(1, 1 << n)
+        for fr in all_frames(n):
+            _label_tables_match_sweep(fr)
+            ops, full = FrameOps(fr), fr.full_mask
+            for fam in range(1 << len(members)):
+                picked = [members[i] for i in bits(fam)]
+                # every finite choice of members, the empty one included
+                ybars = {reduce(or_, (full & ~picked[i] for i in bits(choice)), 0)
+                         for choice in range(1 << len(picked))}
+                assert (ops.family_rows(picked)
+                        == oracles.assured_rows_naive(ops, ybars)), (fr, fam)
+
+
+def test_assured_rows_match_sweep_on_law_breaking_frames():
+    # the closed form needs no frame law: on a legal frame D is box-closed,
+    # so only an illegal one tells the box-preimage gate apart
+    rng = random.Random(14)
+    for _ in range(30):
+        fr = Frame(4, tuple(rng.getrandbits(4) for _ in range(4)),
+                   tuple(tuple(rng.getrandbits(4) for _ in range(4)) for _ in range(4)))
+        _label_tables_match_sweep(fr)
+
+
+def test_assured_rows_match_sweep_on_class_representatives_n4():
+    for fr, _ in frame_classes(4):
+        _label_tables_match_sweep(fr)
+
+
+LARGER_BASES = {
+    "chain4": lambda: chain(4), "chain5": lambda: chain(5), "fan5": lambda: fan(5),
+    "tree22": lambda: tree(2, 2), "pencil-bad1": lambda: load("pencil-bad1").frame,
+    "pencil-good1": lambda: load("pencil-good1").frame,
+}
+
+
+@pytest.mark.parametrize("name", list(LARGER_BASES))
+def test_assured_rows_match_sweep_on_larger_bases(name):
+    _label_tables_match_sweep(LARGER_BASES[name]())
 
 
 def test_frame_with_filled_tables_dies_by_reference_counting():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import permutations
@@ -266,6 +267,23 @@ def test_all_frames_counts_frozen():
     assert sum(1 for _ in all_frames(1)) == 1
     assert sum(1 for _ in all_frames(2)) == 3
     assert sum(1 for _ in all_frames(3)) == 34
+    assert sum(1 for _ in all_frames(4)) == 1441
+
+
+# sha256 of repr([(r_succ, s_succ), ...]) over all_frames(n): the order is
+# pinned, since frame_classes picks each class's first frame as representative
+ALL_FRAMES_SHA256 = {
+    1: "d4880a45867e3b690fc78c2471796b3a0f18fe1a01a31e2c0cab86305c759911",
+    2: "d606a94f7d4fb55420a5fcba97a1ab24b1f9d6ed66dc1cee106e6982c4f74cd2",
+    3: "55d1e0d6a758e8316ccd7eb3d1a32cc206cb53c711398b8dde32216fcc7e8a89",
+    4: "e0dd8aedee8402d754c9f6fba9aaf4cd3afb1bfe9b0e441c93f91417762f3d16",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ALL_FRAMES_SHA256))
+def test_all_frames_sequence_frozen(n):
+    seq = repr([(fr.r_succ, fr.s_succ) for fr in all_frames(n)])
+    assert hashlib.sha256(seq.encode()).hexdigest() == ALL_FRAMES_SHA256[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
