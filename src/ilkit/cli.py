@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import corpus
 from .algebra import eval_term, term_to_str, translate
@@ -292,7 +293,11 @@ def _cmd_corpus(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+@cache
 def _build_parser():
+    """The argparse tree, built on the first ``main`` call and reused: it is
+    never changed once built, and ``parse_args`` reads it into a fresh
+    namespace each call (``--val`` appends to a copy of its list)."""
     top = argparse.ArgumentParser(
         prog="ilkit",
         description="Interpretability-logic toolkit over finite Veltman frames")

@@ -179,13 +179,14 @@ class FrameOps:
 
     def family_rows(self, member_masks) -> list[int]:
         """Assured rows under a raw finite family: every finite choice of
-        members, the empty choice (empty union of complements) included."""
-        full = self.fr.full_mask
-        unions = {0}
+        members, the empty choice (empty union of complements) included.
+        D shrinks as the union grows and D & rdual[D] grows with D, so the
+        union of all the complements decides alone (empty for the empty
+        family)."""
+        full, ybar = self.fr.full_mask, 0
         for m in member_masks:
-            c = full & ~m
-            unions |= {u | c for u in unions}
-        return self._rows(unions)
+            ybar |= full & ~m
+        return self._rows((ybar,))
 
     def _rows(self, ybars) -> list[int]:
         """Per witness f, the witnesses g such that every set A whose

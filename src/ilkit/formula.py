@@ -21,8 +21,10 @@ ASCII grammar (loosest binding first)::
     primary  ::= atom | "F" | "T" | "(" imp ")"
 
 Atoms match ``[a-z][a-z0-9_]*``.  An unparenthesized ``a |> b |> c`` is a
-parse error rather than a silent grouping choice.  The parser recurses
-only into parentheses, and refuses nesting deeper than ``NESTING_LIMIT``.
+parse error rather than a silent grouping choice.  ``parse`` is one loop
+over the tokens with the pending operators on an explicit stack, so it never
+recurses; it refuses parentheses nested deeper than ``NESTING_LIMIT``, and
+prefix operators and ``->`` chains of any length parse.
 """
 
 from __future__ import annotations
@@ -30,12 +32,28 @@ from __future__ import annotations
 import re
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from functools import cache
 
 NESTING_LIMIT = 100
 
-_NODES = weakref.WeakValueDictionary()
+# The weak intern table: key -> _Ref to the live node.  A node's death drops
+# its entry through the reference's callback; the lock makes building atomic.
+_NODES = {}
 _NODES_LOCK = threading.Lock()
+
+
+class _Ref(weakref.ref):
+    """A weak reference to an interned node that remembers its table key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref):
+    # atomic and lock-free (the weakref module's own choice): it deletes the
+    # entry only while that is a dead reference, never a node rebuilt since,
+    # and it may run inside a locked build when a collection frees a node
+    _remove_dead_weakref(_NODES, ref.key)
 
 
 class Node:
@@ -44,22 +62,36 @@ class Node:
     A node class lists its constructor arguments in ``__slots__``; ``kids``
     holds those that are nodes, ``_walk`` a cached ``postorder``.  Building
     returns the live equal node if there is one; the table is weak, so a
-    node dies with its last user.
+    node dies with its last user.  A hit is one dict read with no lock; a
+    miss takes the lock, looks again and fills the slots through setters
+    fetched once per class.
     """
 
     __slots__ = ("kids", "_walk", "__weakref__")
+    _setters = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __new__(cls, *args):
         key = (cls, *args)
+        ref = _NODES.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        if len(args) != len(cls._setters):
+            raise ValueError(f"{cls.__name__} takes {len(cls._setters)} "
+                             f"arguments, got {len(args)}")
         with _NODES_LOCK:
-            node = _NODES.get(key)
-            if node is None:
-                node = object.__new__(cls)
-                for name, value in zip(cls.__slots__, args, strict=True):
-                    object.__setattr__(node, name, value)
-                object.__setattr__(node, "kids",
-                                   tuple(a for a in args if isinstance(a, Node)))
-                _NODES[key] = node
+            ref = _NODES.get(key)   # another thread may have built it meanwhile
+            if ref is not None and (node := ref()) is not None:
+                return node
+            node = object.__new__(cls)
+            for setter, value in zip(cls._setters, args):
+                setter(node, value)
+            object.__setattr__(node, "kids", tuple([a for a in args if isinstance(a, Node)]))
+            ref = _NODES[key] = _Ref(node, _forget)
+            ref.key = key
         return node
 
     def __setattr__(self, name, value):
@@ -206,110 +238,99 @@ class ParseError(ValueError):
         self.position = position
 
 
-# Fixed tokens (longest first), atoms, or any other character, which is an error.
-_TOKEN_RE = re.compile(r"\s*(?:(<->|<>|\[\]|->|\|>|[~&|()FT])|([a-z][a-z0-9_]*)|(\S))")
+# One token: a fixed one (longest first), an atom, or any other character,
+# which is an error.
+_TOKEN_RE = re.compile(r"\s*(<->|<>|\[\]|->|\|>|[~&|()FT]|[a-z][a-z0-9_]*|\S)")
+# Binary operators: (binding strength, least strength of a pending operator
+# that is built when this one arrives, constructor).  ``->`` and ``<->`` build
+# only tighter operators first (right-associative), ``&`` and ``|`` their
+# equals too (left-associative), and ``|>`` only junctions: a pending ``|>``
+# then is a non-associative chain, an error.
+_BINARY = {"->": (1, 2, Implies), "<->": (1, 2, iff), "|>": (2, 3, Rhd),
+           "&": (3, 3, conj), "|": (3, 3, disj)}
+_PREFIX = {"~": neg, "[]": Box, "<>": dia}
+_FIXED = {*_BINARY, *_PREFIX, "(", ")", "F", "T"}
 
 
-def _tokenize(text):
-    toks = []
+def _error(text, i, message) -> ParseError:
+    """The error at token ``i``, positioned by a second scan of ``text``,
+    which reports a stray character anywhere in it first."""
+    starts = []
     for m in _TOKEN_RE.finditer(text):
-        fixed, atom, bad = m.groups()
-        if bad:
-            raise ParseError(f"unexpected character {bad!r}", m.start(3))
-        toks.append((fixed, fixed, m.start(1)) if fixed else ("atom", atom, m.start(2)))
-    toks.append(("end", "end of input", len(text)))
-    return toks
-
-
-class _Parser:
-    """Recursive descent, with loops for prefix operators and ``->``
-    chains, so that only parentheses nest Python calls."""
-
-    def __init__(self, text):
-        self.toks = _tokenize(text)
-        self.i = 0
-        self.depth = 0
-
-    def peek(self):
-        return self.toks[self.i][0]
-
-    def take(self):
-        t = self.toks[self.i]
-        if t[0] == "end":
-            raise ParseError("unexpected end of input", t[2])
-        self.i += 1
-        return t
-
-    def run(self):
-        f = self.imp()
-        t = self.toks[self.i]
-        if t[0] != "end":
-            raise ParseError(f"unexpected {t[1]!r}", t[2])
-        return f
-
-    def imp(self):
-        lefts = []
-        f = self.rhd()
-        while self.peek() in ("->", "<->"):
-            lefts.append((f, self.take()[0]))
-            f = self.rhd()
-        for left, op in reversed(lefts):
-            f = Implies(left, f) if op == "->" else iff(left, f)
-        return f
-
-    def rhd(self):
-        left = self.junction()
-        if self.peek() != "|>":
-            return left
-        self.take()
-        right = self.junction()
-        if self.peek() == "|>":
-            raise ParseError("|> is non-associative; parenthesize the chain",
-                             self.toks[self.i][2])
-        return Rhd(left, right)
-
-    def junction(self):
-        left = self.unary()
-        while self.peek() in ("&", "|"):
-            op = self.take()[0]
-            right = self.unary()
-            left = conj(left, right) if op == "&" else disj(left, right)
-        return left
-
-    def unary(self):
-        ops = []
-        while self.peek() in ("~", "[]", "<>"):
-            ops.append(self.take()[0])
-        f = self.primary()
-        for op in reversed(ops):
-            f = neg(f) if op == "~" else Box(f) if op == "[]" else dia(f)
-        return f
-
-    def primary(self):
-        t = self.take()
-        if t[0] == "atom":
-            return Atom(t[1])
-        if t[0] == "F":
-            return BOT
-        if t[0] == "T":
-            return TOP
-        if t[0] == "(":
-            if self.depth == NESTING_LIMIT:
-                raise ParseError(
-                    f"parentheses nested deeper than {NESTING_LIMIT}", t[2])
-            self.depth += 1
-            f = self.imp()
-            self.depth -= 1
-            t = self.take()
-            if t[0] != ")":
-                raise ParseError(f"expected ')', got {t[1]!r}", t[2])
-            return f
-        raise ParseError(f"unexpected {t[1]!r}", t[2])
+        tok = m.group(1)
+        if tok not in _FIXED and not "a" <= tok[0] <= "z":
+            return ParseError(f"unexpected character {tok!r}", m.start(1))
+        starts.append(m.start(1))
+    return ParseError(message, (starts + [len(text)])[i])
 
 
 def parse(text: str) -> Formula:
-    """Parse ASCII formula text into the five-connective core."""
-    return _Parser(text).run()
+    """Parse ASCII formula text into the five-connective core.
+
+    One loop over the tokens with operator precedence on an explicit stack:
+    read an operand (prefix operators, then an atom, a constant or an
+    opening parenthesis), then the operator after it, first building every
+    pending operator that binds at least as tightly.  Nothing recurses, and
+    only open parentheses count toward ``NESTING_LIMIT``.  Token positions
+    are found only for an error.
+    """
+    toks = _TOKEN_RE.findall(text)
+    toks.append("")   # end of input
+    # ``ops`` holds the pending binary operators as (strength, constructor), their
+    # left operands in ``lefts``, and per open parenthesis a (0, the prefix
+    # operators before it) entry; ``wraps`` are the prefix operators of the
+    # operand being read.
+    ops, lefts, wraps = [], [], []
+    depth, i = 0, -1   # i: the index of the token in hand
+    while True:
+        i += 1
+        tok = toks[i]
+        if tok in _PREFIX:
+            wraps.append(_PREFIX[tok])
+            continue
+        if tok == "(":
+            if depth == NESTING_LIMIT:
+                raise _error(text, i, f"parentheses nested deeper than {NESTING_LIMIT}")
+            depth += 1
+            ops.append((0, wraps))
+            wraps = []
+            continue
+        if tok == "F":
+            f = BOT
+        elif tok == "T":
+            f = TOP
+        elif "a" <= tok[:1] <= "z":
+            f = Atom(tok)
+        else:
+            raise _error(text, i,
+                         f"unexpected {tok!r}" if tok else "unexpected end of input")
+        while True:   # the operand is read: wrap it, then close parentheses
+            for wrap in reversed(wraps):
+                f = wrap(f)
+            i += 1
+            tok = toks[i]
+            if tok != ")" or not depth:
+                break
+            while ops[-1][0]:
+                f = ops.pop()[1](lefts.pop(), f)
+            wraps = ops.pop()[1]
+            depth -= 1
+        op = _BINARY.get(tok)
+        if op is None:
+            if not tok and not depth:
+                while ops:
+                    f = ops.pop()[1](lefts.pop(), f)
+                return f
+            raise _error(text, i, "unexpected end of input" if not tok else
+                         f"expected ')', got {tok!r}" if depth else f"unexpected {tok!r}")
+        strength, builds, build = op
+        while ops and ops[-1][0] >= builds:
+            f = ops.pop()[1](lefts.pop(), f)
+        if build is Rhd and ops and ops[-1][1] is Rhd:
+            raise _error(text, i, "|> is non-associative; parenthesize the chain")
+        ops.append((strength, build))
+        lefts.append(f)
+        wraps = []
 
 
 def _view(f):

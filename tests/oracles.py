@@ -7,16 +7,19 @@ the labeling-lemma and classical-extension oracles: bitmask sweeps that
 check one instance per call, kept as references for the row-at-a-time
 tests that replaced them (the labeling one reads the same ``FrameOps``
 tables as the scoreboard); and ``assured_rows_naive``, the sweep over
-every set that the closed-form assured rows replaced.
+every set that the closed-form assured rows replaced; and ``parse_naive``,
+the recursive-descent parser that the one-loop ``formula.parse`` replaced.
 """
 
+import re
 from itertools import chain, combinations, islice, permutations
 
 from ilkit.algebra import (BoxOp, Complement, DiaOp, Empty, Full, Intersection,
                            SOp, Union, Var, r_inv_mask)
 from ilkit.filters import (FrameOps, Ultrafilter, all_proper_filters,
                            all_ultrafilters, assuring_family, b_set)
-from ilkit.formula import Atom, Bottom, Box, Implies, Rhd
+from ilkit.formula import (BOT, NESTING_LIMIT, TOP, Atom, Bottom, Box, Implies,
+                           ParseError, Rhd, conj, dia, disj, iff, neg)
 from ilkit.frames import CompletionError, Frame, WorldSet, bits
 
 
@@ -598,3 +601,111 @@ def canonical_naive(fr):
     """The least relabelled ``(r_succ, s_succ)`` over all n! permutations:
     two frames share it exactly when they are isomorphic."""
     return min(relabel_naive(fr, p) for p in permutations(range(fr.n)))
+
+
+# Fixed tokens (longest first), atoms, or any other character, which is an error.
+_TOKEN_RE = re.compile(r"\s*(?:(<->|<>|\[\]|->|\|>|[~&|()FT])|([a-z][a-z0-9_]*)|(\S))")
+
+
+def _tokenize(text):
+    toks = []
+    for m in _TOKEN_RE.finditer(text):
+        fixed, atom, bad = m.groups()
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", m.start(3))
+        toks.append((fixed, fixed, m.start(1)) if fixed else ("atom", atom, m.start(2)))
+    toks.append(("end", "end of input", len(text)))
+    return toks
+
+
+class _Parser:
+    """Recursive descent, with loops for prefix operators and ``->``
+    chains, so that only parentheses nest Python calls."""
+
+    def __init__(self, text):
+        self.toks = _tokenize(text)
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.toks[self.i][0]
+
+    def take(self):
+        t = self.toks[self.i]
+        if t[0] == "end":
+            raise ParseError("unexpected end of input", t[2])
+        self.i += 1
+        return t
+
+    def run(self):
+        f = self.imp()
+        t = self.toks[self.i]
+        if t[0] != "end":
+            raise ParseError(f"unexpected {t[1]!r}", t[2])
+        return f
+
+    def imp(self):
+        lefts = []
+        f = self.rhd()
+        while self.peek() in ("->", "<->"):
+            lefts.append((f, self.take()[0]))
+            f = self.rhd()
+        for left, op in reversed(lefts):
+            f = Implies(left, f) if op == "->" else iff(left, f)
+        return f
+
+    def rhd(self):
+        left = self.junction()
+        if self.peek() != "|>":
+            return left
+        self.take()
+        right = self.junction()
+        if self.peek() == "|>":
+            raise ParseError("|> is non-associative; parenthesize the chain",
+                             self.toks[self.i][2])
+        return Rhd(left, right)
+
+    def junction(self):
+        left = self.unary()
+        while self.peek() in ("&", "|"):
+            op = self.take()[0]
+            right = self.unary()
+            left = conj(left, right) if op == "&" else disj(left, right)
+        return left
+
+    def unary(self):
+        ops = []
+        while self.peek() in ("~", "[]", "<>"):
+            ops.append(self.take()[0])
+        f = self.primary()
+        for op in reversed(ops):
+            f = neg(f) if op == "~" else Box(f) if op == "[]" else dia(f)
+        return f
+
+    def primary(self):
+        t = self.take()
+        if t[0] == "atom":
+            return Atom(t[1])
+        if t[0] == "F":
+            return BOT
+        if t[0] == "T":
+            return TOP
+        if t[0] == "(":
+            if self.depth == NESTING_LIMIT:
+                raise ParseError(
+                    f"parentheses nested deeper than {NESTING_LIMIT}", t[2])
+            self.depth += 1
+            f = self.imp()
+            self.depth -= 1
+            t = self.take()
+            if t[0] != ")":
+                raise ParseError(f"expected ')', got {t[1]!r}", t[2])
+            return f
+        raise ParseError(f"unexpected {t[1]!r}", t[2])
+
+
+def parse_naive(text):
+    """Formula text to its core tree by recursive descent, one method per
+    grammar level: the parser that ``formula.parse`` replaced, kept
+    unchanged with its tokenizer, errors and positions included."""
+    return _Parser(text).run()

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from ilkit.calculus import derived_theorems, proof_to_dict
-from ilkit.cli import main
+from ilkit.cli import _build_parser, main
 from ilkit.corpus import corpus_models
 from ilkit.extension import LABEL_WORLDS_LIMIT
 from ilkit.formula import NESTING_LIMIT
@@ -378,6 +378,25 @@ def test_pencil_demo_writes_dot(tmp_path, capsys):
     code, _, err = run(capsys, "pencil-demo", "--fan", "1", "--depth", "1",
                        "--dot-prefix", missing)
     assert code == 2 and err.startswith(f"ilkit: {missing}-bad.dot: ")
+
+
+def test_requests_pay_no_fixed_parser_cost(tmp_path, capsys):
+    # 200 in-process parse/mc requests took 0.03-0.04 s on a 2-CPU desk
+    # machine with the argparse tree built once, and 0.40-0.53 s when every
+    # call built it again; the budget sits between, best of three rounds
+    budget_s = 0.15
+    path = tmp_path / "chain.vf"
+    path.write_text("worlds 3\nR 0 1\nR 1 2\nval p 1\nval q 2\n")
+    formula = "[]p -> (q |> <>p)"
+    requests = [["parse", formula], ["mc", str(path), formula]] * 100
+    _build_parser.cache_clear()   # the first round pays for the one build
+    rounds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        codes = {main(argv) for argv in requests}
+        rounds.append(time.perf_counter() - start)
+        assert codes == {0} and capsys.readouterr().err == ""
+    assert min(rounds) < budget_s, f"{min(rounds):.3f} s"
 
 
 def test_entry_point_runs_in_subprocess():

@@ -5,7 +5,9 @@ pair and proof files with garbled lines, formulas and formula fragments,
 and numbers out of range.  Whatever the request, ``main`` returns 0, 1 or 2, a refused
 request (an ``ilkit:`` message) exits 2, and the only exception is
 argparse's ``SystemExit(2)``.  ``corpus`` and fans above 2 stay out, so the
-run stays short.
+run stays short.  The argparse tree is built once per process, so a
+request, ``-h`` included, answers the same whether the tree is fresh or has
+served other requests before.
 """
 
 import contextlib
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ilkit.calculus import derived_theorems, proof_to_dict
-from ilkit.cli import main
+from ilkit.cli import _build_parser, main
 from ilkit.corpus import corpus_names
 
 FRAMES = {
@@ -107,3 +109,32 @@ def test_cli_exit_codes_hold_for_any_request(files, data):
             return
     assert code in (0, 1, 2), argv
     assert (code == 2) == err.getvalue().startswith("ilkit: "), (argv, err.getvalue())
+
+
+def _answer(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return out.getvalue(), err.getvalue(), code
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_reused_parser_answers_like_a_fresh_one(files, data):
+    model = next(m for m in files["models"] if m.endswith("two.vf"))
+    requests = [["-h"], ["eval", "-h"], ["mc"], ["no-such-command"],
+                ["parse", "p", "--no-such-flag"], ["ue", model, "--cap", "x"],
+                ["eval", model, "p & q", "--val", "p=0", "--val", "q=0,1"],
+                ["eval", model, "p & q"]]
+    requests += [_argv(data.draw, files) for _ in range(8)]
+    fresh = []
+    for argv in requests:
+        _build_parser.cache_clear()   # a new tree for each request
+        fresh.append(_answer(argv))
+    assert _build_parser() is _build_parser()
+    for _ in range(2):
+        assert [_answer(argv) for argv in requests] == fresh
+    assert fresh[7][0] != fresh[6][0]   # so a --val kept for the next call would show

@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import random
 import sys
 import threading
 import weakref
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from ilkit.algebra import eval_term, term_to_str, translate
 from ilkit.calculus import SCHEMAS, is_tautology
+from ilkit import formula
 from ilkit.formula import (
     Atom, Bottom, Box, Implies, Rhd, BOT, NESTING_LIMIT, TOP,
     atoms, conj, dia, disj, enumerate_formulas, iff, modal_depth, neg,
@@ -170,6 +172,24 @@ def test_interned_node_is_freed_with_its_last_user():
     assert ref() is None
 
 
+def test_intern_table_drops_dead_nodes():
+    gc.collect()
+    before = len(formula._NODES)
+    fresh = [Implies(Atom(f"dropped{i}"), BOT) for i in range(5_000)]
+    assert len(formula._NODES) == before + 10_000
+    del fresh
+    assert len(formula._NODES) == before   # reference counting alone empties it
+
+
+def test_wrong_arity_is_refused_and_not_interned():
+    before = len(formula._NODES)
+    for cls, args in ((Implies, (BOT,)), (Implies, (BOT, BOT, BOT)), (Box, ()),
+                      (Atom, ("p", "q")), (Bottom, (BOT,))):
+        with pytest.raises(ValueError):
+            cls(*args)
+    assert len(formula._NODES) == before
+
+
 def _fresh_walk(root):
     """``postorder`` without its cache: an ``enter`` that opens every node."""
     return postorder(root, lambda g: True)
@@ -275,3 +295,93 @@ def test_enumeration_respects_modalities():
     assert any(isinstance(f, Box) for f in seen)
     rhd_only = list(enumerate_formulas(["p"], 2, 2, modalities=("rhd",)))
     assert not any(isinstance(f, Box) for f in rhd_only)
+
+
+def _same_parse(text):
+    """``parse`` builds the oracle's node, or raises its error at its position."""
+    try:
+        want = oracles.parse_naive(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.position) == (str(exc), exc.position), text
+        return False
+    assert parse(text) is want, text
+    return True
+
+
+_UNARY = [neg, dia, Box, lambda a: a]
+_BINARY = [Implies, Rhd, conj, disj, iff]
+
+
+def _random_formula(rng, size):
+    if size == 0:
+        return rng.choice([Atom("p"), Atom("q"), Atom("r_1"), BOT, TOP])
+    if rng.random() < 0.3:
+        return rng.choice(_UNARY)(_random_formula(rng, size - 1))
+    left = rng.randrange(size)
+    return rng.choice(_BINARY)(_random_formula(rng, left),
+                               _random_formula(rng, size - 1 - left))
+
+
+def _noisy(f, rng):
+    """Core text with every compound parenthesized, some twice, and random
+    spacing."""
+    gap = lambda: rng.choice(["", " ", "  ", "\t"])
+    if isinstance(f, Atom):
+        text = f.name
+    elif isinstance(f, Bottom):
+        text = "F"
+    elif isinstance(f, Box):
+        text = f"[]{gap()}{_noisy(f.body, rng)}"
+    else:
+        op = "->" if isinstance(f, Implies) else "|>"
+        text = f"({_noisy(f.lhs, rng)}{gap()}{op}{gap()}{_noisy(f.rhs, rng)})"
+    while rng.random() < 0.2:
+        text = f"({gap()}{text}{gap()})"
+    return text
+
+
+def test_parse_matches_recursive_descent_on_printed_formulas():
+    rng = random.Random(15)
+    for _ in range(400):
+        f = _random_formula(rng, rng.randrange(12))
+        for text in (to_str(f), to_str(f, sugar=False), _noisy(f, rng)):
+            assert _same_parse(text)
+
+
+_STRAY = ["(", ")", "|>", "->", "<->", "&", "|", "~", "[]", "<>", "p", "F",
+          "T", "@", "A", "-", "<", "é", "0", "_x"]
+
+
+def test_parse_matches_recursive_descent_on_malformed_text():
+    rng = random.Random(16)
+    fixed = ["", " ", "a |> b |> c", "a -> b |> c |> d", "a |> b & c |> d",
+             "(a |> b) |> c |> d", ")", "(", "()", "p q", "(p q", "(p", "p)",
+             "~", "[]", "p ->", "-> p", "p &", "& p", "p @ q", "(p |> q", "A"]
+    texts = list(fixed)
+    for _ in range(400):
+        good = to_str(_random_formula(rng, rng.randrange(1, 10)))
+        cut = rng.randrange(len(good) + 1)
+        texts.append(good[:cut])   # truncation
+        at = rng.randrange(len(good) + 1)
+        texts.append(f"{good[:at]} {rng.choice(_STRAY)} {good[at:]}")   # stray token
+        texts.append(" ".join(rng.choice(_STRAY) for _ in range(rng.randrange(1, 8))))
+    failed = sum(not _same_parse(text) for text in texts)
+    assert failed > len(texts) // 2   # most of these are errors
+
+
+def test_parse_matches_recursive_descent_on_nesting_and_prefix_chains():
+    texts = []
+    for depth in (NESTING_LIMIT - 1, NESTING_LIMIT, NESTING_LIMIT + 1):
+        texts += ["(" * depth + "p" + ")" * depth,
+                  "(" * depth + "p",
+                  "(" * depth + "p" + ")" * (depth + 1),
+                  "[](p -> " * depth + "p" + ")" * depth,
+                  "~(" * depth + "p |> q" + ")" * depth,
+                  "(" * depth + "p" + ")" * depth + " |> q |> r"]
+    for length in (0, 1, 2, 3, 7, 100, 1_000, 5_000):
+        texts += ["~" * length + "p", "[]" * length + "q", "<>" * length + "(p & q)",
+                  "~[]<>" * length + "p -> q", "[]~" * length, "p |> " + "<>~" * length + "q"]
+    for text in texts:
+        _same_parse(text)
