@@ -6,7 +6,8 @@ Build a small Veltman model, evaluate some formulas world by world, and
 hunt for counterexamples to frame validity.
 """
 
-from ilkit import Model, WorldSet, chain, extension, force, frame_valid, parse, to_str
+from ilkit import Model, WorldSet, chain, force, frame_valid, parse, to_str
+from ilkit.semantics import extension
 
 # A three-world chain 0 R 1 R 2.  complete() has already filled in the
 # forced S structure: inside R[0], world 1 can move to 2.

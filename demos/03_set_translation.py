@@ -9,10 +9,11 @@ side, then in bulk.
 """
 
 from ilkit import (
-    Model, agreement, chain, enumerate_formulas, eval_term, extension,
-    fan, parse, term_to_str, translate,
+    Model, agreement, chain, enumerate_formulas, eval_term, fan, parse,
+    term_to_str, translate,
 )
 from ilkit.frames import WorldSet
+from ilkit.semantics import extension
 
 for text in ["p -> q", "[]p", "p |> q", "<>p |> (p | q)"]:
     print(f"{text:>18}  ~>  {term_to_str(translate(parse(text)))}")

@@ -37,6 +37,6 @@ from .frames import (CompletionError, Frame, Model, Verdict, WorldSet,
 from .pencil import (DemoReport, PencilVerdict, build_demo_pair,
                      nondefinability_demo, pencil_check, transfer_valuation)
 from .semantics import (BisimVerdict, FrameVerdict, check_bisim, equiv_up_to,
-                        extension, force, frame_valid, max_bisim, model_valid)
+                        force, frame_valid, max_bisim, model_valid)
 
 __version__ = "0.1.0"

@@ -16,8 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .formula import (BOT, Atom, Bottom, Box, Formula, Implies, Rhd, conj, dia,
                       disj, iff, neg, parse, postorder, to_str, truth_columns)
-
-TAUT_COMPONENT_LIMIT = 16
+from .limits import TAUT_COMPONENT_LIMIT
 
 
 @dataclass(frozen=True, slots=True)

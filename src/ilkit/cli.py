@@ -19,14 +19,14 @@ from functools import cache
 from . import corpus
 from .algebra import eval_term, term_to_str, translate
 from .calculus import check_proof, proof_from_dict
-from .extension import (LABEL_WORLDS_LIMIT, ResourceLimitError, build_ue,
-                        ue_to_dict, ue_to_dot)
+from .extension import ResourceLimitError, build_ue, ue_to_dict, ue_to_dot
 from .filters import Filter, Ultrafilter, all_assuring_triples, assuring
 from .formula import ParseError, atoms, parse, to_str
 from .frameio import FrameFormatError, load_model, to_dot
 from .frames import Model, WorldSet
-from .pencil import FAN_LIMIT, build_demo_pair, nondefinability_demo
-from .semantics import VALUATION_BITS_LIMIT, check_bisim, extension, frame_valid, max_bisim
+from .limits import FAN_LIMIT, UE_WORLDS_CAP, VALUATION_BITS_LIMIT, check_label_worlds
+from .pencil import build_demo_pair, nondefinability_demo
+from .semantics import check_bisim, extension, frame_valid, max_bisim
 
 USAGE_ERROR = 2
 
@@ -167,9 +167,10 @@ def _cmd_eval(args) -> int:
 def _load_label_base(arg: str) -> Model:
     """A model whose frame is small enough to list its label filters."""
     m = _load_model_arg(arg)
-    if m.frame.n > LABEL_WORLDS_LIMIT:
-        raise UsageError(f"{arg}: {m.frame.n} worlds have 2^{m.frame.n} - 1 label "
-                         f"filters; limit is {LABEL_WORLDS_LIMIT} worlds")
+    try:
+        check_label_worlds(m.frame.n)
+    except ValueError as exc:
+        raise UsageError(f"{arg}: {exc}") from None
     return m
 
 
@@ -348,7 +349,7 @@ def _build_parser():
 
     p = sub.add_parser("ue", help="build the ultrafilter extension")
     p.add_argument("model")
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=int, default=UE_WORLDS_CAP)
     p.add_argument("--dot", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_ue)

@@ -10,6 +10,10 @@ position len(sigma): ``frames.complete`` closes the label-agreement
 cliques, given as S seeds, as it closes any frame.  The recursion bottoms
 out because a world whose ultrafilter sits at an R-leaf of the base frame
 assures nothing, so label paths never outgrow the longest base R-chain.
+The labels are every proper filter, 2^n - 1 of them over n base worlds, so
+a base over ``limits.LABEL_WORLDS_LIMIT`` worlds is refused (ValueError)
+before any label is listed, and an extension that outgrows its world cap
+(``limits.UE_WORLDS_CAP`` by default) raises ResourceLimitError.
 
 The construction also covers the classical unary-modality extension as a
 baseline: over a finite frame that one is isomorphic to the frame itself.
@@ -25,12 +29,9 @@ from .filters import (Filter, FrameOps, Ultrafilter, all_proper_filters,
                       all_ultrafilters)
 from .formula import TOP, conj, dia
 from .frames import Frame, Model, WorldSet, _closure, bits, complete
+from .limits import LABEL_MEMBER_LIMIT, SATURATION_POOL_LIMIT, UE_WORLDS_CAP
 from .semantics import extension as forcing_extension
 from .semantics import force
-
-SATURATION_POOL_LIMIT = 12   # pool formulas: check_saturation forces 2^k conjunctions
-LABEL_MEMBER_LIMIT = 8       # filter members: check_label_saturation tabulates 2^k subfamilies
-LABEL_WORLDS_LIMIT = 10      # base worlds: ue and assuring list 2^n - 1 labels
 
 
 class ResourceLimitError(RuntimeError):
@@ -65,26 +66,24 @@ class UEFrame:
         return len(self.worlds)
 
 
-def build_ue(base: Frame, labels=None, max_worlds: int = 100_000) -> UEFrame:
-    """Construct the extension of a frame.
+def build_ue(base: Frame, max_worlds: int = UE_WORLDS_CAP) -> UEFrame:
+    """Construct the extension of a frame, labelled by every proper filter.
 
-    ``labels`` restricts the label alphabet (default: every proper filter).
     Worlds are discovered level by level — all label paths of one length
     before any longer path — parents in index order and, per parent, labels
     by minimum mask, target ultrafilters by witness; a world is looked up by
     (witness, path id), a path id interned from (parent path id, label
     minimum).  Exceeding ``max_worlds`` raises ResourceLimitError rather
     than truncating; a base with more worlds than that raises before any
-    world is built.  The frame is ``complete`` applied to the closed edge
-    relation and, as S seeds, the label-agreement cliques inside each
-    successor set.
+    world is built, and one over ``LABEL_WORLDS_LIMIT`` worlds raises
+    ValueError before any label is listed.  The frame is ``complete``
+    applied to the closed edge relation and, as S seeds, the
+    label-agreement cliques inside each successor set.
     """
     if base.n > max_worlds:
         raise ResourceLimitError(f"extension exceeds {max_worlds} worlds; "
                                  f"the base alone has {base.n}")
-    labels = all_proper_filters(base.n) if labels is None else list(labels)
-    if any(l.n != base.n or not l.is_proper for l in labels):
-        raise ValueError("labels must be proper filters on the base worlds")
+    labels = all_proper_filters(base.n)
     ufs = all_ultrafilters(base)
     worlds = [UEWorld(uf, ()) for uf in ufs]
     ops = FrameOps(base)
@@ -107,7 +106,7 @@ def build_ue(base: Frame, labels=None, max_worlds: int = 100_000) -> UEFrame:
                         if len(worlds) >= max_worlds:
                             raise ResourceLimitError(
                                 f"extension exceeds {max_worlds} worlds; "
-                                "raise the cap or restrict the labels")
+                                "raise the cap")
                         ci = index[g, pid] = len(worlds)
                         worlds.append(UEWorld(ufs[g], w.labels + (l,)))
                         world_path.append(pid)
@@ -145,10 +144,10 @@ class UEModel:
     model: Model
 
 
-def build_ue_model(m: Model, labels=None, max_worlds: int = 100_000) -> UEModel:
+def build_ue_model(m: Model, max_worlds: int = UE_WORLDS_CAP) -> UEModel:
     """Extension of a model: a world holds an atom iff the atom's base
     extension belongs to the world's ultrafilter."""
-    ue = build_ue(m.frame, labels, max_worlds)
+    ue = build_ue(m.frame, max_worlds)
     ev = {name: WorldSet(len(ue), sum(1 << i for i, w in enumerate(ue.worlds)
                                       if w.uf.contains(ws)))
           for name, ws in m.ev.items()}

@@ -19,6 +19,9 @@ when A contains D = {u in R[f] : S_f[u] misses ybar}.  A meet its
 box-preimage grows with A, so its meet over those A is its value at D.
 ``FrameOps`` tabulates the label rows once per frame, one bitmask of
 successors per (f, label), together with the frame's preimage operators.
+The labels and the preimage tables number 2^n for n worlds, so
+``all_proper_filters`` and the ``FrameOps`` table fills refuse a frame over
+``limits.LABEL_WORLDS_LIMIT`` worlds with ValueError before building them.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 
 from .algebra import r_inv_dual_mask, r_inv_mask, s_inv_mask
 from .frames import Frame, WorldSet, bits
+from .limits import check_label_worlds
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -87,7 +91,9 @@ def principal_filter(n: int, w: int) -> Filter:
 
 
 def all_proper_filters(n: int) -> list[Filter]:
-    """Every proper filter, ordered by minimum mask."""
+    """Every proper filter, ordered by minimum mask; ValueError past
+    ``LABEL_WORLDS_LIMIT`` worlds."""
+    check_label_worlds(n)
     return [Filter(n, m) for m in range(1, 1 << n)]
 
 
@@ -157,6 +163,7 @@ class FrameOps:
     def _table(self, op) -> list[int]:
         col = self._unary.get(op)
         if col is None:
+            check_label_worlds(self.fr.n)
             col = self._unary[op] = [op(self.fr, m) for m in range(1 << self.fr.n)]
         return col
 
@@ -166,6 +173,7 @@ class FrameOps:
     def sinv(self, y: int) -> list[int]:
         col = self._sinv.get(y)
         if col is None:
+            check_label_worlds(self.fr.n)
             col = self._sinv[y] = [s_inv_mask(self.fr, x, y)
                                    for x in range(1 << self.fr.n)]
         return col
@@ -174,7 +182,7 @@ class FrameOps:
         rows = self._assured.get(lm)
         if rows is None:
             # s_inv is monotone in y, so the label's least member decides
-            rows = self._assured[lm] = self._rows((self.fr.full_mask & ~lm,))
+            rows = self._assured[lm] = self._rows(self.fr.full_mask & ~lm)
         return rows[fw]
 
     def family_rows(self, member_masks) -> list[int]:
@@ -186,19 +194,18 @@ class FrameOps:
         full, ybar = self.fr.full_mask, 0
         for m in member_masks:
             ybar |= full & ~m
-        return self._rows((ybar,))
+        return self._rows(ybar)
 
-    def _rows(self, ybars) -> list[int]:
+    def _rows(self, ybar: int) -> list[int]:
         """Per witness f, the witnesses g such that every set A whose
-        hypothesis fires at f (A-complement successors move into some
-        ``ybar``) has A and its box-preimage holding g: D & rdual[D] for the
-        D of each ``ybar``, as the module docstring argues."""
+        hypothesis fires at f (A-complement successors move into ``ybar``)
+        has A and its box-preimage holding g: D & rdual[D], as the module
+        docstring argues."""
         fr, rdual = self.fr, self.rdual
-        rows = [fr.full_mask] * fr.n
+        rows = []
         for fw, srow in enumerate(fr.s_succ):
-            for y in ybars:
-                d = sum(1 << u for u in bits(fr.r_succ[fw]) if not srow[u] & y)
-                rows[fw] &= d & rdual[d]
+            d = sum(1 << u for u in bits(fr.r_succ[fw]) if not srow[u] & ybar)
+            rows.append(d & rdual[d])
         return rows
 
 

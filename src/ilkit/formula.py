@@ -35,7 +35,7 @@ import weakref
 from _weakref import _remove_dead_weakref
 from functools import cache
 
-NESTING_LIMIT = 100
+from .limits import NESTING_LIMIT
 
 # The weak intern table: key -> _Ref to the live node.  A node's death drops
 # its entry through the reference's callback; the lock makes building atomic.

@@ -19,8 +19,7 @@ relations hold about n^3/6 pairs), and a full-size one loads in about 1 s.
 from __future__ import annotations
 
 from .frames import Frame, Model, WorldSet, complete, validate
-
-WORLDS_LIMIT = 256
+from .limits import WORLDS_LIMIT
 
 
 class FrameFormatError(ValueError):

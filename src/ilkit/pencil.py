@@ -24,10 +24,8 @@ from dataclasses import dataclass
 
 from .formula import Atom, enumerate_formulas
 from .frames import Frame, Model, WorldSet, bits, complete
-from .semantics import VALUATION_BITS_LIMIT, check_bisim, sweep_apart
-
-# the largest fan m the demo can sweep: two atoms on the 4 + m worlds of ``bad``
-FAN_LIMIT = VALUATION_BITS_LIMIT // 2 - 4
+from .limits import FAN_LIMIT
+from .semantics import check_bisim, sweep_apart
 
 
 @dataclass(frozen=True, slots=True)

@@ -33,8 +33,8 @@ from .algebra import (_TERM_OF, Complement, DiaOp, Full, Intersection, Union,
 from .formula import (Atom, Bottom, Box, Formula, Implies, Node, Rhd,
                       enumerate_formulas, postorder, truth_columns)
 from .frames import Frame, Model, WorldSet, bits
+from .limits import VALUATION_BITS_LIMIT
 
-VALUATION_BITS_LIMIT = 20
 SWEEP_BLOCK_BITS = 12
 SWEEP_MEMORY_BITS = 23   # a block's columns hold at most 2**23 bits (1 MiB)
 _FULL = Full()

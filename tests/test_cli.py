@@ -1,16 +1,21 @@
+import builtins
+import io
 import json
+import shutil
 import subprocess
 import sys
 import time
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from ilkit.calculus import derived_theorems, proof_to_dict
 from ilkit.cli import _build_parser, main
-from ilkit.corpus import corpus_models
-from ilkit.extension import LABEL_WORLDS_LIMIT
+from ilkit.corpus import corpus_models, corpus_names, load
 from ilkit.formula import NESTING_LIMIT
 from ilkit.frameio import WORLDS_LIMIT
+from ilkit.limits import LABEL_WORLDS_LIMIT
 from ilkit.semantics import VALUATION_BITS_LIMIT
 
 
@@ -137,6 +142,38 @@ def test_unreadable_corpus(tmp_path, monkeypatch, capsys):
     code, out, err = run(capsys, "corpus")
     assert code == 2 and out == ""
     assert err.startswith(f"ilkit: {corpus / 'broken.vf'}: 'utf-8' codec")
+    # a model request reads its own file alone
+    code, out, _ = run(capsys, "mc", "chain2", "p")
+    assert code == 1 and out.startswith("0: false")
+
+
+def test_corpus_override_matches_the_bundled_corpus(tmp_path, monkeypatch, capsys):
+    def answers():
+        code, out, _ = run(capsys, "corpus", "--json")
+        return code, corpus_names(), [(r["name"], r["ok"], r["detail"]) for r in json.loads(out)]
+
+    bundled = answers()
+    copy = tmp_path / "data"
+    shutil.copytree(resources.files("ilkit") / "data", copy)
+    monkeypatch.setenv("ILKIT_CORPUS", str(copy))
+    assert answers() == bundled
+
+
+def test_load_reads_one_file(monkeypatch):
+    opened = []
+
+    def spy(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return real(file, *args, **kwargs)
+
+    real = io.open
+    monkeypatch.setattr(io, "open", spy)
+    monkeypatch.setattr(builtins, "open", spy)
+    assert load("chain2").frame.n == 2
+    assert opened == ["chain2.vf"]
+    for name in ("no-such-model", "../data/chain2"):
+        with pytest.raises(KeyError):
+            load(name)
 
 
 def test_frame_valid_command(capsys):

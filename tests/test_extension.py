@@ -1,9 +1,11 @@
 import hashlib
 import json
+import sys
 import time
 
 import pytest
 
+import ilkit.extension
 from ilkit.corpus import load
 from ilkit.extension import (
     ResourceLimitError, UEVerdict, UEWorld, build_ue, build_ue_model,
@@ -21,6 +23,11 @@ import oracles
 
 def up(n, worlds):
     return Filter(n, sum(1 << w for w in worlds))
+
+
+def test_ilkit_extension_is_the_submodule():
+    import ilkit.extension as ext
+    assert ext is sys.modules["ilkit.extension"] and ext.build_ue is build_ue
 
 
 def test_chain2_extension_frozen():
@@ -67,14 +74,8 @@ def test_extension_grows_with_s_freedom():
     assert len(build_ue(load("chain3-square").frame)) == 17
 
 
-def test_build_ue_label_restriction_and_guards():
-    only = build_ue(chain(2), labels=[up(2, [1])])
-    assert len(only) == 3
-    with pytest.raises(ValueError):
-        build_ue(chain(2), labels=[Filter(2, 0)])
-    with pytest.raises(ValueError):   # a label over another world set
-        build_ue(chain(2), labels=[Filter(3, 0b010)])
-    with pytest.raises(ResourceLimitError):
+def test_build_ue_stops_at_its_world_cap():
+    with pytest.raises(ResourceLimitError, match="^extension exceeds 5 worlds; raise the cap$"):
         build_ue(chain(3), max_worlds=5)
 
 
@@ -85,7 +86,7 @@ def test_build_ue_caps_the_root_worlds(monkeypatch):
     def refuse(fr):
         raise AssertionError("worlds built before the cap was checked")
 
-    monkeypatch.setitem(build_ue.__globals__, "all_ultrafilters", refuse)
+    monkeypatch.setattr("ilkit.extension.all_ultrafilters", refuse)
     with pytest.raises(ResourceLimitError, match="exceeds 2 worlds; the base alone has 3"):
         build_ue(base, max_worlds=2)
 
@@ -138,8 +139,7 @@ def test_label_saturation_refuses_before_building_filters(monkeypatch):
     def refuse(n):
         raise AssertionError("filters built before the member limit was checked")
 
-    # ``ilkit.extension`` names the forcing function, so patch the module's globals
-    monkeypatch.setitem(check_label_saturation.__globals__, "all_proper_filters", refuse)
+    monkeypatch.setattr("ilkit.extension.all_proper_filters", refuse)
     with pytest.raises(ValueError):
         check_label_saturation(chain(6))
 
@@ -147,15 +147,14 @@ def test_label_saturation_refuses_before_building_filters(monkeypatch):
 def test_check_saturation_names_the_first_unsaturated_world(monkeypatch):
     um = build_ue_model(load("chain2"))
     p = parse("p")
-    real = check_saturation.__globals__["forcing_extension"]
+    real = ilkit.extension.forcing_extension
 
     def planted(model, f, cache):
         # p holds nowhere, while <>p keeps its real extension
         ext = real(model, f, cache)
         return WorldSet(ext.n, 0) if f == p else ext
 
-    # ``ilkit.extension`` names the forcing function, so patch the module's globals
-    monkeypatch.setitem(check_saturation.__globals__, "forcing_extension", planted)
+    monkeypatch.setattr("ilkit.extension.forcing_extension", planted)
     verdict = check_saturation(um, [p])
     assert verdict == UEVerdict(False, (UEWorld(Ultrafilter(2, 0), ()), (p,)))
 
@@ -166,7 +165,7 @@ def test_check_label_saturation_names_the_first_unassured_label(monkeypatch):
         def assured(self, fw, lm):
             return 0 if (fw, lm) == (0, 0b10) else super().assured(fw, lm)
 
-    monkeypatch.setitem(check_label_saturation.__globals__, "FrameOps", Planted)
+    monkeypatch.setattr("ilkit.extension.FrameOps", Planted)
     assert check_label_saturation(chain(2)) == UEVerdict(False, (Ultrafilter(2, 0), up(2, [1])))
 
 

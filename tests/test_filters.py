@@ -1,5 +1,4 @@
 import gc
-import importlib
 import random
 import weakref
 from functools import reduce
@@ -8,7 +7,7 @@ from operator import or_
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ilkit import algebra, filters
+from ilkit import algebra, extension, filters
 from ilkit.corpus import load
 from ilkit.extension import build_ue
 from ilkit.filters import (
@@ -192,7 +191,7 @@ def test_frame_ops_tables_are_built_once_per_frame(monkeypatch):
     monkeypatch.setattr(filters, "s_inv_mask",
                         lambda *a: calls.append("s_inv") or real_sinv(*a))
     monkeypatch.setattr(FrameOps, "_rows",
-                        lambda self, ybars: calls.append("rows") or real_rows(self, ybars))
+                        lambda self, ybar: calls.append("rows") or real_rows(self, ybar))
     fr = random_frame(4, 7)
     u, l = Ultrafilter(4, 0), Filter(4, 0b0100)
     ops = FrameOps(fr)
@@ -217,8 +216,7 @@ def test_frame_ops_tables_are_built_once_per_frame(monkeypatch):
 
 def test_assured_table_and_extension_make_no_s_inv_calls(monkeypatch):
     calls = []
-    # ``ilkit.extension`` the attribute is the forcing function, not the module
-    for module in (algebra, filters, importlib.import_module("ilkit.extension")):
+    for module in (algebra, filters, extension):
         real = module.s_inv_mask
         monkeypatch.setattr(module, "s_inv_mask",
                             lambda *a, real=real: calls.append(a) or real(*a))
