@@ -70,24 +70,24 @@ class SOp(SetTerm):
 
 def r_inv_mask(fr: Frame, xmask: int) -> int:
     out = 0
-    for w in range(fr.n):
-        if fr.r_succ[w] & xmask:
+    for w, row in fr.r_rows[0]:
+        if row & xmask:
             out |= 1 << w
     return out
 
 
 def r_inv_dual_mask(fr: Frame, ymask: int) -> int:
-    out = 0
-    for w in range(fr.n):
-        if fr.r_succ[w] & ~ymask == 0:
+    rows, out = fr.r_rows   # R-leaves hold vacuously
+    for w, row in rows:
+        if not row & ~ymask:
             out |= 1 << w
     return out
 
 
 def s_inv_mask(fr: Frame, xmask: int, ymask: int) -> int:
-    out = 0
-    for w in range(fr.n):
-        hits = fr.r_succ[w] & xmask
+    rows, out = fr.r_rows   # R-leaves hold vacuously
+    for w, row in rows:
+        hits = row & xmask
         while hits:   # one step per set bit, not per position
             low = hits & -hits
             if fr.s_succ[w][low.bit_length() - 1] & ymask == 0:

@@ -6,14 +6,15 @@ reached it: the roots are (f, ()) for every ultrafilter f, and whenever
 edge relation is the transitive closure of those one-step moves, and the
 per-world S relation is generated — inside the successor set of (f, sigma)
 — by reflexivity, the edge relation itself, and agreement of labels at
-position len(sigma): ``frames.complete`` closes the label-agreement
-cliques, given as S seeds, as it closes any frame.  The recursion bottoms
-out because a world whose ultrafilter sits at an R-leaf of the base frame
-assures nothing, so label paths never outgrow the longest base R-chain.
-The labels are every proper filter, 2^n - 1 of them over n base worlds, so
-a base over ``limits.LABEL_WORLDS_LIMIT`` worlds is refused (ValueError)
-before any label is listed, and an extension that outgrows its world cap
-(``limits.UE_WORLDS_CAP`` by default) raises ResourceLimitError.
+position len(sigma).  ``build_ue`` builds both closed, one OR per
+one-step move and per R pair, with no pass of ``frames.complete``.  The
+recursion bottoms out because a world whose ultrafilter sits at an R-leaf
+of the base frame assures nothing, so label paths never outgrow the
+longest base R-chain.  The labels are every proper filter, 2^n - 1 of
+them over n base worlds, so a base over ``limits.LABEL_WORLDS_LIMIT``
+worlds is refused (ValueError) before any label is listed, and an
+extension that outgrows its world cap (``limits.UE_WORLDS_CAP`` by
+default) raises ResourceLimitError.
 
 The construction also covers the classical unary-modality extension as a
 baseline: over a finite frame that one is isomorphic to the frame itself.
@@ -21,14 +22,15 @@ baseline: over a finite frame that one is isomorphic to the frame itself.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 from .algebra import s_inv_mask
 from .filters import (Filter, FrameOps, Ultrafilter, all_proper_filters,
                       all_ultrafilters)
 from .formula import TOP, conj, dia
-from .frames import Frame, Model, WorldSet, _closure, bits, complete
+from .frames import Frame, Model, WorldSet, bits, complete
 from .limits import LABEL_MEMBER_LIMIT, SATURATION_POOL_LIMIT, UE_WORLDS_CAP
 from .semantics import extension as forcing_extension
 from .semantics import force
@@ -76,9 +78,17 @@ def build_ue(base: Frame, max_worlds: int = UE_WORLDS_CAP) -> UEFrame:
     minimum).  Exceeding ``max_worlds`` raises ResourceLimitError rather
     than truncating; a base with more worlds than that raises before any
     world is built, and one over ``LABEL_WORLDS_LIMIT`` worlds raises
-    ValueError before any label is listed.  The frame is ``complete``
-    applied to the closed edge relation and, as S seeds, the
-    label-agreement cliques inside each successor set.
+    ValueError before any label is listed.
+
+    The frame is built closed, with no ``complete``, children first (a
+    child has a longer path, so a higher index).  Under each label, the
+    one-step children and their R rows make a clique: the successors of
+    (f, sigma) whose label at position |sigma| is that label.  R[(f, sigma)]
+    is the union of its cliques, and S_(f, sigma) maps each member u to
+    u's clique.  No closure is needed: agreement is an equivalence, so the
+    cliques are reflexive and transitive, and the R-descendants of u extend
+    u's path, so they share its label at |sigma| and lie in its clique.
+    Only worlds with successors get rows; the R-leaves share one zero tuple.
     """
     if base.n > max_worlds:
         raise ResourceLimitError(f"extension exceeds {max_worlds} worlds; "
@@ -92,7 +102,7 @@ def build_ue(base: Frame, max_worlds: int = UE_WORLDS_CAP) -> UEFrame:
     moves = [[(l, row) for l in labels
               if (row := ops.assured(f.witness, l.min_mask))] for f in ufs]
     path_ids, index, world_path = {}, {}, [0] * len(worlds)
-    one_step = []
+    one_step, cliques = [], {}   # world -> its one-step children, per label
     frontier = range(len(worlds))
     while frontier:
         fresh = []
@@ -100,6 +110,7 @@ def build_ue(base: Frame, max_worlds: int = UE_WORLDS_CAP) -> UEFrame:
             w = worlds[wi]
             for l, row in moves[w.uf.witness]:
                 pid = path_ids.setdefault((world_path[wi], l.min_mask), len(path_ids) + 1)
+                kids = []
                 for g in bits(row):
                     ci = index.get((g, pid))
                     if ci is None:
@@ -112,29 +123,23 @@ def build_ue(base: Frame, max_worlds: int = UE_WORLDS_CAP) -> UEFrame:
                         world_path.append(pid)
                         fresh.append(ci)
                     one_step.append((wi, ci))
+                    kids.append(ci)
+                cliques.setdefault(wi, []).append(kids)
         frontier = fresh
 
     n = len(worlds)
-    r = [0] * n
-    for i, j in one_step:
-        r[i] |= 1 << j
-    _closure(r, range(n))
-    # S seeds: the successors that agree on label k form a clique, and every
-    # R-leaf shares one empty row
-    leaf = (0,) * n
-    seeds = []
-    for i, w in enumerate(worlds):
-        k = len(w.labels)
-        cliques = {}
-        for j in bits(r[i]):
-            cliques.setdefault(worlds[j].labels[k].min_mask, []).append(j)
-        rows = [0] * n if cliques else leaf
-        for clique in cliques.values():
-            mask = sum(1 << j for j in clique)
-            for j in clique:
-                rows[j] = mask
-        seeds.append(tuple(rows))
-    frame = complete(Frame(n, tuple(r), tuple(seeds)))
+    r, s = [0] * n, [(0,) * n] * n   # the R-leaves share one zero tuple
+    for wi, labelled in reversed(cliques.items()):   # children first
+        rows = [0] * n
+        for kids in labelled:
+            clique = 0
+            for j in kids:
+                clique |= 1 << j | r[j]
+            r[wi] |= clique
+            for j in bits(clique):
+                rows[j] = clique
+        s[wi] = tuple(rows)
+    frame = Frame(n, tuple(r), tuple(s))
     return UEFrame(base, worlds, frame, one_step)
 
 
@@ -171,15 +176,21 @@ class UEVerdict:
 
 def check_truth_theorem(m: Model, pool, ue_model: UEModel = None) -> UEVerdict:
     """Base and extension agree: world x forces a pool formula exactly when
-    every extension world built on the ultrafilter at x does."""
+    every extension world built on the ultrafilter at x does.  Compared as
+    masks, so a failure names the lowest extension world that differs."""
     um = ue_model if ue_model is not None else build_ue_model(m)
+    built_on = [0] * m.frame.n   # per base world, the extension worlds on it
+    for i, w in enumerate(um.ue.worlds):
+        built_on[w.uf.witness] |= 1 << i
     base_cache, ue_cache = {}, {}
     for f in pool:
-        base_ext = forcing_extension(m, f, base_cache)
-        ue_ext = forcing_extension(um.model, f, ue_cache)
-        for i, w in enumerate(um.ue.worlds):
-            if (i in ue_ext) != (w.uf.witness in base_ext):
-                return UEVerdict(False, (w.uf.witness, w, f))
+        want = 0
+        for x in bits(forcing_extension(m, f, base_cache).mask):
+            want |= built_on[x]
+        diff = want ^ forcing_extension(um.model, f, ue_cache).mask
+        if diff:
+            w = um.ue.worlds[(diff & -diff).bit_length() - 1]
+            return UEVerdict(False, (w.uf.witness, w, f))
     return UEVerdict(True)
 
 
@@ -310,13 +321,16 @@ def classical_ue(fr: Frame, m: Model = None) -> ClassicalUE:
 
 def ue_to_dict(ue: UEFrame) -> dict:
     """JSON-ready shape: worlds with their witness and label minimum sets,
-    the edge list, and the per-world S families."""
+    the edge list, and the per-world S families.  Each distinct S row value
+    is listed once, as its rows repeat across a clique."""
     worlds = [{"ultrafilter_witness": w.uf.witness,
                "label_min_sets": [sorted(l.min_set()) for l in w.labels]}
               for w in ue.worlds]
     edges = [[i, j] for i, j in ue.frame.r_pairs()]
-    s_families = {str(i): [[u, v] for u, v in ue.frame.s_pairs(i)]
-                  for i in range(len(ue.worlds)) if ue.frame.r_succ[i]}
+    fr, members = ue.frame, cache(lambda row: list(bits(row)))
+    s_families = {str(i): [[u, v] for u in itertools.compress(range(fr.n), fr.s_succ[i])
+                           for v in members(fr.s_succ[i][u])]
+                  for i, _ in fr.r_rows[0]}
     return {"base_worlds": ue.base.n, "worlds": worlds,
             "edges": edges, "s_families": s_families}
 
@@ -332,7 +346,7 @@ def ue_to_dot(ue: UEFrame, name: str = "ue") -> str:
         lines.append(f'  {i} [label="{tag(w)}"];')
     for i, j in ue.frame.r_pairs():
         lines.append(f"  {i} -> {j};")
-    for w in range(len(ue.worlds)):
+    for w, _ in ue.frame.r_rows[0]:   # an R-leaf's S_w is empty
         for i, j in ue.frame.s_pairs(w):
             if i != j:
                 lines.append(f'  {i} -> {j} [style=dashed, label="S({w})"];')

@@ -8,15 +8,16 @@ transitive relation on R[w] that contains R restricted to R[w].
 
 ``complete`` is the one place that closes relations.  Its closure walks
 set bits (``bits``), one OR per pair of the result, closes S_w over R[w]
-only, and closes rows that start equal once: the label-agreement cliques
-of an ultrafilter extension cost about one OR per clique member.  A dense
-chain is still cubic, as its S relations hold about n^3/6 pairs.
+only, and closes rows that start equal once.  A dense chain is still
+cubic, as its S relations hold about n^3/6 pairs.  An ultrafilter
+extension is built closed and never passes through it.
 
-``validate`` costs one step per R pair, n cells per world with
-R-successors and one transitivity scan per distinct row value of S_w.  A
-world without R-successors costs both functions one scan of its S row
-tuple, and nothing if that tuple object was already found all zero: on an
-extension, whose R-leaves share one tuple, neither pays n^2.
+``validate`` costs one step per R pair and per nonzero S cell, a C-speed
+scan of each S row tuple, and one transitivity scan per distinct row
+value of S_w; a world without R-successors whose tuple object was seen
+all zero before costs nothing, so the shared leaf tuple of an extension
+is scanned once.  The preimage operators of ``algebra`` walk
+``Frame.r_rows``, the worlds with R-successors only.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 def bits(mask):
@@ -130,9 +132,16 @@ class Frame:
             for j in bits(row):
                 yield (i, j)
 
+    @cached_property
+    def r_rows(self):
+        """``(w, R[w])`` for the worlds with R-successors, and the R-leaves' mask."""
+        rows = tuple((w, row) for w, row in enumerate(self.r_succ) if row)
+        return rows, self.full_mask & ~sum(1 << w for w, _ in rows)
+
     def s_pairs(self, w):
-        for i, row in enumerate(self.s_succ[w]):
-            for j in bits(row):
+        cells = self.s_succ[w]
+        for i in itertools.compress(range(self.n), cells):
+            for j in bits(cells[i]):
                 yield (i, j)
 
 
@@ -156,12 +165,13 @@ def validate(fr: Frame) -> Verdict:
     ``S-domain`` (w,u,v), ``S-reflexive`` (w,u), ``S-transitive`` (w,u,v,x),
     ``S-contains-R`` (w,u,v).
 
-    Cells that can break no law are skipped: a cell (w, u) with an empty
-    S_w row and u outside R[w], and so every cell of a world with no
-    R-successors whose S_w row tuple is all zero (one ``any`` per tuple
-    object, as extension leaves share one tuple).  Within one S_w, the
-    transitivity scan runs once per distinct row value and its witnesses
-    are replayed, in order, for every u holding that value.
+    Only the cells that can break a law are walked, in order: the cells
+    (w, u) with u in R[w] or a nonzero S_w row, the latter found by one
+    C-speed scan of the row tuple.  A world with no R-successors whose row
+    tuple is all zero costs one ``any`` per tuple object, as extension
+    leaves share one tuple.  Within one S_w, the transitivity scan runs
+    once per distinct row value and its witnesses are replayed, in order,
+    for every u holding that value.
     """
     bad = []
     n, r, s = fr.n, fr.r_succ, fr.s_succ
@@ -178,11 +188,9 @@ def validate(fr: Frame) -> Verdict:
         if not rw and (id(sw) in zero_rows or not any(sw)):
             zero_rows.add(id(sw))
             continue
-        scanned = {}
-        for u, row in enumerate(sw):
-            inside = rw >> u & 1
-            if not (row or inside):
-                continue
+        scanned, members = {}, set(bits(rw))
+        for u in sorted(members.union(itertools.compress(range(n), sw))):
+            row, inside = sw[u], u in members
             if not inside:
                 bad.append(("S-domain", (w, u, row.bit_length() - 1)))
             elif row & ~rw:
@@ -194,7 +202,8 @@ def validate(fr: Frame) -> Verdict:
                 broken = scanned[row] = [
                     (v, (sw[v] & ~row).bit_length() - 1)
                     for v in bits(row) if sw[v] & ~row]
-            bad.extend(("S-transitive", (w, u, v, x)) for v, x in broken)
+            if broken:
+                bad.extend(("S-transitive", (w, u, v, x)) for v, x in broken)
             if inside and r[u] & rw & ~row:
                 v = (r[u] & rw & ~row).bit_length() - 1
                 bad.append(("S-contains-R", (w, u, v)))
@@ -207,8 +216,7 @@ def _closure(rows, members):
     stops growing.  Highest first, so rows that point upward absorb rows
     that are already closed.  A row's closure is the set reachable from
     its starting value, whatever else is closed yet, so members that start
-    equal share the first one's result (equal seeds, such as the cliques
-    of an extension's S_w, close once)."""
+    equal share the first one's result: equal seeds close once."""
     closed = {}
     for u in reversed(members):
         start = row = fresh = rows[u]
@@ -263,11 +271,8 @@ def complete(fr: Frame) -> Frame:
             raise CompletionError(
                 "R closure creates a cycle: " + " -> ".join(map(str, cycle)))
     s = list(fr.s_succ)
-    zero_rows = set()
     for w, seed in enumerate(s):
         rw = r[w]
-        if not rw and id(seed) in zero_rows:
-            continue
         members = list(bits(rw))
         rows = [0] * n
         for u in members:
@@ -279,8 +284,6 @@ def complete(fr: Frame) -> Frame:
             for u in members:
                 rows[u] |= 1 << u | r[u] & rw
             s[w] = tuple(_closure(rows, members))
-        else:
-            zero_rows.add(id(seed))
     return Frame(n, tuple(r), tuple(s))
 
 

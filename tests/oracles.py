@@ -7,8 +7,10 @@ the labeling-lemma and classical-extension oracles: bitmask sweeps that
 check one instance per call, kept as references for the row-at-a-time
 tests that replaced them (the labeling one reads the same ``FrameOps``
 tables as the scoreboard); and ``assured_rows_naive``, the sweep over
-every set that the closed-form assured rows replaced; and ``parse_naive``,
-the recursive-descent parser that the one-loop ``formula.parse`` replaced.
+every set that the closed-form assured rows replaced; ``parse_naive``,
+the recursive-descent parser that the one-loop ``formula.parse`` replaced;
+and ``truth_theorem_naive``, the per-world loop that the mask comparison
+of ``extension.check_truth_theorem`` replaced.
 """
 
 import re
@@ -16,11 +18,13 @@ from itertools import chain, combinations, islice, permutations
 
 from ilkit.algebra import (BoxOp, Complement, DiaOp, Empty, Full, Intersection,
                            SOp, Union, Var, r_inv_mask)
+from ilkit.extension import UEVerdict
 from ilkit.filters import (FrameOps, Ultrafilter, all_proper_filters,
                            all_ultrafilters, assuring_family, b_set)
 from ilkit.formula import (BOT, NESTING_LIMIT, TOP, Atom, Bottom, Box, Implies,
                            ParseError, Rhd, conj, dia, disj, iff, neg)
 from ilkit.frames import CompletionError, Frame, WorldSet, bits
+from ilkit.semantics import extension
 
 
 def r_pairs(fr):
@@ -69,34 +73,38 @@ def validate_naive(fr):
     """Every frame law checked on the pair sets, one cell at a time, with
     the violations in ``frames.validate``'s order: the R laws world by
     world, then the S laws per cell (w, u).  Each witness is the largest
-    offending world (v, or x for transitivity, ascending over v)."""
+    offending world (v, or x for transitivity, ascending over v).  The
+    pairs are indexed by their first worlds once, so an extension of a
+    few hundred worlds takes well under a second."""
     worlds = range(fr.n)
-    r, s = r_pairs(fr), s_triples(fr)
+    succ = {w: set() for w in worlds}
+    for w, u in r_pairs(fr):
+        succ[w].add(u)
+    s_row = {}
+    for w, u, v in s_triples(fr):
+        s_row.setdefault((w, u), set()).add(v)
     bad = []
     for w in worlds:
-        if (w, w) in r:
+        if w in succ[w]:
             bad.append(("R-irreflexive", (w,)))
-        for u in worlds:
-            out = [v for v in worlds
-                   if (w, u) in r and (u, v) in r and (w, v) not in r]
-            if out:
-                bad.append(("R-transitive", (w, u, max(out))))
+        for u in sorted(succ[w]):
+            if succ[u] - succ[w]:
+                bad.append(("R-transitive", (w, u, max(succ[u] - succ[w]))))
     for w in worlds:
-        succ = {u for u in worlds if (w, u) in r}
         for u in worlds:
-            row = {v for v in worlds if (w, u, v) in s}
-            if row and u not in succ:
+            row = s_row.get((w, u), set())
+            if row and u not in succ[w]:
                 bad.append(("S-domain", (w, u, max(row))))
-            elif row - succ:
-                bad.append(("S-domain", (w, u, max(row - succ))))
-            if u in succ and u not in row:
+            elif row - succ[w]:
+                bad.append(("S-domain", (w, u, max(row - succ[w]))))
+            if u in succ[w] and u not in row:
                 bad.append(("S-reflexive", (w, u)))
             for v in sorted(row):
-                out = {x for x in worlds if (w, v, x) in s} - row
+                out = s_row.get((w, v), set()) - row
                 if out:
                     bad.append(("S-transitive", (w, u, v, max(out))))
-            missing = {v for v in succ if (u, v) in r} - row
-            if u in succ and missing:
+            missing = (succ[w] & succ[u]) - row
+            if u in succ[w] and missing:
                 bad.append(("S-contains-R", (w, u, max(missing))))
     return tuple(bad)
 
@@ -160,6 +168,20 @@ def extension_naive(m, f):
     r, s = r_pairs(fr), s_triples(fr)
     ev = {a: set(m.ev_set(a)) for a in m.ev}
     return frozenset(w for w in range(fr.n) if _forces(fr.n, r, s, ev, w, f))
+
+
+def truth_theorem_naive(m, pool, um):
+    """The truth check one extension world at a time: for each pool
+    formula in turn, the first world, in index order, whose forcing
+    differs from that of its ultrafilter's witness in the base."""
+    base_cache, ue_cache = {}, {}
+    for f in pool:
+        base_ext = extension(m, f, base_cache)
+        ue_ext = extension(um.model, f, ue_cache)
+        for i, w in enumerate(um.ue.worlds):
+            if (i in ue_ext) != (w.uf.witness in base_ext):
+                return UEVerdict(False, (w.uf.witness, w, f))
+    return UEVerdict(True)
 
 
 def s_inv_naive(fr, xs, ys):

@@ -101,6 +101,32 @@ def test_s_inv_matches_oracle_on_wide_masks():
         assert got and got != frozenset(range(fr.n))
 
 
+def _preimages_match_oracles(fr, xm, ym):
+    xs, ys = _worlds(xm), _worlds(ym)
+    assert frozenset(r_inv(fr, WorldSet(fr.n, xm))) == oracles.r_inv_naive(fr, xs)
+    assert frozenset(r_inv_dual(fr, WorldSet(fr.n, ym))) == oracles.r_inv_dual_naive(fr, ys)
+    assert (frozenset(s_inv(fr, WorldSet(fr.n, xm), WorldSet(fr.n, ym)))
+            == oracles.s_inv_naive(fr, xs, ys))
+
+
+def test_leaf_skipping_preimages_match_oracles():
+    # the operators walk only worlds with R-successors; R-leaves join
+    # r_inv_dual and s_inv as one mask
+    for n in range(1, 5):
+        for seed in range(4):
+            fr = random_frame(n, seed)
+            for xm, ym in product(range(1 << n), repeat=2):
+                _preimages_match_oracles(fr, xm, ym)
+    rng = random.Random(19)
+    for base in (chain(3), fan(3)):
+        fr = build_ue(base).frame
+        full = (1 << fr.n) - 1
+        for xm, ym in [(0, 0), (full, full), (full, 0)] + [
+                (rng.getrandbits(fr.n), rng.getrandbits(fr.n) | rng.getrandbits(fr.n))
+                for _ in range(40)]:
+            _preimages_match_oracles(fr, xm, ym)
+
+
 def test_translate_shapes():
     assert translate(parse("p")) == Var("p")
     assert translate(parse("F")) == Empty()

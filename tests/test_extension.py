@@ -6,16 +6,16 @@ import time
 import pytest
 
 import ilkit.extension
-from ilkit.corpus import load
+from ilkit.corpus import corpus_models, load
 from ilkit.extension import (
-    ResourceLimitError, UEVerdict, UEWorld, build_ue, build_ue_model,
+    ResourceLimitError, UEModel, UEVerdict, UEWorld, build_ue, build_ue_model,
     check_label_saturation, check_saturation, check_truth_theorem, classical_ue,
     find_assured_successor, ue_force, ue_to_dict, ue_to_dot, witness_from_negated,
 )
 from ilkit.filters import Filter, FrameOps, Ultrafilter
 from ilkit.formula import parse
-from ilkit.frames import (Frame, Model, WorldSet, all_frames, chain, complete, fan,
-                          random_frame, tree, validate)
+from ilkit.frames import (Frame, Model, WorldSet, all_frames, bits, chain, complete,
+                          fan, frame_classes, random_frame, tree, validate)
 from ilkit.semantics import extension
 
 import oracles
@@ -104,6 +104,36 @@ def test_truth_theorem_on_corpus_samples():
     for name in ["chain2", "chain3", "fan2", "fan2-sym", "chain3-square"]:
         m = load(name)
         assert check_truth_theorem(m, pool).ok, name
+
+
+def _benchmark_model(fr):
+    return Model(fr, {"p": [w for w in range(fr.n) if w % 2 == 0],
+                      "q": [w for w in range(fr.n) if w % 3 == 1]})
+
+
+UE_POOL = [parse(t) for t in ["[]p", "<>q", "p |> q", "[]q -> (~p |> q)"]]
+
+
+def test_truth_check_matches_per_world_oracle():
+    for name, corpus_model in corpus_models():
+        m = _benchmark_model(corpus_model.frame)
+        um = build_ue_model(m)
+        assert (check_truth_theorem(m, UE_POOL, um)
+                == oracles.truth_theorem_naive(m, UE_POOL, um) == UEVerdict(True)), name
+    # tampered extension valuations: the first failure's detail must agree
+    m = _benchmark_model(load("pencil-bad1").frame)
+    um = build_ue_model(m)
+    n = len(um.ue)
+    failures = set()
+    for atom in ("p", "q"):
+        for k in (0, 5, n // 2, n - 1):
+            ev = dict(um.model.ev)
+            ev[atom] = WorldSet(n, ev[atom].mask ^ (1 << k | 1 << n - 1 - k // 3))
+            bad = UEModel(um.ue, Model(um.model.frame, ev))
+            got = check_truth_theorem(m, UE_POOL, bad)
+            assert got == oracles.truth_theorem_naive(m, UE_POOL, bad), (atom, k)
+            failures.add(got)
+    assert UEVerdict(True) not in failures and len(failures) > 4
 
 
 def test_truth_theorem_detects_tampered_valuation():
@@ -243,6 +273,50 @@ def test_ue_json_digests_frozen():
         h.update(repr(rows).encode() if any(rows) else b"-")
     assert h.hexdigest() == ("17bbf60b60ff75bad6608ed78312adc2"
                              "b2f5471a8def90087f37e6069755796d")
+
+
+def test_extensions_come_out_closed():
+    # build_ue hands its cliques to no closure: closing again changes
+    # nothing, and both validators find the frame legal
+    bases = [fr for n in range(1, 4) for fr, _ in frame_classes(n)]
+    bases += [m.frame for _, m in corpus_models()] + [chain(4)]
+    for base in bases:
+        fr = build_ue(base).frame
+        assert complete(fr) == fr, base
+        assert validate(fr).violations == oracles.validate_naive(fr) == (), base
+
+
+def _with_s_cell(fr, w, u, row):
+    rows = list(fr.s_succ[w])
+    rows[u] = row
+    return Frame(fr.n, fr.r_succ, fr.s_succ[:w] + (tuple(rows),) + fr.s_succ[w + 1:])
+
+
+def _planted_faults(fr):
+    """Five single-cell faults in a legal extension frame, by name."""
+    n, r, s = fr.n, fr.r_succ, fr.s_succ
+    w = next(w for w in range(n) if r[w])
+    u = next(bits(r[w]))
+    leaf = max(x for x in range(n) if not r[x])   # after leaves sharing the zero tuple
+    # u S_w v for v in R[w], where v's clique holds a world outside u's
+    cw, cu, cv = next((w, u, v) for w in range(n) for u in bits(r[w])
+                      for v in bits(r[w] & ~s[w][u]) if s[w][v] & ~s[w][u] & ~(1 << v))
+    dw, du, dv = next((w, u, v) for w in range(n) for u in bits(r[w])
+                      for v in bits(r[u] & r[w]))
+    return {
+        "stray S pair outside R[w]": _with_s_cell(fr, w, u, s[w][u] | 1 << w),
+        "nonzero S row at a leaf": _with_s_cell(fr, leaf, u, 1 << u),
+        "cleared reflexive bit": _with_s_cell(fr, w, u, s[w][u] & ~(1 << u)),
+        "clique row widened": _with_s_cell(fr, cw, cu, s[cw][cu] | 1 << cv),
+        "dropped pair inside R[u] and R[w]": _with_s_cell(fr, dw, du, s[dw][du] & ~(1 << dv)),
+    }
+
+
+def test_validate_matches_naive_oracle_on_planted_extension_faults():
+    for base in (chain(3), load("pencil-bad1").frame):
+        for fault, fr in _planted_faults(build_ue(base).frame).items():
+            got = validate(fr).violations
+            assert got and got == oracles.validate_naive(fr), fault
 
 
 def test_validate_extensions_budget():

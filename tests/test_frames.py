@@ -97,6 +97,20 @@ def test_validate_flags_each_law():
     assert ("S-contains-R", (0, 1, 2)) in validate(broken).violations
 
 
+def test_s_pairs_lists_every_nonzero_cell():
+    # empty cells are skipped; a stray cell outside R[w] is still listed
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        triples = [(w, i, j) for w in range(n) for i in range(n)
+                   for j in range(n) if rng.random() < 0.1]
+        fr = Frame.build(n, pairs, triples)
+        for w in range(n):
+            assert list(fr.s_pairs(w)) == sorted(
+                (i, j) for v, i, j in oracles.s_triples(fr) if v == w)
+
+
 def test_validate_matches_naive_oracle():
     # seeded random seed relations, most of them illegal
     illegal = 0
