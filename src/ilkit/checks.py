@@ -15,6 +15,9 @@ size; the laws are first-order, so relabelling keeps them and the counts
 are the labelled sweep's.  A failure names the frame the labelled sweep
 would: the first failing labelled frame's representative, the first of
 its class in ``all_frames`` order, comes no later and fails too.
+``translation-agreement`` checks its models as one disjoint-union model:
+forcing and ``eval_term`` read a world's own rows only, so component k of
+each mask is model k's answer.
 
 The sweeps call the public library functions wherever speed permits.
 The labeling-lemma sweeps test whole rows of instances of the frame's
@@ -30,7 +33,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce, wraps
-from itertools import product
+from itertools import accumulate, product
 from operator import and_, or_
 
 from .algebra import (BoxOp, Complement, Intersection, SOp, Union, Var,
@@ -45,7 +48,7 @@ from .filters import (FrameOps, Ultrafilter, all_proper_filters,
                       all_ultrafilters, assuring_family, b_set)
 from .formula import Atom, atoms, conj, enumerate_formulas, parse
 from .frames import (Frame, Model, WorldSet, all_frames, bits, chain,
-                     frame_classes, validate)
+                     disjoint_union, frame_classes, validate)
 from .semantics import extension, frame_valid
 
 # labelled frames of each size up to MAX_N + 1
@@ -230,32 +233,37 @@ def translation_validity():
     return True, f"{axiom_cases} axiom valuations = W, {incl_cases} inclusions"
 
 
+def _agreement_models() -> list[Model]:
+    """Small corpus models, then every small frame under two seeded valuations."""
+    rng = random.Random(0)
+    return [m for _, m in corpus_models() if m.frame.n <= MAX_N] + [
+        Model(fr, {a: WorldSet(fr.n, rng.randrange(1 << fr.n)) for a in ("p", "q")})
+        for fr in _frames_up_to(MAX_N) for _ in range(2)]
+
+
 @_check("translation-agreement")
 def translation_agreement():
-    """eval_term after translate matches the forcing extension."""
+    """eval_term after translate matches the forcing extension; the first
+    failing component, then formula, names the failure."""
     pool = _pool()
-    terms = [(f, translate(f)) for f in pool]
-    models = [m for _, m in corpus_models() if m.frame.n <= MAX_N]
-    rng = random.Random(0)
-    for fr in _frames_up_to(MAX_N):
-        for _ in range(2):
-            models.append(Model(fr, {
-                "p": WorldSet(fr.n, rng.randrange(1 << fr.n)),
-                "q": WorldSet(fr.n, rng.randrange(1 << fr.n))}))
-    cases = 0
-    for m in models:
-        env = {"p": m.ev_set("p"), "q": m.ev_set("q")}
-        ext_cache, term_cache = {}, {}
-        for f, t in terms:
-            cases += 1
-            if extension(m, f, ext_cache) != eval_term(m.frame, env, t, term_cache):
-                return False, f"mismatch on {f} over n={m.frame.n}"
+    models = _agreement_models()
+    starts = list(accumulate((m.frame.n for m in models), initial=0))
+    env = {a: WorldSet(starts[-1], sum(m.ev_mask(a) << o for m, o in zip(models, starts)))
+           for a in ("p", "q")}
+    um, ext_cache, term_cache = Model(disjoint_union([m.frame for m in models]), env), {}, {}
+    diffs = [extension(um, f, ext_cache).mask
+             ^ eval_term(um.frame, env, translate(f), term_cache).mask for f in pool]
+    apart = reduce(or_, diffs)
+    for m, o in zip(models, starts):
+        if part := (1 << m.frame.n) - 1 << o & apart:
+            f = next(f for f, d in zip(pool, diffs) if d & part)
+            return False, f"mismatch on {f} over n={m.frame.n}"
     # also exercise the public one-shot wrapper on a stride
     for m in models[:6]:
         for f in pool[::37]:
             if not agreement(m, f):
                 return False, f"agreement() refutes {f}"
-    return True, f"{len(models)} models x {len(pool)} formulas = {cases} cases"
+    return True, f"{len(models)} models x {len(pool)} formulas = {len(models) * len(pool)} cases"
 
 
 # ------------------------------------------------------- labeling lemmas

@@ -138,11 +138,29 @@ class Frame:
         rows = tuple((w, row) for w, row in enumerate(self.r_succ) if row)
         return rows, self.full_mask & ~sum(1 << w for w, _ in rows)
 
+    @cached_property
+    def succ_lists(self):
+        """Per world, each R-successor with the tuple of its S-successors."""
+        return [[(u, tuple(bits(sw[u]))) for u in bits(row)]
+                for row, sw in zip(self.r_succ, self.s_succ)]
+
     def s_pairs(self, w):
         cells = self.s_succ[w]
         for i in itertools.compress(range(self.n), cells):
             for j in bits(cells[i]):
                 yield (i, j)
+
+
+def disjoint_union(frames) -> Frame:
+    """The frames side by side, each world's rows shifted up past the frames
+    before it; R-leaves, with no S cells when legal, share one zero S tuple."""
+    r, s, zero = [], [], (0,) * sum(fr.n for fr in frames)
+    for fr in frames:
+        base = len(r)
+        r += [row << base for row in fr.r_succ]
+        s += [zero[:base] + tuple(x << base for x in sw) + zero[len(r):] if rw else zero
+              for rw, sw in zip(fr.r_succ, fr.s_succ)]
+    return Frame(len(zero), tuple(r), tuple(s))
 
 
 class CompletionError(ValueError):

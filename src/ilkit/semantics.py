@@ -12,10 +12,13 @@ Frame validity extends the bitmask from worlds to (valuation x world):
 ``j`` is its truth under the block's ``j``-th valuation.  Atoms are fixed
 truth-table columns (or constants, for valuation bits above the block), and
 each connective is a few big-int operations per world, so one pass over the
-formula decides a whole block.  Formulas and the set terms of ``algebra``
+formula decides a whole block.  A block narrows only when its columns
+would outgrow ``2**SWEEP_MEMORY_BITS`` bits; then each check runs as soon as
+its nodes exist, each column is dropped after its last reader, and the width
+follows the peak of live columns.  Formulas and the set terms of ``algebra``
 share one sweep table, ``_COLUMN_OPS``, so the same sweep decides whether a
 term denotes every world under every valuation of its set variables.
-``sweep_apart`` sweeps two frames at once and compares paired points.
+``sweep_apart`` sweeps two frames, side by side, and compares paired points.
 
 Bisimulations are checked on partner bitmasks: the zigzag clause costs one
 OR per S-successor of a successor, once per call, and one subset test per
@@ -32,7 +35,7 @@ from .algebra import (_TERM_OF, Complement, DiaOp, Full, Intersection, Union,
                       Var, r_inv_dual_mask, s_inv_mask)
 from .formula import (Atom, Bottom, Box, Formula, Implies, Node, Rhd,
                       enumerate_formulas, postorder, truth_columns)
-from .frames import Frame, Model, WorldSet, bits
+from .frames import Frame, Model, WorldSet, bits, disjoint_union
 from .limits import VALUATION_BITS_LIMIT
 
 SWEEP_BLOCK_BITS = 12
@@ -123,58 +126,73 @@ _COLUMN_OPS = {
 _COLUMN_OPS.update({t: _COLUMN_OPS[f] for f, t in _TERM_OF.items()})
 
 
-def _sweep_block(nodes, v: dict, succ: list, ones: int) -> dict:
-    """Add to ``v``, which holds the variables' columns, the per-world truth
-    columns of ``nodes`` (each after its subterms) over one block of
-    valuations.  One table, ``_COLUMN_OPS``, serves formulas and set terms.
+def _sweep_block(steps, v: dict, succ, ones: int):
+    """Sweep one block of valuations: per step ``(g, op, after)``, add to
+    ``v`` (which holds the leaves' columns) node g's per-world truth
+    columns, then, if ``after`` is ``(checks, dead)``, run those checks
+    ``(k, (g, a, h, b))`` and drop the dead columns.  Bit ``j`` of a column
+    is the truth under the block's ``j``-th valuation; ``succ[w]`` lists
+    each R-successor u of w with its S_w-successors, and ``ones`` has a bit
+    for every valuation.  Returns the least ``(j, k)`` such that check k
+    fails under valuation j, or None."""
+    fails = []
+    for g, op, after in steps:
+        if op:
+            v[g] = op(succ, ones, *[v[x] for x in g.kids])
+        if after:
+            for k, (x, a, y, b) in after[0]:
+                if fail := v[x][a] ^ v[y][b]:
+                    fails.append(((fail & -fail).bit_length() - 1, k))
+            for x in after[1]:
+                del v[x]
+    return min(fails, default=None)
 
-    Bit ``j`` of a column is the truth under the block's ``j``-th
-    valuation; ``succ[w]`` lists each R-successor u of w with its
-    S_w-successors, and ``ones`` has a bit for every valuation.
-    """
-    for g in nodes:
-        v[g] = _COLUMN_OPS[type(g)](succ, ones, *[v[x] for x in g.kids])
-    return v
 
-
-def _succ_lists(fr: Frame, shift: int = 0) -> list:
-    """Per world, each R-successor with its S-successors, numbered ``shift`` up."""
-    return [[(u + shift, tuple(bits(fr.s_succ[w][u] << shift)))
-             for u in bits(fr.r_succ[w])] for w in range(fr.n)]
-
-
-def _first_failure(nodes, succ: list, n: int, layout, checks, bits_limit=VALUATION_BITS_LIMIT):
+def _first_failure(nodes, succ, n: int, layout, checks, bits_limit=VALUATION_BITS_LIMIT):
     """The least valuation of the leaves of ``nodes`` on ``n`` worlds, by
     name, under which a check ``(g, a, h, b)`` fails (node ``g`` at world
     ``a`` differs from node ``h`` at world ``b``), with its first failing
     check; or None.  Valuations go in ascending blocks, as wide as
-    ``SWEEP_BLOCK_BITS`` and ``SWEEP_MEMORY_BITS`` allow, through the frame
-    ``succ``, whose world w takes the leaves of world ``layout[w]``.
-    Refuses more than ``2**bits_limit`` valuations."""
+    ``SWEEP_BLOCK_BITS`` and the live columns under ``SWEEP_MEMORY_BITS``
+    allow, through the frame ``succ``, whose world w takes the leaves of
+    world ``layout[w]``.  Refuses more than ``2**bits_limit`` valuations."""
     leaves = sorted((g for g in nodes if type(g) in (Atom, Var)), key=lambda g: g.name)
-    inner = [g for g in nodes if type(g) not in (Atom, Var)]
     nbits = len(leaves) * n
     if nbits > bits_limit:
         raise ValueError(
             f"refusing to sweep 2^{nbits} valuations (limit 2^{bits_limit})")
-    width = max(0, min(nbits, SWEEP_BLOCK_BITS,
-                       SWEEP_MEMORY_BITS - (len(nodes) * len(layout) - 1).bit_length()))
+    ops = [_COLUMN_OPS.get(type(g)) for g in nodes]
+    cap = lambda live: SWEEP_MEMORY_BITS - (live * len(layout) - 1).bit_length()
+    # unplanned, every column lives through the block and the checks run last
+    after, peak = [None] * (len(nodes) - 1) + [(list(enumerate(checks)), ())], len(nodes)
+    if cap(peak) < min(nbits, SWEEP_BLOCK_BITS):
+        # the plan: each check runs once its nodes exist, each column goes after its last reader
+        at = {g: i for i, g in enumerate(nodes)}
+        last = {x: i for i, g in enumerate(nodes) for x in (*g.kids, g)}
+        ready, dead = [[] for _ in nodes], [[] for _ in nodes]
+        for k, (g, a, h, b) in enumerate(checks):
+            i = max(at[g], at[h])
+            ready[i].append((k, (g, a, h, b)))
+            last[g], last[h] = max(last[g], i), max(last[h], i)
+        for x, i in last.items():
+            dead[i].append(x)
+        live = peak = ops.count(None)   # the leaves' columns live from the start
+        for op, gone in zip(ops, dead):
+            peak = max(peak, live := live + (op is not None))
+            live -= len(gone)
+        after = list(zip(ready, dead))
+    width = max(0, min(nbits, SWEEP_BLOCK_BITS, cap(peak)))
     ones = (1 << (1 << width)) - 1
     low = truth_columns(width)
     for base in range(0, 1 << nbits, 1 << width):
         # valuation bits below the block width vary inside the block
         cols = [low[t] if t < width else ones if base >> t & 1 else 0
                 for t in range(nbits)]
-        v = _sweep_block(inner, {g: [cols[i * n + w] for w in layout]
-                                 for i, g in enumerate(leaves)}, succ, ones)
-        fail = 0
-        for g, a, h, b in checks:
-            fail |= v[g][a] ^ v[h][b]
-        if fail:
-            j = (fail & -fail).bit_length() - 1
+        v = {g: [cols[i * n + w] for w in layout] for i, g in enumerate(leaves)}
+        if found := _sweep_block(zip(nodes, ops, after), v, succ, ones):
+            j, k = found
             return ({g.name: WorldSet(n, base + j >> i * n & (1 << n) - 1)
-                     for i, g in enumerate(leaves)},
-                    next((g, a, h, b) for g, a, h, b in checks if (v[g][a] ^ v[h][b]) >> j & 1))
+                     for i, g in enumerate(leaves)}, checks[k])
     return None
 
 
@@ -194,7 +212,7 @@ def frame_valid(fr: Frame, f: Node, bits_limit=VALUATION_BITS_LIMIT) -> FrameVer
         raise ValueError(
             f"bits limit {bits_limit} is outside 0..{VALUATION_BITS_LIMIT}")
     # valid: at every world, the same column as the term denoting every world
-    found = _first_failure([*postorder(f), _FULL], _succ_lists(fr), fr.n, range(fr.n),
+    found = _first_failure([*postorder(f), _FULL], fr.succ_lists, fr.n, range(fr.n),
                            [(f, w, _FULL, w) for w in range(fr.n)], bits_limit)
     return FrameVerdict(True) if found is None else FrameVerdict(False, found[0], found[1][1])
 
@@ -206,7 +224,7 @@ def sweep_apart(frl: Frame, frr: Frame, world_map, pairs, formulas):
     ``world_map[w]``, then ``pairs`` and ``formulas`` (subformulas first) in
     order; or None.  One sweep covers both frames, ``frr``'s worlds last."""
     n = frl.n
-    found = _first_failure(formulas, _succ_lists(frl) + _succ_lists(frr, n), n,
+    found = _first_failure(formulas, disjoint_union([frl, frr]).succ_lists, n,
                            [*range(n), *world_map],
                            [(f, wl, f, n + wr) for wl, wr in pairs for f in formulas])
     if found is None:

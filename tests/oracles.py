@@ -9,15 +9,17 @@ tests that replaced them (the labeling one reads the same ``FrameOps``
 tables as the scoreboard); and ``assured_rows_naive``, the sweep over
 every set that the closed-form assured rows replaced; ``parse_naive``,
 the recursive-descent parser that the one-loop ``formula.parse`` replaced;
-and ``truth_theorem_naive``, the per-world loop that the mask comparison
-of ``extension.check_truth_theorem`` replaced.
+``truth_theorem_naive``, the per-world loop that the mask comparison of
+``extension.check_truth_theorem`` replaced; and ``first_disagreement_naive``,
+the per-model loop that the disjoint-union translation-agreement check
+replaced.
 """
 
 import re
 from itertools import chain, combinations, islice, permutations
 
 from ilkit.algebra import (BoxOp, Complement, DiaOp, Empty, Full, Intersection,
-                           SOp, Union, Var, r_inv_mask)
+                           SOp, Union, Var, eval_term, r_inv_mask, translate)
 from ilkit.extension import UEVerdict
 from ilkit.filters import (FrameOps, Ultrafilter, all_proper_filters,
                            all_ultrafilters, assuring_family, b_set)
@@ -182,6 +184,20 @@ def truth_theorem_naive(m, pool, um):
             if (i in ue_ext) != (w.uf.witness in base_ext):
                 return UEVerdict(False, (w.uf.witness, w, f))
     return UEVerdict(True)
+
+
+def first_disagreement_naive(models, pool):
+    """The first ``(model, formula)``, model by model and then in pool
+    order, where ``eval_term`` of the translation differs from the forcing
+    extension, or None: the per-model loop that the disjoint-union
+    translation-agreement check replaced."""
+    for m in models:
+        env = {"p": m.ev_set("p"), "q": m.ev_set("q")}
+        ext_cache, term_cache = {}, {}
+        for f in pool:
+            if extension(m, f, ext_cache) != eval_term(m.frame, env, translate(f), term_cache):
+                return m, f
+    return None
 
 
 def s_inv_naive(fr, xs, ys):

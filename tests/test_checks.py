@@ -1,13 +1,14 @@
 import json
 from functools import reduce
+from itertools import accumulate
 
 import pytest
 
-from ilkit import checks
-from ilkit.algebra import Intersection, eval_term, translate
+from ilkit import algebra, checks
+from ilkit.algebra import DiaOp, Intersection, eval_term, translate
 from ilkit.filters import FrameOps
-from ilkit.formula import conj, parse
-from ilkit.frames import Frame, Model
+from ilkit.formula import Box, conj, parse
+from ilkit.frames import Frame, Model, WorldSet, disjoint_union, validate
 from ilkit.semantics import extension, frame_valid
 
 import oracles
@@ -68,6 +69,56 @@ def test_batched_checks_name_the_instance_a_single_sweep_names(monkeypatch, bad)
     assert not least.valid
     x1 = translate(X1[2])
     assert (eval_term(fr, least.ev, x1).mask == fr.full_mask) == (len(bad) == 2)
+
+
+# ------------------------------------------- translation agreement, one union
+
+
+def _flip_s_inv_at_two_successors(monkeypatch):
+    """``S_inv`` in ``eval_term`` only, flipped at the worlds with exactly two
+    R-successors: a fault that reads each world's own row only."""
+    real = algebra.s_inv_mask
+    monkeypatch.setattr(algebra, "s_inv_mask", lambda fr, x, y: real(fr, x, y) ^ sum(
+        1 << w for w, row in fr.r_rows[0] if row.bit_count() == 2))
+
+
+AGREEMENT_FAULTS = {
+    "clean": (lambda monkeypatch: None, None),
+    "box-as-diamond": (lambda monkeypatch: monkeypatch.setitem(algebra._TERM_OF, Box, DiaOp),
+                       "mismatch on []p over n=1"),
+    "s-inv-flipped": (_flip_s_inv_at_two_successors, "mismatch on p |> p over n=3"),
+}
+
+
+@pytest.mark.parametrize("fault", AGREEMENT_FAULTS)
+def test_translation_agreement_matches_per_model_oracle(monkeypatch, fault):
+    plant, detail = AGREEMENT_FAULTS[fault]
+    plant(monkeypatch)
+    r = checks.translation_agreement()
+    found = oracles.first_disagreement_naive(checks._agreement_models(), checks._pool())
+    if detail is None:
+        assert found is None
+        assert (r.ok, r.detail) == (True, "82 models x 297 formulas = 24354 cases")
+    else:
+        m, f = found
+        assert f"mismatch on {f} over n={m.frame.n}" == detail
+        assert (r.ok, r.detail) == (False, detail)
+
+
+def test_agreement_union_components_are_the_models():
+    models, pool = checks._agreement_models(), checks._pool()
+    union = disjoint_union([m.frame for m in models])
+    assert validate(union).ok
+    assert len({id(union.s_succ[w]) for w in range(union.n) if not union.r_succ[w]}) == 1
+    starts = list(accumulate((m.frame.n for m in models), initial=0))
+    assert union.n == starts[-1]
+    um = Model(union, {a: WorldSet(union.n, sum(m.ev_mask(a) << o for m, o in zip(models, starts)))
+                       for a in ("p", "q")})
+    caches = [{} for _ in models]
+    for f in pool:
+        got = extension(um, f).mask
+        for m, o, cache in zip(models, starts, caches):
+            assert got >> o & m.frame.full_mask == extension(m, f, cache).mask, (f, o)
 
 
 # ------------------------------------------------ labeling lemmas, baseline

@@ -320,11 +320,12 @@ def test_validate_matches_naive_oracle_on_planted_extension_faults():
 
 
 def test_validate_extensions_budget():
-    # equal S rows close and check once, and R-leaves share one zero tuple
+    # build_ue builds its rows closed, and validate walks only the cells in
+    # R[w] and the nonzero ones, scanning the R-leaves' shared zero tuple once
     t0 = time.perf_counter()
     assert validate(build_ue(tree(2, 2)).frame).ok
     assert validate(build_ue(chain(5)).frame).ok
-    assert time.perf_counter() - t0 < 2
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_ue_serialization():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ilkit import checks, pencil
+from ilkit import checks, pencil, semantics
 from ilkit.corpus import load
 from ilkit.formula import Atom, enumerate_formulas
 from ilkit.frames import Frame, Model, WorldSet, chain, fan, random_frame, tree
@@ -202,3 +202,45 @@ def test_swapped_transfer_is_caught_at_its_least_valuation(monkeypatch):
     report = nondefinability_demo(m=3, depth=2)
     assert not report.ok and not report.bisim_ok and report.equiv_ok
     assert report.failure == ("bisim", ev, pair, f)
+
+
+def _count_blocks(monkeypatch):
+    """Record the width of every block the sweeps run, in valuations."""
+    widths, real = [], semantics._sweep_block
+    monkeypatch.setattr(semantics, "_sweep_block", lambda steps, v, succ, ones: (
+        widths.append(ones.bit_length()) or real(steps, v, succ, ones)))
+    return widths
+
+
+def test_demo_sweeps_full_blocks_of_live_columns(monkeypatch):
+    # the columns of all 297 pool formulas at once would cut fan 3's blocks
+    # to 2^10 valuations; dropping each after its last reader keeps 2^12
+    widths = _count_blocks(monkeypatch)
+    assert nondefinability_demo(m=3, depth=2).ok
+    assert widths == [1 << 12] * 4
+
+
+def _swap_good_worlds(a, b):
+    """``transfer_valuation``, then good's worlds a and b trade their atoms."""
+    def swapped(ev, m):
+        out = {}
+        for name, ws in transfer_valuation(ev, m).items():
+            bit_a, bit_b = ws.mask >> a & 1, ws.mask >> b & 1
+            out[name] = WorldSet(ws.n, ws.mask & ~(1 << a | 1 << b) | bit_a << b | bit_b << a)
+        return out
+    return swapped
+
+
+def test_failure_past_the_first_block_is_the_oracles(monkeypatch):
+    # good's worlds 5 and 6 take bad's 4 and 5, so the trade first shows at
+    # valuation 16 (p at bad's world 4); under a 2^12-bit cap the sweep drops
+    # dead columns and runs blocks of 8, so it lands in the third block
+    swapped = _swap_good_worlds(5, 6)
+    ev, pair, f, _ = _naive_first_failure(3, 2, 2, range(1 << 14), swapped)
+    assert ev == _valuation(7, 1 << 4)
+    widths = _count_blocks(monkeypatch)
+    monkeypatch.setattr(semantics, "SWEEP_MEMORY_BITS", 12)
+    monkeypatch.setattr(pencil, "transfer_valuation", swapped)
+    report = nondefinability_demo(m=3, depth=2)
+    assert widths == [1 << 3] * 3
+    assert report.failure == ("bisim" if type(f) is Atom else "equiv", ev, pair, f)

@@ -90,6 +90,16 @@ def test_frame_valid_matches_naive_oracle_on_corpus():
                     oracles.frame_valid_naive(m.frame, f), (name, f)
 
 
+def test_frame_valid_dropping_dead_columns_matches_naive_oracle(monkeypatch):
+    # under a 2^8-bit cap every sweep here drops each column after its last
+    # reader and narrows its blocks; f's checks wait for W, the last node
+    monkeypatch.setattr(semantics, "SWEEP_MEMORY_BITS", 8)
+    formulas = list(enumerate_formulas(["p", "q"], 2, 2))[::11] + list(SCHEMAS.values())
+    for fr in [*all_frames(2), *list(all_frames(3))[::3]]:
+        for f in formulas:
+            assert _verdict(frame_valid(fr, f)) == oracles.frame_valid_naive(fr, f), (fr, f)
+
+
 def test_frame_valid_least_countermodel_past_the_first_block():
     # 7 atoms on 2 worlds: g owns valuation bits 12 and 13, so every
     # valuation of the first block leaves g empty and the formula true
