@@ -19,7 +19,7 @@ from functools import cache
 from . import corpus
 from .algebra import eval_term, term_to_str, translate
 from .calculus import check_proof, proof_from_dict
-from .extension import ResourceLimitError, build_ue, ue_to_dict, ue_to_dot
+from .extension import ResourceLimitError, build_ue, ue_to_dot, ue_to_json
 from .filters import Filter, Ultrafilter, all_assuring_triples, assuring
 from .formula import ParseError, atoms, parse, to_str
 from .frameio import FrameFormatError, load_model, to_dot
@@ -215,7 +215,7 @@ def _cmd_ue(args) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(ue_to_dict(ue), sort_keys=True))
+        print(ue_to_json(ue))
         return 0
     if args.dot:
         print(ue_to_dot(ue), end="")

@@ -64,6 +64,15 @@ class UEFrame:
     def index(self):
         return {w: i for i, w in enumerate(self.worlds)}
 
+    @cached_property
+    def built_on(self):
+        """Per base world x, the mask of the extension worlds whose
+        ultrafilter is the principal one at x."""
+        masks = [0] * self.base.n
+        for i, w in enumerate(self.worlds):
+            masks[w.uf.witness] |= 1 << i
+        return masks
+
     def __len__(self):
         return len(self.worlds)
 
@@ -143,6 +152,14 @@ def build_ue(base: Frame, max_worlds: int = UE_WORLDS_CAP) -> UEFrame:
     return UEFrame(base, worlds, frame, one_step)
 
 
+def _union(built_on, mask):
+    """The extension worlds built on the base worlds in ``mask``."""
+    out = 0
+    for x in bits(mask):
+        out |= built_on[x]
+    return out
+
+
 @dataclass
 class UEModel:
     ue: UEFrame
@@ -153,8 +170,7 @@ def build_ue_model(m: Model, max_worlds: int = UE_WORLDS_CAP) -> UEModel:
     """Extension of a model: a world holds an atom iff the atom's base
     extension belongs to the world's ultrafilter."""
     ue = build_ue(m.frame, max_worlds)
-    ev = {name: WorldSet(len(ue), sum(1 << i for i, w in enumerate(ue.worlds)
-                                      if w.uf.contains(ws)))
+    ev = {name: WorldSet(len(ue), _union(ue.built_on, ws.mask))
           for name, ws in m.ev.items()}
     return UEModel(ue, Model(ue.frame, ev))
 
@@ -179,14 +195,9 @@ def check_truth_theorem(m: Model, pool, ue_model: UEModel = None) -> UEVerdict:
     every extension world built on the ultrafilter at x does.  Compared as
     masks, so a failure names the lowest extension world that differs."""
     um = ue_model if ue_model is not None else build_ue_model(m)
-    built_on = [0] * m.frame.n   # per base world, the extension worlds on it
-    for i, w in enumerate(um.ue.worlds):
-        built_on[w.uf.witness] |= 1 << i
     base_cache, ue_cache = {}, {}
     for f in pool:
-        want = 0
-        for x in bits(forcing_extension(m, f, base_cache).mask):
-            want |= built_on[x]
+        want = _union(um.ue.built_on, forcing_extension(m, f, base_cache).mask)
         diff = want ^ forcing_extension(um.model, f, ue_cache).mask
         if diff:
             w = um.ue.worlds[(diff & -diff).bit_length() - 1]
@@ -333,6 +344,39 @@ def ue_to_dict(ue: UEFrame) -> dict:
                   for i, _ in fr.r_rows[0]}
     return {"base_worlds": ue.base.n, "worlds": worlds,
             "edges": edges, "s_families": s_families}
+
+
+def ue_to_json(ue: UEFrame) -> str:
+    """The text of ``json.dumps(ue_to_dict(ue), sort_keys=True)``, byte for
+    byte, written straight from the frame's rows with no per-pair objects.
+
+    Each distinct S row value gets one list of member strings, built once
+    per clique, and each S cell (u, row) is one join of that list; label
+    minimum sets are written once per mask, the edges in one join, and the
+    world keys of ``s_families`` go in string order, as ``sort_keys`` has
+    them ("0" < "10" < "2")."""
+    fr = ue.frame
+    members = cache(lambda row: [str(v) for v in bits(row)])
+
+    @cache
+    def min_set(mask):
+        return "[" + ", ".join(members(mask)) + "]"
+
+    def pairs(u, row):   # "[u, v1], [u, v2], ..."
+        return f"[{u}, " + f"], [{u}, ".join(members(row)) + "]"
+
+    worlds = ", ".join('{"label_min_sets": [' + ", ".join(min_set(l.min_mask) for l in w.labels)
+                       + '], "ultrafilter_witness": ' + str(w.uf.witness) + "}"
+                       for w in ue.worlds)
+    edges = ", ".join(pairs(i, row) for i, row in fr.r_rows[0])
+    families = {}
+    for i, _ in fr.r_rows[0]:
+        cells = fr.s_succ[i]
+        families[str(i)] = ", ".join(pairs(u, cells[u])
+                                     for u in itertools.compress(range(fr.n), cells))
+    s_families = ", ".join(f'"{key}": [{families[key]}]' for key in sorted(families))
+    return (f'{{"base_worlds": {ue.base.n}, "edges": [{edges}], '
+            f'"s_families": {{{s_families}}}, "worlds": [{worlds}]}}')
 
 
 def ue_to_dot(ue: UEFrame, name: str = "ue") -> str:

@@ -169,11 +169,14 @@ def _first_failure(nodes, succ, n: int, layout, checks, bits_limit=VALUATION_BIT
         # the plan: each check runs once its nodes exist, each column goes after its last reader
         at = {g: i for i, g in enumerate(nodes)}
         last = {x: i for i, g in enumerate(nodes) for x in (*g.kids, g)}
-        ready, dead = [[] for _ in nodes], [[] for _ in nodes]
-        for k, (g, a, h, b) in enumerate(checks):
-            i = max(at[g], at[h])
-            ready[i].append((k, (g, a, h, b)))
-            last[g], last[h] = max(last[g], i), max(last[h], i)
+        ready, dead, pair_at = [[] for _ in nodes], [[] for _ in nodes], {}
+        for k, check in enumerate(checks):
+            g, _, h, _ = check
+            i = pair_at.get((g, h))
+            if i is None:   # once per distinct (g, h): pencil checks all have g is h
+                i = pair_at[g, h] = max(at[g], at[h])
+                last[g], last[h] = max(last[g], i), max(last[h], i)
+            ready[i].append((k, check))
         for x, i in last.items():
             dead[i].append(x)
         live = peak = ops.count(None)   # the leaves' columns live from the start

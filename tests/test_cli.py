@@ -13,6 +13,7 @@ import pytest
 from ilkit.calculus import derived_theorems, proof_to_dict
 from ilkit.cli import _build_parser, main
 from ilkit.corpus import corpus_models, corpus_names, load
+from ilkit.extension import build_ue, ue_to_json
 from ilkit.formula import NESTING_LIMIT
 from ilkit.frameio import WORLDS_LIMIT
 from ilkit.limits import LABEL_WORLDS_LIMIT
@@ -297,6 +298,12 @@ def test_ue_command_caps_the_root_worlds(tmp_path, capsys):
     code, out, err = run(capsys, "ue", str(path), "--cap", "2")
     assert code == 1 and out == ""
     assert err == "extension exceeds 2 worlds; the base alone has 3\n"
+
+
+def test_ue_json_command_prints_ue_to_json(capsys):
+    for name, m in corpus_models():
+        code, out, _ = run(capsys, "ue", name, "--json")
+        assert code == 0 and out == ue_to_json(build_ue(m.frame)) + "\n", name
 
 
 def test_label_worlds_limit(tmp_path, capsys):

@@ -10,7 +10,8 @@ from ilkit.corpus import corpus_models, load
 from ilkit.extension import (
     ResourceLimitError, UEModel, UEVerdict, UEWorld, build_ue, build_ue_model,
     check_label_saturation, check_saturation, check_truth_theorem, classical_ue,
-    find_assured_successor, ue_force, ue_to_dict, ue_to_dot, witness_from_negated,
+    find_assured_successor, ue_force, ue_to_dict, ue_to_dot, ue_to_json,
+    witness_from_negated,
 )
 from ilkit.filters import Filter, FrameOps, Ultrafilter
 from ilkit.formula import parse
@@ -262,8 +263,8 @@ def test_ue_json_digests_frozen():
     for name, (base, size, digest) in want.items():
         ue = build_ue(base)
         assert len(ue) == size, name
-        text = json.dumps(ue_to_dict(ue), sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+        for text in (json.dumps(ue_to_dict(ue), sort_keys=True), ue_to_json(ue)):
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, name
     # too large for JSON here: pin sha256 of (r_succ, s_succ), with an
     # S_w that is empty everywhere written as "-"
     fr = build_ue(tree(2, 2)).frame
@@ -273,6 +274,42 @@ def test_ue_json_digests_frozen():
         h.update(repr(rows).encode() if any(rows) else b"-")
     assert h.hexdigest() == ("17bbf60b60ff75bad6608ed78312adc2"
                              "b2f5471a8def90087f37e6069755796d")
+
+
+def test_ue_to_json_is_json_dumps_of_ue_to_dict():
+    bases = [fr for n in range(1, 4) for fr, _ in frame_classes(n)]
+    bases += [m.frame for _, m in corpus_models()]
+    bases += [random_frame(5, seed) for seed in range(3)]
+    bases.append(chain(2))   # S family empty except at the root
+    for base in bases:
+        ue = build_ue(base)
+        assert ue_to_json(ue) == json.dumps(ue_to_dict(ue), sort_keys=True), base
+    # world keys go in string order: pencil-good1 has S families at 21 worlds
+    keys = list(json.loads(ue_to_json(build_ue(load("pencil-good1").frame)))["s_families"])
+    assert len(keys) == 21 and keys == sorted(keys) != sorted(keys, key=int)
+
+
+def test_ue_to_json_budget():
+    # one join per S cell: json.dumps of ue_to_dict takes over a second here
+    t0 = time.perf_counter()
+    text = ue_to_json(build_ue(chain(5)))
+    assert time.perf_counter() - t0 < 0.5
+    assert text.startswith('{"base_worlds": 5, "edges": [[0, ')
+
+
+def test_built_on_matches_per_world_membership():
+    # on the classes at n <= 3 every set of base worlds is some atom's valuation
+    models = [Model(fr, {f"p{mask}": list(bits(mask)) for mask in range(1 << n)})
+              for n in range(1, 4) for fr, _ in frame_classes(n)]
+    models += [m for _, m in corpus_models()]
+    for m in models:
+        um = build_ue_model(m)
+        worlds = um.ue.worlds
+        assert um.ue.built_on == [sum(1 << i for i, w in enumerate(worlds) if w.uf.witness == x)
+                                  for x in range(m.frame.n)], m.frame
+        for atom, ws in m.ev.items():
+            want = sum(1 << i for i, w in enumerate(worlds) if w.uf.contains(ws))
+            assert um.model.ev[atom].mask == want, (m.frame, atom)
 
 
 def test_extensions_come_out_closed():
