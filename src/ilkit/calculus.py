@@ -12,57 +12,64 @@ than 16 distinct components are rejected rather than guessed at.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-
 from .formula import (BOT, Atom, Bottom, Box, Formula, Implies, Rhd, conj, dia,
                       disj, iff, neg, parse, postorder, to_str, truth_columns)
 from .limits import TAUT_COMPONENT_LIMIT
+from .records import Frozen
 
 
-@dataclass(frozen=True, slots=True)
-class Taut:
-    pass
+class Taut(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class AxiomInstance:
-    schema: str
+class AxiomInstance(Frozen):
+    __slots__ = _fields = ("schema",)
+
+    def __init__(self, schema: str):
+        self._fill(schema)
 
 
-@dataclass(frozen=True, slots=True)
-class MP:
-    premise: int
-    implication: int
+class MP(Frozen):
+    __slots__ = _fields = ("premise", "implication")
+
+    def __init__(self, premise: int, implication: int):
+        self._fill(premise, implication)
 
 
-@dataclass(frozen=True, slots=True)
-class Nec:
-    premise: int
+class Nec(Frozen):
+    __slots__ = _fields = ("premise",)
+
+    def __init__(self, premise: int):
+        self._fill(premise)
 
 
-@dataclass(frozen=True, slots=True)
-class Hyp:
-    index: int
+class Hyp(Frozen):
+    __slots__ = _fields = ("index",)
+
+    def __init__(self, index: int):
+        self._fill(index)
 
 
-@dataclass(frozen=True, slots=True)
-class ProofStep:
-    conclusion: Formula
-    rule: object
+class ProofStep(Frozen):
+    __slots__ = _fields = ("conclusion", "rule")
+
+    def __init__(self, conclusion: Formula, rule):
+        self._fill(conclusion, rule)
 
 
-@dataclass(frozen=True)
-class Proof:
-    hypotheses: tuple
-    steps: tuple
+class Proof(Frozen):
+    _fields = ("hypotheses", "steps")
+
+    def __init__(self, hypotheses: tuple, steps: tuple):
+        self._fill(hypotheses, steps)
 
 
-@dataclass(frozen=True)
-class ProofVerdict:
-    valid: bool
-    conclusion: Formula | None = None
-    failed_step: int | None = None
-    reason: str | None = None
+class ProofVerdict(Frozen):
+    _fields = ("valid", "conclusion", "failed_step", "reason")
+
+    def __init__(self, valid: bool, conclusion: Formula | None = None,
+                 failed_step: int | None = None, reason: str | None = None):
+        self._fill(valid, conclusion, failed_step, reason)
 
     def __bool__(self):
         return self.valid
@@ -347,32 +354,45 @@ def proof_to_dict(p: Proof) -> dict:
     for st in p.steps:
         if type(st.rule) not in _RULE_NAMES:
             raise TypeError(f"unknown justification {st.rule!r}")
-        steps.append({"formula": to_str(st.conclusion),
-                      "rule": _RULE_NAMES[type(st.rule)], **asdict(st.rule)})
+        steps.append({"formula": to_str(st.conclusion), "rule": _RULE_NAMES[type(st.rule)],
+                      **{name: getattr(st.rule, name) for name in st.rule._fields}})
     return {"hypotheses": [to_str(h) for h in p.hypotheses], "steps": steps}
 
 
 def proof_from_dict(d: dict) -> Proof:
-    """Rebuild a proof from ``proof_to_dict``'s form.  Raises ValueError
-    unless ``d`` is an object whose ``hypotheses`` and ``steps`` are lists
-    and whose steps are objects with a string ``schema`` and integer
-    ``premise``, ``implication`` and ``index``."""
+    """Rebuild a proof from ``proof_to_dict``'s form.  Raises ValueError,
+    naming the step and the field, unless ``d`` is an object whose
+    ``hypotheses`` are a list of strings and whose ``steps`` are a list of
+    objects, each with a known ``rule``, its fields (a string ``schema``,
+    integer ``premise``, ``implication`` and ``index``) and a string
+    ``formula``; or if a formula does not parse."""
     if not isinstance(d, dict):
         raise ValueError("a proof must be an object")
     for key in ("hypotheses", "steps"):
         if not isinstance(d.get(key, []), list):
             raise ValueError(f"{key!r} must be a list")
-    hyps = tuple(parse(h) for h in d.get("hypotheses", []))
+    hyps = []
+    for i, h in enumerate(d.get("hypotheses", [])):
+        if type(h) is not str:
+            raise ValueError(f"hypothesis {i} must be of type str")
+        hyps.append(parse(h))
     steps = []
     for i, sd in enumerate(d.get("steps", [])):
         if not isinstance(sd, dict):
             raise ValueError(f"step {i} must be an object")
-        cls = _RULES.get(sd.get("rule"))
+        rule = sd.get("rule")
+        cls = _RULES.get(rule) if type(rule) is str else None
         if cls is None:
-            raise ValueError(f"unknown rule {sd.get('rule')!r}")
-        args = [sd[f.name] for f in fields(cls)]
+            raise ValueError(f"unknown rule {rule!r}")
+        if missing := [name for name in cls._fields if name not in sd]:
+            raise ValueError(f"step {i}: missing {missing[0]!r}")
+        args = [sd[name] for name in cls._fields]
         want = str if cls is AxiomInstance else int
-        if bad := [f.name for f, arg in zip(fields(cls), args) if type(arg) is not want]:
+        if bad := [name for name, arg in zip(cls._fields, args) if type(arg) is not want]:
             raise ValueError(f"step {i}: {bad[0]!r} must be of type {want.__name__}")
+        if "formula" not in sd:
+            raise ValueError(f"step {i}: missing 'formula'")
+        if type(sd["formula"]) is not str:
+            raise ValueError(f"step {i}: 'formula' must be of type str")
         steps.append(ProofStep(parse(sd["formula"]), cls(*args)))
-    return Proof(hyps, tuple(steps))
+    return Proof(tuple(hyps), tuple(steps))

@@ -31,7 +31,6 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, reduce, wraps
 from itertools import accumulate, product
 from operator import and_, or_
@@ -49,6 +48,7 @@ from .filters import (FrameOps, Ultrafilter, all_proper_filters,
 from .formula import Atom, atoms, conj, enumerate_formulas, parse
 from .frames import (Frame, Model, WorldSet, all_frames, bits, chain,
                      disjoint_union, frame_classes, validate)
+from .records import Record
 from .semantics import extension, frame_valid
 
 # labelled frames of each size up to MAX_N + 1
@@ -61,12 +61,11 @@ MAX_N = 3
 _SCHEMA_ARITY = {name: len(atoms(f) & set(_META)) for name, f in SCHEMAS.items()}
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
-    seconds: float = 0.0
+class CheckResult(Record):
+    _fields = ("name", "ok", "detail", "seconds")
+
+    def __init__(self, name: str, ok: bool, detail: str = "", seconds: float = 0.0):
+        self._fill(name, ok, detail, seconds)
 
     def __bool__(self):
         return self.ok

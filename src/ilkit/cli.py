@@ -267,7 +267,7 @@ def _cmd_prove_check(args) -> int:
         with open(args.proof, encoding="utf-8") as fh:
             payload = json.load(fh)
         proof = proof_from_dict(payload)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:   # json.load recurses per level
         raise UsageError(f"{args.proof}: {exc}") from None
     verdict = check_proof(proof)
     if verdict.valid:

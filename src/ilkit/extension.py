@@ -23,7 +23,6 @@ baseline: over a finite frame that one is isomorphic to the frame itself.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
 from .algebra import s_inv_mask
@@ -32,6 +31,7 @@ from .filters import (Filter, FrameOps, Ultrafilter, all_proper_filters,
 from .formula import TOP, conj, dia
 from .frames import Frame, Model, WorldSet, bits, complete
 from .limits import LABEL_MEMBER_LIMIT, SATURATION_POOL_LIMIT, UE_WORLDS_CAP
+from .records import Frozen, Record
 from .semantics import extension as forcing_extension
 from .semantics import force
 
@@ -40,14 +40,20 @@ class ResourceLimitError(RuntimeError):
     """The extension would exceed the configured world cap."""
 
 
-@dataclass(frozen=True, slots=True)
-class UEWorld:
-    uf: Ultrafilter
-    labels: tuple
+class UEWorld(Frozen):
+    __slots__ = _fields = ("uf", "labels")
+
+    def __init__(self, uf: Ultrafilter, labels: tuple):
+        _set_uf(self, uf)
+        _set_labels(self, labels)
 
     def __repr__(self):
         path = ",".join(repr(l) for l in self.labels)
         return f"({self.uf!r},[{path}])"
+
+
+# the slots' setters, for the constructor above
+_set_uf, _set_labels = UEWorld.uf.__set__, UEWorld.labels.__set__
 
 
 class UEFrame:
@@ -160,10 +166,11 @@ def _union(built_on, mask):
     return out
 
 
-@dataclass
-class UEModel:
-    ue: UEFrame
-    model: Model
+class UEModel(Record):
+    _fields = ("ue", "model")
+
+    def __init__(self, ue: UEFrame, model: Model):
+        self._fill(ue, model)
 
 
 def build_ue_model(m: Model, max_worlds: int = UE_WORLDS_CAP) -> UEModel:
@@ -181,10 +188,11 @@ def ue_force(um: UEModel, w, f) -> bool:
     return force(um.model, i, f)
 
 
-@dataclass(frozen=True)
-class UEVerdict:
-    ok: bool
-    detail: tuple | None = None
+class UEVerdict(Frozen):
+    _fields = ("ok", "detail")
+
+    def __init__(self, ok: bool, detail: tuple | None = None):
+        self._fill(ok, detail)
 
     def __bool__(self):
         return self.ok
@@ -301,11 +309,11 @@ def witness_from_negated(fr: Frame, f: Ultrafilter, a: WorldSet, b: WorldSet):
     return None
 
 
-@dataclass
-class ClassicalUE:
-    frame: Frame
-    witnesses: tuple
-    model: Model | None = None
+class ClassicalUE(Record):
+    _fields = ("frame", "witnesses", "model")
+
+    def __init__(self, frame: Frame, witnesses: tuple, model: Model | None = None):
+        self._fill(frame, witnesses, model)
 
 
 def classical_ue(fr: Frame, m: Model = None) -> ClassicalUE:

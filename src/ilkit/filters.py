@@ -26,21 +26,20 @@ The labels and the preimage tables number 2^n for n worlds, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import r_inv_dual_mask, r_inv_mask, s_inv_mask
 from .frames import Frame, WorldSet, bits
 from .limits import check_label_worlds
+from .records import Ordered
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Ultrafilter:
-    n: int
-    witness: int
+class Ultrafilter(Ordered):
+    __slots__ = _fields = ("n", "witness")
 
-    def __post_init__(self):
-        if not 0 <= self.witness < self.n:
-            raise ValueError(f"witness {self.witness} out of range for n={self.n}")
+    def __init__(self, n: int, witness: int):
+        if not 0 <= witness < n:
+            raise ValueError(f"witness {witness} out of range for n={n}")
+        _set_uf_n(self, n)
+        _set_witness(self, witness)
 
     def contains(self, ws) -> bool:
         mask = ws.mask if isinstance(ws, WorldSet) else int(ws)
@@ -53,14 +52,14 @@ class Ultrafilter:
         return f"U{self.witness}"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Filter:
-    n: int
-    min_mask: int
+class Filter(Ordered):
+    __slots__ = _fields = ("n", "min_mask")
 
-    def __post_init__(self):
-        if not 0 <= self.min_mask < (1 << self.n):
-            raise ValueError(f"min mask {self.min_mask:#x} out of range")
+    def __init__(self, n: int, min_mask: int):
+        if not 0 <= min_mask < (1 << n):
+            raise ValueError(f"min mask {min_mask:#x} out of range")
+        _set_filter_n(self, n)
+        _set_min_mask(self, min_mask)
 
     @property
     def is_proper(self) -> bool:
@@ -80,6 +79,11 @@ class Filter:
 
     def __repr__(self):
         return f"up{self.min_set()!r}"
+
+
+# the slots' setters, for the constructors above
+_set_uf_n, _set_witness = Ultrafilter.n.__set__, Ultrafilter.witness.__set__
+_set_filter_n, _set_min_mask = Filter.n.__set__, Filter.min_mask.__set__
 
 
 def all_ultrafilters(fr: Frame) -> list[Ultrafilter]:

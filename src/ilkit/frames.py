@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
+
+from .records import Frozen, Ordered
 
 
 def bits(mask):
@@ -36,16 +37,16 @@ def bits(mask):
         mask ^= low
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class WorldSet:
+class WorldSet(Ordered):
     """A subset of the worlds ``0..n-1``, stored as a bitmask."""
 
-    n: int
-    mask: int
+    __slots__ = _fields = ("n", "mask")
 
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
+    def __init__(self, n: int, mask: int):
+        if not 0 <= mask < (1 << n):
+            raise ValueError(f"mask {mask:#x} out of range for n={n}")
+        _set_n(self, n)
+        _set_mask(self, mask)
 
     @classmethod
     def from_iter(cls, n, worlds):
@@ -100,13 +101,20 @@ class WorldSet:
         return "{" + ",".join(str(w) for w in self) + "}"
 
 
-@dataclass(frozen=True)
-class Frame:
+# the slots' setters, for the constructor above
+_set_n, _set_mask = WorldSet.n.__set__, WorldSet.mask.__set__
+
+
+class Frame(Frozen):
     """A finite Veltman frame over worlds ``0..n-1``."""
 
-    n: int
-    r_succ: tuple[int, ...]
-    s_succ: tuple[tuple[int, ...], ...]
+    _fields = ("n", "r_succ", "s_succ")   # dict-backed, for the cached properties
+
+    def __init__(self, n: int, r_succ: tuple[int, ...], s_succ: tuple[tuple[int, ...], ...]):
+        # not through ``self.__dict__``, which would slow attribute reads
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r_succ", r_succ)
+        object.__setattr__(self, "s_succ", s_succ)
 
     @classmethod
     def build(cls, n, r_pairs=(), s_triples=()):
@@ -167,10 +175,11 @@ class CompletionError(ValueError):
     """The least legal extension of the given seed relations does not exist."""
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    violations: tuple = ()
+class Verdict(Frozen):
+    _fields = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple = ()):
+        self._fill(ok, violations)
 
     def __bool__(self):
         return self.ok

@@ -20,27 +20,25 @@ what rescues the condition there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formula import Atom, enumerate_formulas
 from .frames import Frame, Model, WorldSet, bits, complete
 from .limits import FAN_LIMIT
+from .records import Frozen, Record
 from .semantics import check_bisim, sweep_apart
 
 
-@dataclass(frozen=True, slots=True)
-class PencilWitness:
-    x: int
-    y: int
-    z: int
-    u: int
-    v: int
+class PencilWitness(Frozen):
+    __slots__ = _fields = ("x", "y", "z", "u", "v")
+
+    def __init__(self, x: int, y: int, z: int, u: int, v: int):
+        self._fill(x, y, z, u, v)
 
 
-@dataclass(frozen=True)
-class PencilVerdict:
-    in_class: bool
-    witness: PencilWitness | None = None
+class PencilVerdict(Frozen):
+    _fields = ("in_class", "witness")
+
+    def __init__(self, in_class: bool, witness: PencilWitness | None = None):
+        self._fill(in_class, witness)
 
     def __bool__(self):
         return self.in_class
@@ -100,16 +98,16 @@ def transfer_valuation(ev: dict, m: int) -> dict:
     return out
 
 
-@dataclass
-class DemoReport:
-    fan: int
-    trials: int   # valuations swept
-    depth: int
-    bad_witness: PencilWitness
-    good_in_class: bool
-    bisim_ok: bool
-    equiv_ok: bool
-    failure: tuple | None = None
+class DemoReport(Record):
+    _fields = ("fan", "trials", "depth", "bad_witness", "good_in_class",
+               "bisim_ok", "equiv_ok", "failure")
+
+    def __init__(self, fan: int, trials: int, depth: int, bad_witness: PencilWitness,
+                 good_in_class: bool, bisim_ok: bool, equiv_ok: bool,
+                 failure: tuple | None = None):
+        # trials: the valuations swept
+        self._fill(fan, trials, depth, bad_witness, good_in_class, bisim_ok,
+                   equiv_ok, failure)
 
     @property
     def ok(self):

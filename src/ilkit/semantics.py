@@ -27,7 +27,6 @@ candidate partner.  Pairs outside the models are refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
@@ -37,6 +36,7 @@ from .formula import (Atom, Bottom, Box, Formula, Implies, Node, Rhd,
                       enumerate_formulas, postorder, truth_columns)
 from .frames import Frame, Model, WorldSet, bits, disjoint_union
 from .limits import VALUATION_BITS_LIMIT
+from .records import Frozen
 
 SWEEP_BLOCK_BITS = 12
 SWEEP_MEMORY_BITS = 23   # a block's columns hold at most 2**23 bits (1 MiB)
@@ -72,11 +72,13 @@ def model_valid(m: Model, f: Formula) -> bool:
     return extension(m, f).mask == m.frame.full_mask
 
 
-@dataclass(frozen=True)
-class FrameVerdict:
-    valid: bool
-    ev: dict | None = None
-    world: int | None = None
+class FrameVerdict(Frozen):
+    _fields = ("valid", "ev", "world")
+
+    def __init__(self, valid: bool, ev: dict | None = None, world: int | None = None):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "ev", ev)
+        object.__setattr__(self, "world", world)
 
     def __bool__(self):
         return self.valid
@@ -236,12 +238,13 @@ def sweep_apart(frl: Frame, frr: Frame, world_map, pairs, formulas):
     return ev, (wl, wr - n), f
 
 
-@dataclass(frozen=True)
-class BisimVerdict:
-    ok: bool
-    pair: tuple | None = None
-    clause: str | None = None   # "atoms" | "forth" | "back"
-    witness: tuple | None = None
+class BisimVerdict(Frozen):
+    _fields = ("ok", "pair", "clause", "witness")
+
+    def __init__(self, ok: bool, pair: tuple | None = None,
+                 clause: str | None = None, witness: tuple | None = None):
+        # clause: "atoms" | "forth" | "back"
+        self._fill(ok, pair, clause, witness)
 
     def __bool__(self):
         return self.ok

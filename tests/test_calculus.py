@@ -174,3 +174,41 @@ def test_proof_dict_errors():
     d = proof_to_dict(derived_theorems()["rhd-refl"][1])
     assert d["steps"][-1]["rule"] == "mp"
     assert all(isinstance(s["formula"], str) for s in d["steps"])
+
+
+def test_proof_dict_field_errors_name_the_step_and_field():
+    for doc, message in (
+            ({"steps": [{"rule": "hyp", "formula": "p"}]}, "step 0: missing 'index'"),
+            ({"steps": [{"rule": "nec", "formula": "[]p"}]}, "step 0: missing 'premise'"),
+            ({"steps": [{"rule": "mp", "premise": 0, "formula": "p"}]},
+             "step 0: missing 'implication'"),
+            ({"steps": [{"rule": "axiom", "formula": "p"}]}, "step 0: missing 'schema'"),
+            ({"steps": [{"rule": "taut", "formula": "p -> p"}, {"rule": "taut"}]},
+             "step 1: missing 'formula'"),
+            ({"steps": [{"rule": "taut", "formula": 5}]}, "step 0: 'formula' must be of type str"),
+            ({"steps": [{"rule": "taut", "formula": ["p"]}]},
+             "step 0: 'formula' must be of type str"),
+            ({"hypotheses": ["p", 3], "steps": []}, "hypothesis 1 must be of type str"),
+            ({"hypotheses": [None]}, "hypothesis 0 must be of type str"),
+            ({"steps": [{"rule": ["taut"], "formula": "p"}]}, "unknown rule ['taut']"),
+            ({"steps": [{"formula": "p"}]}, "unknown rule None"),
+            # a field's type is checked before the formula is looked for
+            ({"steps": [{"rule": "nec", "premise": "0"}]},
+             "step 0: 'premise' must be of type int")):
+        with pytest.raises(ValueError) as exc:
+            proof_from_dict(doc)
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+def test_proof_dict_fields_in_rule_order():
+    order = {"taut": [], "axiom": ["schema"], "mp": ["premise", "implication"],
+             "nec": ["premise"]}
+    for _, proof in derived_theorems().values():
+        for step in proof_to_dict(proof)["steps"]:
+            assert list(step) == ["formula", "rule", *order[step["rule"]]]
+    hyps = Proof((parse("p"),), (ProofStep(parse("p"), Hyp(0)),
+                                 ProofStep(parse("[]p"), Nec(0))))
+    assert proof_to_dict(hyps) == {"hypotheses": ["p"], "steps": [
+        {"formula": "p", "rule": "hyp", "index": 0},
+        {"formula": "[]p", "rule": "nec", "premise": 0}]}
+    assert proof_from_dict(proof_to_dict(hyps)) == hyps

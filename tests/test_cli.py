@@ -379,11 +379,26 @@ def test_prove_check_command(tmp_path, capsys):
                          "step 0: 'implication' must be of type int"),
                         ({"hypotheses": ["p"],
                           "steps": [{"rule": "hyp", "index": 0.0, "formula": "p"}]},
-                         "step 0: 'index' must be of type int")):
+                         "step 0: 'index' must be of type int"),
+                        ({"hypotheses": ["p"], "steps": [{"rule": "hyp", "formula": "p"}]},
+                         "step 0: missing 'index'"),
+                        ({"steps": [{"rule": "taut"}]}, "step 0: missing 'formula'"),
+                        ({"steps": [{"rule": "taut", "formula": 7}]},
+                         "step 0: 'formula' must be of type str"),
+                        ({"hypotheses": [["p"]], "steps": []},
+                         "hypothesis 0 must be of type str"),
+                        ({"steps": [{"rule": {"taut": 1}, "formula": "p"}]},
+                         "unknown rule {'taut': 1}")):
         garbled.write_text(json.dumps(doc))
         code, out, err = run(capsys, "prove-check", str(garbled))
         assert code == 2 and out == ""
         assert err == f"ilkit: {garbled}: {reason}\n"
+
+    # JSON nested past the decoder's recursion limit is a bad request too
+    garbled.write_text('{"steps": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run(capsys, "prove-check", str(garbled))
+    assert code == 2 and out == ""
+    assert err.startswith(f"ilkit: {garbled}: maximum recursion depth exceeded")
 
 
 def test_pencil_demo_command(capsys):
