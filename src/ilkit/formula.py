@@ -7,10 +7,12 @@ definable and gets expanded eagerly by the builder functions, so the rest
 of the toolkit only ever pattern-matches on the core.
 
 Nodes are hash-consed: building a node equal to a live one returns that
-node, so ``==`` is ``is`` and ``parse(to_str(f)) is f``.  Walks over formulas
-and the set terms of ``algebra`` are loops, not recursion: over ``postorder``
-(each distinct subterm once, after its subterms; immutable, so cached on the
-root), or for printing, which repeats shared subterms, over one work stack.
+node, so ``==`` is ``is`` and ``parse(to_str(f)) is f``; each class fixes
+once whether a new node's arguments are its kids.  Walks over formulas and
+the set terms of ``algebra`` are loops, not recursion: over ``postorder``
+(each distinct subterm once, after its subterms, off a stack of nodes and
+finishing markers; cached on the root), or for printing, which repeats
+shared subterms, over one work stack.
 
 ASCII grammar (loosest binding first)::
 
@@ -24,7 +26,8 @@ Atoms match ``[a-z][a-z0-9_]*``.  An unparenthesized ``a |> b |> c`` is a
 parse error rather than a silent grouping choice.  ``parse`` is one loop
 over the tokens with the pending operators on an explicit stack, so it never
 recurses; it refuses parentheses nested deeper than ``NESTING_LIMIT``, and
-prefix operators and ``->`` chains of any length parse.
+prefix operators and ``->`` chains of any length parse.  A leaf table
+builds each distinct atom once per parse.
 """
 
 from __future__ import annotations
@@ -59,20 +62,25 @@ def _forget(ref):
 class Node:
     """Immutable hash-consed tree node, the base of formulas and set terms.
 
-    A node class lists its constructor arguments in ``__slots__``; ``kids``
-    holds those that are nodes, ``_walk`` a cached ``postorder``.  Building
-    returns the live equal node if there is one; the table is weak, so a
-    node dies with its last user.  A hit is one dict read with no lock; a
-    miss takes the lock, looks again and fills the slots through setters
-    fetched once per class.
+    A node class lists its constructor arguments in ``__slots__``: the one
+    ``name`` of an atom or variable, or only nodes, which are then its
+    ``kids`` (a class mixing the two is refused when defined); ``_walk`` is
+    a cached ``postorder``.  Building returns the live equal node if there
+    is one; the table is weak, so a node dies with its last user.  A hit is
+    one dict read with no lock; a miss takes the lock, looks again and fills
+    the slots through setters fetched once per class.
     """
 
     __slots__ = ("kids", "_walk", "__weakref__")
-    _setters = ()
+    _setters, _named = (), False
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        slots = cls.__slots__
+        if "name" in slots and len(slots) > 1:
+            raise TypeError(f"{cls.__name__} mixes a name with node arguments")
+        cls._setters = tuple(getattr(cls, name).__set__ for name in slots)
+        cls._named = slots == ("name",)
 
     def __new__(cls, *args):
         key = (cls, *args)
@@ -87,9 +95,9 @@ class Node:
             if ref is not None and (node := ref()) is not None:
                 return node
             node = object.__new__(cls)
-            for setter, value in zip(cls._setters, args):
-                setter(node, value)
-            object.__setattr__(node, "kids", tuple([a for a in args if isinstance(a, Node)]))
+            _set_kids(node, () if cls._named else args)
+            for i, setter in enumerate(cls._setters):
+                setter(node, args[i])
             ref = _NODES[key] = _Ref(node, _forget)
             ref.key = key
         return node
@@ -101,6 +109,10 @@ class Node:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
+_set_kids = Node.kids.__set__
+_DONE = object()   # on the ``postorder`` stack: the node under it is finished
+
+
 def postorder(root: Node, enter=None) -> tuple:
     """Each distinct subterm of ``root`` once, after its subterms; with
     ``enter``, nodes failing ``enter(node)`` come unopened.  Without
@@ -110,16 +122,16 @@ def postorder(root: Node, enter=None) -> tuple:
     if enter is None and (walk := getattr(root, "_walk", None)) is not None:
         return walk + (root,)
     seen, out = set(), []
-    stack = [(root, False)]
+    stack = [root]
     while stack:
-        node, ready = stack.pop()
-        if ready:
-            out.append(node)
+        node = stack.pop()
+        if node is _DONE:
+            out.append(stack.pop())
         elif node not in seen:
             seen.add(node)
-            stack.append((node, True))
+            stack += (node, _DONE)
             if enter is None or enter(node):
-                stack.extend((kid, False) for kid in reversed(node.kids))
+                stack += reversed(node.kids)
     if enter is None:
         object.__setattr__(root, "_walk", tuple(out[:-1]))
     return tuple(out)
@@ -281,6 +293,7 @@ def parse(text: str) -> Formula:
     # operators before it) entry; ``wraps`` are the prefix operators of the
     # operand being read.
     ops, lefts, wraps = [], [], []
+    leaves = {"F": BOT, "T": TOP}   # and each atom, built once per parse
     depth, i = 0, -1   # i: the index of the token in hand
     while True:
         i += 1
@@ -295,18 +308,16 @@ def parse(text: str) -> Formula:
             ops.append((0, wraps))
             wraps = []
             continue
-        if tok == "F":
-            f = BOT
-        elif tok == "T":
-            f = TOP
-        elif "a" <= tok[:1] <= "z":
-            f = Atom(tok)
-        else:
-            raise _error(text, i,
-                         f"unexpected {tok!r}" if tok else "unexpected end of input")
+        f = leaves.get(tok)
+        if f is None:
+            if not "a" <= tok[:1] <= "z":
+                raise _error(text, i,
+                             f"unexpected {tok!r}" if tok else "unexpected end of input")
+            f = leaves[tok] = Atom(tok)
         while True:   # the operand is read: wrap it, then close parentheses
-            for wrap in reversed(wraps):
-                f = wrap(f)
+            if wraps:
+                for wrap in reversed(wraps):
+                    f = wrap(f)
             i += 1
             tok = toks[i]
             if tok != ")" or not depth:

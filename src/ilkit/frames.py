@@ -29,6 +29,17 @@ from functools import cached_property
 from .records import Frozen, Ordered
 
 
+class _cached(cached_property):
+    """Stored past ``__dict__``, whose creation slows every attribute read."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.attrname, value)
+        return value
+
+
 def bits(mask):
     """The indices of the set bits of ``mask``, lowest first."""
     while mask:
@@ -140,13 +151,13 @@ class Frame(Frozen):
             for j in bits(row):
                 yield (i, j)
 
-    @cached_property
+    @_cached
     def r_rows(self):
         """``(w, R[w])`` for the worlds with R-successors, and the R-leaves' mask."""
         rows = tuple((w, row) for w, row in enumerate(self.r_succ) if row)
         return rows, self.full_mask & ~sum(1 << w for w, _ in rows)
 
-    @cached_property
+    @_cached
     def succ_lists(self):
         """Per world, each R-successor with the tuple of its S-successors."""
         return [[(u, tuple(bits(sw[u]))) for u in bits(row)]

@@ -10,9 +10,10 @@ tables as the scoreboard); and ``assured_rows_naive``, the sweep over
 every set that the closed-form assured rows replaced; ``parse_naive``,
 the recursive-descent parser that the one-loop ``formula.parse`` replaced;
 ``truth_theorem_naive``, the per-world loop that the mask comparison of
-``extension.check_truth_theorem`` replaced; and ``first_disagreement_naive``,
+``extension.check_truth_theorem`` replaced; ``first_disagreement_naive``,
 the per-model loop that the disjoint-union translation-agreement check
-replaced.
+replaced; and ``postorder_naive``, a recursive walk beside the stack walk
+of ``formula.postorder``.
 """
 
 import re
@@ -747,3 +748,20 @@ def parse_naive(text):
     grammar level: the parser that ``formula.parse`` replaced, kept
     unchanged with its tokenizer, errors and positions included."""
     return _Parser(text).run()
+
+
+def postorder_naive(root, enter=None):
+    """Each distinct subterm of ``root`` once, after its subterms, by plain
+    recursion; nodes failing ``enter(node)`` come unopened."""
+    seen, out = set(), []
+
+    def visit(node):
+        if node not in seen:
+            seen.add(node)
+            if enter is None or enter(node):
+                for kid in node.kids:
+                    visit(kid)
+            out.append(node)
+
+    visit(root)
+    return tuple(out)

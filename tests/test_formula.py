@@ -1,19 +1,21 @@
 import copy
 import gc
+import importlib.util
 import pickle
 import random
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ilkit.algebra import eval_term, term_to_str, translate
+from ilkit import algebra, formula
+from ilkit.algebra import SetTerm, Var, eval_term, term_to_str, translate
 from ilkit.calculus import SCHEMAS, is_tautology
-from ilkit import formula
 from ilkit.formula import (
-    Atom, Bottom, Box, Implies, Rhd, BOT, NESTING_LIMIT, TOP,
+    Atom, Bottom, Box, Formula, Implies, Node, Rhd, BOT, NESTING_LIMIT, TOP,
     atoms, conj, dia, disj, enumerate_formulas, iff, modal_depth, neg,
     parse, ParseError, postorder, size, to_str,
 )
@@ -190,6 +192,36 @@ def test_wrong_arity_is_refused_and_not_interned():
     assert len(formula._NODES) == before
 
 
+def _concrete_node_classes():
+    classes = [c for m in (formula, algebra) for c in vars(m).values()
+               if isinstance(c, type) and issubclass(c, Node) and c.__module__ == m.__name__]
+    return [c for c in classes if not any(d is not c and issubclass(d, c) for d in classes)]
+
+
+def test_kids_are_the_node_arguments_in_order():
+    classes = _concrete_node_classes()
+    assert {Atom, Bottom, Implies, Box, Rhd, Var} <= set(classes) and len(classes) == 14
+    for cls in classes:
+        leaf = Atom if issubclass(cls, Formula) else Var
+        assert issubclass(cls, (Formula, SetTerm))
+        if cls.__slots__ == ("name",):
+            arg_lists = [("kid_a",)]
+        else:
+            arity = len(cls.__slots__)
+            arg_lists = [tuple(leaf(f"kid_{i}") for i in range(arity)),
+                         (leaf("kid_a"),) * arity]
+        for args in arg_lists:
+            node = cls(*args)
+            assert node.kids == tuple([a for a in args if isinstance(a, Node)]), cls
+            assert tuple(getattr(node, name) for name in cls.__slots__) == args
+
+
+def test_a_class_mixing_a_name_with_nodes_is_refused():
+    for slots in (("name", "body"), ("lhs", "name")):
+        with pytest.raises(TypeError, match="mixes a name"):
+            type("Labelled", (Formula,), {"__slots__": slots})
+
+
 def _fresh_walk(root):
     """``postorder`` without its cache: an ``enter`` that opens every node."""
     return postorder(root, lambda g: True)
@@ -223,6 +255,31 @@ def test_cached_walk_leaves_pickling_and_freeing_alone():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _mc_style_formulas(monkeypatch, count, depth):
+    """Deep formulas as the benchmark's ``mc`` requests build them, parsed
+    from their text; the generator is read from source, writing no bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(23)
+    return [parse(gen.to_text(gen.deep_formula(rng, depth, ("p", "q", "r"))))
+            for _ in range(count)]
+
+
+def test_postorder_matches_a_recursive_walk(monkeypatch):
+    roots = [*enumerate_formulas(["p", "q"], 2, 3), *SCHEMAS.values(),
+             *map(translate, SCHEMAS.values()), *_mc_style_formulas(monkeypatch, 6, 300)]
+    enters = [None, lambda g: True, lambda g: not isinstance(g, Box)]
+    for root in roots:
+        for enter in enters:
+            assert postorder(root, enter) == oracles.postorder_naive(root, enter), root
+        assert postorder(root) == oracles.postorder_naive(root)   # the cached walk
+    # the deep formulas hold boxes, so the last ``enter`` leaves some subterms out
+    assert all(any(isinstance(g, Box) for g in postorder(r)) for r in roots[-6:])
 
 
 def test_parser_nesting_limit():

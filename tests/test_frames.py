@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from collections import Counter
 from itertools import permutations
@@ -262,6 +263,19 @@ def test_shapes():
     assert longest_chain(fan(5)) == 1
     assert longest_chain(tree(2, 2)) == 2
     assert longest_chain(chain(1)) == 0
+
+
+def test_cached_rows_leave_the_frame_record_alone():
+    fresh = tree(2, 2)
+    fr = tree(2, 2)
+    state = (hash(fr), repr(fr), pickle.dumps(fr))
+    rows, succ = fr.r_rows, fr.succ_lists
+    assert fr.r_rows is rows and fr.succ_lists is succ
+    assert rows[0] and succ[0]
+    assert fr == fresh and (hash(fr), repr(fr), pickle.dumps(fr)) == state
+    assert pickle.loads(pickle.dumps(fr)) == fresh
+    with pytest.raises(AttributeError):
+        fr.n = 3
 
 
 def test_model_valuation_guards():
