@@ -8,6 +8,8 @@ hypothesis.  Tautology steps are verified semantically — truth tables over
 the step's maximal box/``|>``/atom subterms treated as opaque components —
 so no particular propositional axiom basis is baked in; steps with more
 than 16 distinct components are rejected rather than guessed at.
+``check_proof`` applies one rule, ``step_error``, to each step in turn;
+``ProofBuilder`` applies it once to each step it adds.
 """
 
 from __future__ import annotations
@@ -143,52 +145,50 @@ def is_tautology(f: Formula):
     return table[f] == full
 
 
+def step_error(hyps: tuple, steps, idx: int) -> str | None:
+    """Why step ``idx`` does not follow from ``hyps`` and earlier steps, or None."""
+    rule, c = steps[idx].rule, steps[idx].conclusion
+    if isinstance(rule, Taut):
+        t = is_tautology(c)
+        if t is None:
+            return "tautology check overflow"
+        if not t:
+            return "not a tautology over opaque components"
+    elif isinstance(rule, AxiomInstance):
+        pattern = SCHEMAS.get(rule.schema)
+        if pattern is None:
+            return f"unknown schema {rule.schema!r}"
+        if match_schema(pattern, c) is None:
+            return f"does not match schema {rule.schema}"
+    elif isinstance(rule, MP):
+        i, j = rule.premise, rule.implication
+        if not (0 <= i < idx and 0 <= j < idx):
+            return "modus ponens references a step out of range"
+        if steps[j].conclusion != Implies(steps[i].conclusion, c):
+            return "modus ponens mismatch"
+    elif isinstance(rule, Nec):
+        if hyps:
+            return "necessitation not allowed under hypotheses"
+        if not 0 <= rule.premise < idx:
+            return "necessitation references a step out of range"
+        if c != Box(steps[rule.premise].conclusion):
+            return "necessitation mismatch"
+    elif isinstance(rule, Hyp):
+        if not 0 <= rule.index < len(hyps):
+            return "hypothesis index out of range"
+        if c != hyps[rule.index]:
+            return "hypothesis mismatch"
+    else:
+        return f"unknown justification {rule!r}"
+
+
 def check_proof(p: Proof) -> ProofVerdict:
-    """Validate every step; the verdict carries the first failure."""
-
-    def bad(idx, reason):
-        return ProofVerdict(False, None, idx, reason)
-
+    """Check every step by ``step_error``; the verdict has the first failure."""
     if not p.steps:
         return ProofVerdict(False, None, None, "empty proof")
-    hyps = tuple(p.hypotheses)
-    for idx, step in enumerate(p.steps):
-        rule = step.rule
-        c = step.conclusion
-        if isinstance(rule, Taut):
-            t = is_tautology(c)
-            if t is None:
-                return bad(idx, "tautology check overflow")
-            if not t:
-                return bad(idx, "not a tautology over opaque components")
-        elif isinstance(rule, AxiomInstance):
-            pattern = SCHEMAS.get(rule.schema)
-            if pattern is None:
-                return bad(idx, f"unknown schema {rule.schema!r}")
-            if match_schema(pattern, c) is None:
-                return bad(idx, f"does not match schema {rule.schema}")
-        elif isinstance(rule, MP):
-            i, j = rule.premise, rule.implication
-            if not (0 <= i < idx and 0 <= j < idx):
-                return bad(idx, "modus ponens references a step out of range")
-            if p.steps[j].conclusion != Implies(p.steps[i].conclusion, c):
-                return bad(idx, "modus ponens mismatch")
-        elif isinstance(rule, Nec):
-            if hyps:
-                return bad(idx, "necessitation not allowed under hypotheses")
-            i = rule.premise
-            if not 0 <= i < idx:
-                return bad(idx, "necessitation references a step out of range")
-            if c != Box(p.steps[i].conclusion):
-                return bad(idx, "necessitation mismatch")
-        elif isinstance(rule, Hyp):
-            k = rule.index
-            if not 0 <= k < len(hyps):
-                return bad(idx, "hypothesis index out of range")
-            if c != hyps[k]:
-                return bad(idx, "hypothesis mismatch")
-        else:
-            return bad(idx, f"unknown justification {rule!r}")
+    for idx in range(len(p.steps)):
+        if reason := step_error(p.hypotheses, p.steps, idx):
+            return ProofVerdict(False, None, idx, reason)
     return ProofVerdict(True, p.steps[-1].conclusion)
 
 
@@ -201,10 +201,9 @@ class ProofBuilder:
 
     def _add(self, conclusion, rule):
         self.steps.append(ProofStep(conclusion, rule))
-        verdict = check_proof(self.build())
-        if not verdict.valid:
+        if reason := step_error(self.hypotheses, self.steps, len(self.steps) - 1):
             self.steps.pop()
-            raise ValueError(f"{verdict.reason}: {to_str(conclusion)}")
+            raise ValueError(f"{reason}: {to_str(conclusion)}")
         return len(self.steps) - 1
 
     def taut(self, f):

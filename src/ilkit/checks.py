@@ -524,7 +524,8 @@ def extension_truth():
 def saturation():
     """Extensions are modally saturated; labels saturate exhaustively."""
     pool = [parse("p"), parse("q"), parse("<>p"), parse("[]q")]
-    for name, m in corpus_models():
+    models = corpus_models()
+    for name, m in models:
         verdict = check_saturation(build_ue_model(m), pool)
         if not verdict.ok:
             return False, f"{name}: {verdict.detail}"
@@ -534,7 +535,7 @@ def saturation():
         verdict = check_label_saturation(fr)
         if not verdict.ok:
             return False, f"label saturation fails on n={fr.n}: {verdict.detail}"
-    return True, (f"{len(list(corpus_models()))} corpus extensions, "
+    return True, (f"{len(models)} corpus extensions, "
                   f"pool of {len(pool)}; {frames} frames label-saturated")
 
 
@@ -595,7 +596,8 @@ def classical_baseline():
         if cue.frame.r_succ != fr.r_succ:
             return False, f"n={fr.n}: classical edges {cue.frame.r_succ} != {fr.r_succ}"
     pool = _pool(modalities=("box",))
-    for name, m in corpus_models():
+    models = corpus_models()
+    for name, m in models:
         cue = classical_ue(m.frame, m)
         base_cache, ue_cache = {}, {}
         for f in pool:
@@ -607,7 +609,7 @@ def classical_baseline():
             if frame_valid(cue.frame, f).valid and not frame_valid(m.frame, f).valid:
                 return False, f"{name}: validity not reflected for {f}"
     return True, (f"{frames} frames isomorphic; box pool of {len(pool)} "
-                  f"checked on {len(list(corpus_models()))} corpus models")
+                  f"checked on {len(models)} corpus models")
 
 
 @_check("proof-checking")

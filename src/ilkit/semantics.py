@@ -76,9 +76,7 @@ class FrameVerdict(Frozen):
     _fields = ("valid", "ev", "world")
 
     def __init__(self, valid: bool, ev: dict | None = None, world: int | None = None):
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "ev", ev)
-        object.__setattr__(self, "world", world)
+        self._fill(valid, ev, world)
 
     def __bool__(self):
         return self.valid

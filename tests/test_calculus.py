@@ -1,5 +1,6 @@
 import pytest
 
+from ilkit import calculus
 from ilkit.calculus import (
     AxiomInstance, Hyp, MP, Nec, Proof, ProofBuilder, ProofStep, SCHEMAS,
     Taut, axiom_instance, check_proof, derived_theorems, instantiate,
@@ -42,6 +43,10 @@ def _subterms(f):
     return out
 
 
+# 17 distinct opaque components exceed the truth-table cap
+WIDE = parse(" | ".join(f"a{i}" for i in range(17)))
+
+
 def test_is_tautology():
     assert is_tautology(parse("p -> p"))
     assert is_tautology(parse("((p -> q) -> p) -> p"))
@@ -49,9 +54,7 @@ def test_is_tautology():
     assert not is_tautology(parse("[]p"))
     assert not is_tautology(parse("[](p -> p)"))  # box is opaque
     assert not is_tautology(parse("p -> q"))
-    # 17 distinct opaque components exceed the truth-table cap
-    wide = parse(" | ".join(f"a{i}" for i in range(17)))
-    assert is_tautology(wide) is None
+    assert is_tautology(WIDE) is None
 
 
 def test_check_proof_happy_path():
@@ -90,6 +93,13 @@ def test_check_proof_rejections():
          "hypothesis mismatch"),
         (Proof((), (ProofStep(parse("q"), Hyp(0)),)), 0,
          "hypothesis index out of range"),
+        (Proof((), (ProofStep(WIDE, Taut()),)), 0, "tautology check overflow"),
+        (Proof((), (ProofStep(parse("[]p"), Nec(0)),)), 0,
+         "necessitation references a step out of range"),
+        (Proof((), (
+            ProofStep(parse("p -> p"), Taut()),
+            ProofStep(parse("p"), "junk"),
+        )), 1, "unknown justification 'junk'"),
     ]
     for proof, step, reason in cases:
         v = check_proof(proof)
@@ -118,6 +128,42 @@ def test_builder_rejects_and_recovers():
     b.taut(parse("p -> p"))
     b.nec(0)
     assert check_proof(b.build()).valid
+
+
+def _raises(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_builder_errors_name_the_reason_and_roll_back():
+    b = ProofBuilder()
+    _raises(lambda: b.taut(parse("[]p")), "not a tautology over opaque components: []p")
+    assert b.steps == []
+    b.taut(parse("p -> p"))
+    b.taut(parse("q -> q"))
+    _raises(lambda: b.mp(0, 1), "modus ponens does not apply to these steps")
+    _raises(lambda: b.mp(1, 0), "modus ponens does not apply to these steps")
+    assert len(b.steps) == 2
+
+    h = ProofBuilder([parse("p")])
+    h.hyp(0)
+    _raises(lambda: h.nec(0), "necessitation not allowed under hypotheses: []p")
+    assert h.steps == [ProofStep(parse("p"), Hyp(0))]
+
+
+def test_building_the_stock_proofs_checks_each_tautology_once(monkeypatch):
+    real, calls = calculus.is_tautology, []
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(calculus, "is_tautology", counted)
+    proofs = [proof for _, proof in derived_theorems().values()]
+    taut_steps = [st.conclusion for p in proofs for st in p.steps if isinstance(st.rule, Taut)]
+    assert len(calls) == len(taut_steps) == 14
+    assert calls == taut_steps
 
 
 def test_top_rhd_top():
@@ -174,6 +220,9 @@ def test_proof_dict_errors():
     d = proof_to_dict(derived_theorems()["rhd-refl"][1])
     assert d["steps"][-1]["rule"] == "mp"
     assert all(isinstance(s["formula"], str) for s in d["steps"])
+    with pytest.raises(TypeError) as exc:
+        proof_to_dict(Proof((), (ProofStep(parse("p"), "junk"),)))
+    assert str(exc.value) == "unknown justification 'junk'"
 
 
 def test_proof_dict_field_errors_name_the_step_and_field():

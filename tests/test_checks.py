@@ -4,11 +4,15 @@ from itertools import accumulate
 
 import pytest
 
-from ilkit import algebra, checks
-from ilkit.algebra import DiaOp, Intersection, eval_term, translate
+from ilkit import algebra, checks, pencil
+from ilkit.algebra import (BoxOp, Complement, DiaOp, Intersection, Union, Var,
+                           eval_term, translate)
+from ilkit.calculus import ProofVerdict
+from ilkit.extension import ClassicalUE, UEVerdict
 from ilkit.filters import FrameOps
-from ilkit.formula import Box, conj, parse
-from ilkit.frames import Frame, Model, WorldSet, disjoint_union, validate
+from ilkit.formula import Box, conj, parse, to_str
+from ilkit.frames import Frame, Model, Verdict, WorldSet, disjoint_union, validate
+from ilkit.pencil import DemoReport, PencilWitness
 from ilkit.semantics import extension, frame_valid
 
 import oracles
@@ -307,3 +311,119 @@ def test_corpus_prints_text_and_json(monkeypatch, capsys):
 
     assert main(["corpus", "--fan", "2"]) == 1
     assert "FAIL saturation                1.00s  detail 8" in capsys.readouterr().out
+
+
+# ---------------------------------------------- planted faults, one per path
+
+BROKEN = Verdict(False, (("R-irreflexive", (0,)),))
+
+
+def _set(name, value):
+    return lambda monkeypatch: monkeypatch.setattr(checks, name, value)
+
+
+def _wrap(name, change):
+    """Replace ``checks.<name>`` by ``change(real, *args, **kwargs)``."""
+    def plant(monkeypatch):
+        real = getattr(checks, name)
+        monkeypatch.setattr(checks, name, lambda *args, **kwargs: change(real, *args, **kwargs))
+    return plant
+
+
+def _demo_fails(monkeypatch):
+    witness = PencilWitness(0, 1, 2, 4, 3)
+    monkeypatch.setattr(pencil, "nondefinability_demo", lambda m, depth: DemoReport(
+        m, 16384, depth, witness, True, False, True, failure=("bisim", (0, 1))))
+
+
+def _cue(change):
+    """``classical_ue`` with its result passed through ``change(cue, m)``."""
+    return _wrap("classical_ue", lambda real, fr, m=None: change(real(fr, m), m))
+
+
+def _r_empty(fr):
+    return Frame(fr.n, (0,) * fr.n, ((0,) * fr.n,) * fr.n)
+
+
+BOX_EXPANSION = ("box expansion", 1, Union(Complement(Var("a")), BoxOp(Var("a"))))
+
+# check, plant, the failure detail it must report
+PLANTED_FAULTS = {
+    "frame-enumeration-validate": (
+        "frame_enumeration", _set("validate", lambda fr: BROKEN),
+        "n=1 frame breaks ('R-irreflexive', (0,))"),
+    "frame-enumeration-count": (
+        "frame_enumeration",
+        lambda monkeypatch: monkeypatch.setitem(checks.EXPECTED_FRAME_COUNTS, 2, 4),
+        "n=2: 3 frames, expected 4"),
+    "frame-enumeration-orbits": (
+        "frame_enumeration",
+        lambda monkeypatch: monkeypatch.setitem(checks.EXPECTED_FRAME_COUNTS, 4, 1440),
+        "n=4: orbits add up to 1441, not 1440"),
+    "axiom-soundness-mask": (
+        "axiom_soundness",
+        lambda monkeypatch: monkeypatch.setitem(checks.SCHEMAS, "J5", parse("alpha |> <>alpha")),
+        "J5 fails on n=2 frame (2, 0) at masks (2,)"),
+    "translation-validity-inclusion": (
+        "translation_validity", _set("INCLUSION_LAWS", checks.INCLUSION_LAWS + (BOX_EXPANSION,)),
+        "box expansion fails on n=2"),
+    "translation-agreement-stride": (
+        "translation_agreement", _set("agreement", lambda m, f: "[]" not in to_str(f)),
+        "agreement() refutes F |> []p"),
+    "extension-construction-chain2": (
+        "extension_construction", _wrap("chain", lambda real, n: real(1 if n == 2 else n)),
+        "chain(2) worlds [(0, ())] != [(0, ()), (1, ()), (1, (2,)), (1, (3,))]"),
+    "extension-construction-validate": (
+        "extension_construction", _set("validate", lambda fr: BROKEN),
+        "chain1: extension breaks ('R-irreflexive', (0,))"),
+    "extension-construction-cap": (
+        "extension_construction", _wrap("build_ue", lambda real, fr, max_worlds=None: real(fr)),
+        "cap of 5 not enforced on chain(3)"),
+    "extension-truth": (
+        "extension_truth", _set("check_truth_theorem", lambda m, pool: UEVerdict(False, (0, "p"))),
+        "chain1: (0, 'p')"),
+    "saturation-corpus": (
+        "saturation", _set("check_saturation", lambda um, pool: UEVerdict(False, (0, "p"))),
+        "chain1: (0, 'p')"),
+    "saturation-label": (
+        "saturation", _set("check_label_saturation", lambda fr: UEVerdict(fr.n < 3, (0, "p"))),
+        "label saturation fails on n=3: (0, 'p')"),
+    "witness-search-assured": (
+        "witness_search", _set("find_assured_successor", lambda *args: None),
+        "no assured successor n=2 U0 up0x2 A=0x2 B=0x2"),
+    "witness-search-negated": (
+        "witness_search", _set("witness_from_negated", lambda *args: None),
+        "no negated witness n=2 U0 A=0x2 B=0x0"),
+    "pencil-demo": ("pencil_demo", _demo_fails, "demo failed: ('bisim', (0, 1))"),
+    "classical-baseline-witnesses": (
+        "classical_baseline",
+        _cue(lambda cue, m: ClassicalUE(cue.frame, cue.witnesses[::-1], cue.model)),
+        "n=2: witnesses (1, 0)"),
+    "classical-baseline-edges": (
+        "classical_baseline",
+        _cue(lambda cue, m: ClassicalUE(_r_empty(cue.frame), cue.witnesses, cue.model)),
+        "n=2: classical edges (0, 0) != (2, 0)"),
+    "classical-baseline-truth": (
+        "classical_baseline",
+        _cue(lambda cue, m: ClassicalUE(cue.frame, cue.witnesses, m and Model(cue.frame, {}))),
+        "chain2: truth lemma fails on p at U1"),
+    "classical-baseline-reflection": (
+        "classical_baseline",
+        _cue(lambda cue, m: ClassicalUE(_r_empty(cue.frame) if m else cue.frame,
+                                        cue.witnesses, cue.model)),
+        "chain2: validity not reflected for []p"),
+    "proof-checking-step": (
+        "proof_checking",
+        _set("check_proof", lambda p: ProofVerdict(False, None, 3, "modus ponens mismatch")),
+        "four: step 3: modus ponens mismatch"),
+    "proof-checking-conclusion": (
+        "proof_checking", _set("check_proof", lambda p: ProofVerdict(True, parse("p"))),
+        "four: proves p, not []p -> [][]p"),
+}
+
+
+@pytest.mark.parametrize("fn, plant, detail", PLANTED_FAULTS.values(), ids=PLANTED_FAULTS.keys())
+def test_planted_fault_fails_its_check_with_its_detail(monkeypatch, fn, plant, detail):
+    plant(monkeypatch)
+    r = getattr(checks, fn)()
+    assert (r.ok, r.detail) == (False, detail)

@@ -119,6 +119,28 @@ def test_only_mutable_records_take_assignment(cls, args, frozen, text):
     assert (a == cls(*args)) is frozen
 
 
+# (class, true arguments, false arguments, the field or property __bool__ returns)
+VERDICTS = [
+    (CheckResult, ("pencil-demo", True), ("pencil-demo", False, "demo failed"), "ok"),
+    (ProofVerdict, (True, P), (False, None, 0, "empty proof"), "valid"),
+    (UEVerdict, (True,), (False, (0, "p")), "ok"),
+    (PencilVerdict, (True,), (False, WITNESS), "in_class"),
+    (DemoReport, (1, 1024, 1, WITNESS, True, True, True),
+     (1, 1024, 1, WITNESS, True, False, True, ("bisim",)), "ok"),
+    (BisimVerdict, (True,), (False, (0, 1), "forth", (1, 2)), "ok"),
+    (FrameVerdict, (True,), (False, {"p": WorldSet(2, 1)}, 0), "valid"),
+    (Verdict, (True,), (False, (("R-irreflexive", (0,)),)), "ok"),
+]
+
+
+@pytest.mark.parametrize("cls, yes, no, field", VERDICTS,
+                         ids=[cls.__name__ for cls, *_ in VERDICTS])
+def test_verdict_truth_is_its_field(cls, yes, no, field):
+    for args, want in ((yes, True), (no, False)):
+        r = cls(*args)
+        assert bool(r) is getattr(r, field) is want
+
+
 def test_records_take_keywords_and_defaults():
     assert ProofVerdict(valid=True) == ProofVerdict(True, None, None, None)
     assert ProofVerdict(False, reason="r").reason == "r"
