@@ -57,14 +57,25 @@ _set_uf, _set_labels = UEWorld.uf.__set__, UEWorld.labels.__set__
 
 
 class UEFrame:
-    """Extension frame: the worlds list, their index map, and a plain Frame
-    over the indices (so every frame/semantics tool applies directly)."""
+    """Extension frame as columns (per world a witness and a path id, per
+    path id its labels, per world with moves its one-step children by
+    label) and a plain Frame over the world indices, so every frame and
+    semantics tool applies directly.  Worlds, index map and one-step moves
+    are built on first read."""
 
-    def __init__(self, base, worlds, frame, one_step):
-        self.base = base
-        self.worlds = list(worlds)
-        self.frame = frame
-        self.one_step = tuple(one_step)
+    def __init__(self, base, witnesses, paths, path_labels, frame, cliques):
+        self.base, self.frame, self.cliques = base, frame, cliques
+        self.witnesses, self.paths, self.path_labels = witnesses, paths, path_labels
+
+    @cached_property
+    def worlds(self):
+        ufs, labels = all_ultrafilters(self.base), self.path_labels
+        return [UEWorld(ufs[g], labels[p]) for g, p in zip(self.witnesses, self.paths)]
+
+    @cached_property
+    def one_step(self):
+        return tuple((wi, ci) for wi, labelled in self.cliques.items()
+                     for kids in labelled for ci in kids)
 
     @cached_property
     def index(self):
@@ -75,12 +86,12 @@ class UEFrame:
         """Per base world x, the mask of the extension worlds whose
         ultrafilter is the principal one at x."""
         masks = [0] * self.base.n
-        for i, w in enumerate(self.worlds):
-            masks[w.uf.witness] |= 1 << i
+        for i, g in enumerate(self.witnesses):
+            masks[g] |= 1 << i
         return masks
 
     def __len__(self):
-        return len(self.worlds)
+        return len(self.witnesses)
 
 
 def build_ue(base: Frame, max_worlds: int = UE_WORLDS_CAP) -> UEFrame:
@@ -88,74 +99,77 @@ def build_ue(base: Frame, max_worlds: int = UE_WORLDS_CAP) -> UEFrame:
 
     Worlds are discovered level by level — all label paths of one length
     before any longer path — parents in index order and, per parent, labels
-    by minimum mask, target ultrafilters by witness; a world is looked up by
-    (witness, path id), a path id interned from (parent path id, label
-    minimum).  Exceeding ``max_worlds`` raises ResourceLimitError rather
-    than truncating; a base with more worlds than that raises before any
-    world is built, and one over ``LABEL_WORLDS_LIMIT`` worlds raises
-    ValueError before any label is listed.
+    by minimum mask, target ultrafilters by witness.  A world is its witness
+    g and path id pid (interned from parent path id and label minimum, with
+    one shared label tuple), looked up by the int ``pid * base.n + g``;
+    ``UEFrame.worlds`` builds the ``UEWorld`` objects on first read.
+    Exceeding ``max_worlds`` raises ResourceLimitError rather than
+    truncating; a base with more worlds than that raises before any world
+    is built, and one over ``LABEL_WORLDS_LIMIT`` worlds raises ValueError
+    before any label is listed.
 
     The frame is built closed, with no ``complete``, children first (a
     child has a longer path, so a higher index).  Under each label, the
     one-step children and their R rows make a clique: the successors of
     (f, sigma) whose label at position |sigma| is that label.  R[(f, sigma)]
     is the union of its cliques, and S_(f, sigma) maps each member u to
-    u's clique.  No closure is needed: agreement is an equivalence, so the
-    cliques are reflexive and transitive, and the R-descendants of u extend
-    u's path, so they share its label at |sigma| and lie in its clique.
-    Only worlds with successors get rows; the R-leaves share one zero tuple.
+    u's clique, filled from the children's successor lists.  No closure is
+    needed: agreement is an equivalence, so the cliques are reflexive and
+    transitive, and the R-descendants of u extend u's path, so they share
+    its label at |sigma| and lie in its clique.  Only worlds with
+    successors get rows; the R-leaves share one zero tuple.
     """
     if base.n > max_worlds:
         raise ResourceLimitError(f"extension exceeds {max_worlds} worlds; "
                                  f"the base alone has {base.n}")
-    labels = all_proper_filters(base.n)
-    ufs = all_ultrafilters(base)
-    worlds = [UEWorld(uf, ()) for uf in ufs]
-    ops = FrameOps(base)
+    nb, labels, ops = base.n, all_proper_filters(base.n), FrameOps(base)
     # the labels that assure something at each base world, with their rows:
     # an extension world's moves depend on its ultrafilter only
-    moves = [[(l, row) for l in labels
-              if (row := ops.assured(f.witness, l.min_mask))] for f in ufs]
-    path_ids, index, world_path = {}, {}, [0] * len(worlds)
-    one_step, cliques = [], {}   # world -> its one-step children, per label
-    frontier = range(len(worlds))
+    moves = [[(l, row) for l in labels if (row := ops.assured(x, l.min_mask))]
+             for x in range(nb)]
+    witnesses, paths, path_labels = list(range(nb)), [0] * nb, [()]
+    path_ids, index, cliques = {}, {}, {}
+    frontier = range(nb)
     while frontier:
         fresh = []
         for wi in frontier:
-            w = worlds[wi]
-            for l, row in moves[w.uf.witness]:
-                pid = path_ids.setdefault((world_path[wi], l.min_mask), len(path_ids) + 1)
-                kids = []
+            for l, row in moves[witnesses[wi]]:
+                pid = path_ids.setdefault(paths[wi] << nb | l.min_mask, len(path_labels))
+                if pid == len(path_labels):   # a new path
+                    path_labels.append(path_labels[paths[wi]] + (l,))
+                kids, first = [], pid * nb
                 for g in bits(row):
-                    ci = index.get((g, pid))
+                    ci = index.get(first + g)
                     if ci is None:
-                        if len(worlds) >= max_worlds:
+                        if len(witnesses) >= max_worlds:
                             raise ResourceLimitError(
                                 f"extension exceeds {max_worlds} worlds; "
                                 "raise the cap")
-                        ci = index[g, pid] = len(worlds)
-                        worlds.append(UEWorld(ufs[g], w.labels + (l,)))
-                        world_path.append(pid)
+                        ci = index[first + g] = len(witnesses)
+                        witnesses.append(g)
+                        paths.append(pid)
                         fresh.append(ci)
-                    one_step.append((wi, ci))
                     kids.append(ci)
                 cliques.setdefault(wi, []).append(kids)
         frontier = fresh
 
-    n = len(worlds)
-    r, s = [0] * n, [(0,) * n] * n   # the R-leaves share one zero tuple
+    n = len(witnesses)
+    # the R-leaves share one zero tuple; succ[j] lists R[j] once it is built
+    r, s, succ = [0] * n, [(0,) * n] * n, [()] * n
     for wi, labelled in reversed(cliques.items()):   # children first
-        rows = [0] * n
+        rows, rw = [0] * n, 0
         for kids in labelled:
             clique = 0
             for j in kids:
                 clique |= 1 << j | r[j]
-            r[wi] |= clique
-            for j in bits(clique):
+            rw |= clique
+            for j in kids:
                 rows[j] = clique
-        s[wi] = tuple(rows)
+                for v in succ[j]:
+                    rows[v] = clique
+        r[wi], succ[wi], s[wi] = rw, bits(rw), tuple(rows)
     frame = Frame(n, tuple(r), tuple(s))
-    return UEFrame(base, worlds, frame, one_step)
+    return UEFrame(base, witnesses, paths, path_labels, frame, cliques)
 
 
 def _union(built_on, mask):
@@ -360,11 +374,11 @@ def ue_to_json(ue: UEFrame) -> str:
 
     Each distinct S row value gets one list of member strings, built once
     per clique, and each S cell (u, row) is one join of that list; label
-    minimum sets are written once per mask, the edges in one join, and the
-    world keys of ``s_families`` go in string order, as ``sort_keys`` has
-    them ("0" < "10" < "2")."""
+    minimum sets are written once per mask, each path's label text once,
+    the edges in one join, and the world keys of ``s_families`` go in
+    string order, as ``sort_keys`` has them ("0" < "10" < "2")."""
     fr = ue.frame
-    members = cache(lambda row: [str(v) for v in bits(row)])
+    members = cache(lambda row: list(map(str, bits(row))))
 
     @cache
     def min_set(mask):
@@ -373,9 +387,9 @@ def ue_to_json(ue: UEFrame) -> str:
     def pairs(u, row):   # "[u, v1], [u, v2], ..."
         return f"[{u}, " + f"], [{u}, ".join(members(row)) + "]"
 
-    worlds = ", ".join('{"label_min_sets": [' + ", ".join(min_set(l.min_mask) for l in w.labels)
-                       + '], "ultrafilter_witness": ' + str(w.uf.witness) + "}"
-                       for w in ue.worlds)
+    paths = [", ".join(min_set(l.min_mask) for l in labels) for labels in ue.path_labels]
+    worlds = ", ".join(f'{{"label_min_sets": [{paths[p]}], "ultrafilter_witness": {g}}}'
+                       for g, p in zip(ue.witnesses, ue.paths))
     edges = ", ".join(pairs(i, row) for i, row in fr.r_rows[0])
     families = {}
     for i, _ in fr.r_rows[0]:

@@ -12,6 +12,7 @@ from ilkit.extension import ClassicalUE, UEVerdict
 from ilkit.filters import FrameOps
 from ilkit.formula import Box, conj, parse, to_str
 from ilkit.frames import Frame, Model, Verdict, WorldSet, disjoint_union, validate
+from ilkit.limits import UE_WORLDS_CAP
 from ilkit.pencil import DemoReport, PencilWitness
 from ilkit.semantics import extension, frame_valid
 
@@ -341,6 +342,15 @@ def _cue(change):
     return _wrap("classical_ue", lambda real, fr, m=None: change(real(fr, m), m))
 
 
+def _ue_frame(change):
+    """``build_ue`` with the frame of its result passed through ``change``."""
+    def patched(real, fr, max_worlds=UE_WORLDS_CAP):
+        ue = real(fr, max_worlds)
+        ue.frame = change(ue.frame)
+        return ue
+    return _wrap("build_ue", patched)
+
+
 def _r_empty(fr):
     return Frame(fr.n, (0,) * fr.n, ((0,) * fr.n,) * fr.n)
 
@@ -373,6 +383,14 @@ PLANTED_FAULTS = {
     "extension-construction-chain2": (
         "extension_construction", _wrap("chain", lambda real, n: real(1 if n == 2 else n)),
         "chain(2) worlds [(0, ())] != [(0, ()), (1, ()), (1, (2,)), (1, (3,))]"),
+    "extension-construction-edges": (
+        "extension_construction",
+        _ue_frame(lambda fr: Frame(fr.n, (0b0100,) + fr.r_succ[1:], fr.s_succ)),
+        "chain(2) edges (4, 0, 0, 0)"),
+    "extension-construction-root-s": (
+        "extension_construction",
+        _ue_frame(lambda fr: Frame(fr.n, fr.r_succ, ((0, 0, 0b1100, 0b1000),) + fr.s_succ[1:])),
+        "chain(2) root S (0, 0, 12, 8)"),
     "extension-construction-validate": (
         "extension_construction", _set("validate", lambda fr: BROKEN),
         "chain1: extension breaks ('R-irreflexive', (0,))"),

@@ -265,8 +265,26 @@ def test_ue_json_digests_frozen():
         assert len(ue) == size, name
         for text in (json.dumps(ue_to_dict(ue), sort_keys=True), ue_to_json(ue)):
             assert hashlib.sha256(text.encode()).hexdigest() == digest, name
-    # too large for JSON here: pin sha256 of (r_succ, s_succ), with an
-    # S_w that is empty everywhere written as "-"
+    # too large for ue_to_dict here: pin ue_to_json and the one-step moves
+    # (their repr); tree(2, 2) also pins sha256 of (r_succ, s_succ), with
+    # an S_w that is empty everywhere written as "-"
+    want = {
+        "chain5": (chain(5), 2106,
+                   "1a1a4548c80c020e665696ce2991b7f0"
+                   "7ba5be1f1b856412610bd9a4770d23d0",
+                   "82ed1ca9b9864a4c93a500de0047f5fe"
+                   "7c20be3f6593aa933938874c82f50c35"),
+        "tree22": (tree(2, 2), 4640,
+                   "093fe58e3335ca5698b292716dd69e6d"
+                   "622ef32668e233af548a5c469198c918",
+                   "848e482d1dcfd962a832b0063c758062"
+                   "968713f495094b598c1e10f8789588d6"),
+    }
+    for name, (base, moves, json_digest, moves_digest) in want.items():
+        ue = build_ue(base)
+        assert hashlib.sha256(ue_to_json(ue).encode()).hexdigest() == json_digest, name
+        assert len(ue.one_step) == moves, name
+        assert hashlib.sha256(repr(ue.one_step).encode()).hexdigest() == moves_digest, name
     fr = build_ue(tree(2, 2)).frame
     assert fr.n == 4391
     h = hashlib.sha256(repr(fr.r_succ).encode())
@@ -333,7 +351,7 @@ def _planted_faults(fr):
     """Five single-cell faults in a legal extension frame, by name."""
     n, r, s = fr.n, fr.r_succ, fr.s_succ
     w = next(w for w in range(n) if r[w])
-    u = next(bits(r[w]))
+    u = bits(r[w])[0]
     leaf = max(x for x in range(n) if not r[x])   # after leaves sharing the zero tuple
     # u S_w v for v in R[w], where v's clique holds a world outside u's
     cw, cu, cv = next((w, u, v) for w in range(n) for u in bits(r[w])
@@ -350,15 +368,15 @@ def _planted_faults(fr):
 
 
 def test_validate_matches_naive_oracle_on_planted_extension_faults():
-    for base in (chain(3), load("pencil-bad1").frame):
+    for base in (chain(3), chain(4), load("pencil-bad1").frame):
         for fault, fr in _planted_faults(build_ue(base).frame).items():
             got = validate(fr).violations
             assert got and got == oracles.validate_naive(fr), fault
 
 
 def test_validate_extensions_budget():
-    # build_ue builds its rows closed, and validate walks only the cells in
-    # R[w] and the nonzero ones, scanning the R-leaves' shared zero tuple once
+    # build_ue builds its rows closed, and validate screens each world at C
+    # level, walking no cell of a legal frame and the leaves' shared tuple once
     t0 = time.perf_counter()
     assert validate(build_ue(tree(2, 2)).frame).ok
     assert validate(build_ue(chain(5)).frame).ok
@@ -377,3 +395,12 @@ def test_ue_serialization():
     assert dot.startswith("digraph two {")
     assert 'label="U1 [{1}]"' in dot
     assert "0 -> 2;" in dot
+
+
+def test_ue_to_dot_draws_each_s_pair_off_the_diagonal():
+    ue = build_ue(chain(3))
+    want = [f'  {i} -> {j} [style=dashed, label="S({w})"];'
+            for w in range(len(ue)) for i, j in ue.frame.s_pairs(w) if i != j]
+    assert len(want) == 60
+    dashed = [line for line in ue_to_dot(ue).splitlines() if "style=dashed" in line]
+    assert dashed == want

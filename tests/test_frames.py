@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from ilkit.extension import build_ue
 from ilkit.frames import (
-    CompletionError, Frame, Model, WorldSet, all_frames, chain, complete,
+    CompletionError, Frame, Model, WorldSet, all_frames, bits, chain, complete,
     fan, frame_classes, longest_chain, random_frame, tree, validate,
 )
 
@@ -28,6 +28,21 @@ def test_worldset_basics():
     assert WorldSet.full(4).mask == 0b1111
     assert WorldSet.empty(4).mask == 0
     assert repr(a) == "{0,2}"
+
+
+def test_bits_matches_a_scan_of_every_bit():
+    # up to 24 set bits one low-bit step per bit, past that a split of the
+    # binary text: masks either side of the switch, up to 5,000 bits wide
+    rng = random.Random(26)
+    masks = [0, 1, 1 << 4999, (1 << 24) - 1, (1 << 25) - 1, ((1 << 24) - 1) << 977,
+             (1 << 5000) - 1]
+    for width in (25, 64, 300, 5000):
+        for k in (1, 23, 24, 25, 26, 200, width - 1, width):
+            if k <= width:
+                masks += [sum(1 << b for b in rng.sample(range(width), k)) for _ in range(3)]
+    for m in masks:
+        assert bits(m) == [i for i in range(m.bit_length()) if m >> i & 1], m
+    assert next(iter(WorldSet(3, 0b110))) == 1   # iterating a WorldSet gives an iterator
 
 
 def test_worldset_guards():
