@@ -221,11 +221,10 @@ def _cmd_ue(args) -> int:
         print(ue_to_dot(ue), end="")
         return 0
     print(f"worlds {len(ue)} (base {m.frame.n})")
-    shown = ue.worlds if len(ue) <= 40 else ue.worlds[:40]
-    for i, w in enumerate(shown):
+    for i, w in enumerate(ue.first_worlds(40)):
         print(f"{i}: {w!r}")
-    if len(ue) > len(shown):
-        print(f"... {len(ue) - len(shown)} more")
+    if len(ue) > 40:
+        print(f"... {len(ue) - 40} more")
     return 0
 
 

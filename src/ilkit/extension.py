@@ -69,8 +69,12 @@ class UEFrame:
 
     @cached_property
     def worlds(self):
+        return self.first_worlds(len(self))
+
+    def first_worlds(self, k):
+        """The first ``k`` worlds, built from the columns; ``worlds`` stays unread."""
         ufs, labels = all_ultrafilters(self.base), self.path_labels
-        return [UEWorld(ufs[g], labels[p]) for g, p in zip(self.witnesses, self.paths)]
+        return [UEWorld(ufs[g], labels[p]) for g, p in zip(self.witnesses, self.paths[:k])]
 
     @cached_property
     def one_step(self):
@@ -123,22 +127,23 @@ def build_ue(base: Frame, max_worlds: int = UE_WORLDS_CAP) -> UEFrame:
         raise ResourceLimitError(f"extension exceeds {max_worlds} worlds; "
                                  f"the base alone has {base.n}")
     nb, labels, ops = base.n, all_proper_filters(base.n), FrameOps(base)
-    # the labels that assure something at each base world, with their rows:
-    # an extension world's moves depend on its ultrafilter only
-    moves = [[(l, row) for l in labels if (row := ops.assured(x, l.min_mask))]
-             for x in range(nb)]
+    # the labels that assure something at each base world, with the witnesses
+    # they reach: an extension world's moves depend on its ultrafilter only
+    moves = [[(l.min_mask, l, bits(row)) for l in labels
+              if (row := ops.assured(x, l.min_mask))] for x in range(nb)]
     witnesses, paths, path_labels = list(range(nb)), [0] * nb, [()]
     path_ids, index, cliques = {}, {}, {}
     frontier = range(nb)
     while frontier:
         fresh = []
         for wi in frontier:
-            for l, row in moves[witnesses[wi]]:
-                pid = path_ids.setdefault(paths[wi] << nb | l.min_mask, len(path_labels))
+            parent = paths[wi]
+            for min_mask, l, targets in moves[witnesses[wi]]:
+                pid = path_ids.setdefault(parent << nb | min_mask, len(path_labels))
                 if pid == len(path_labels):   # a new path
-                    path_labels.append(path_labels[paths[wi]] + (l,))
+                    path_labels.append(path_labels[parent] + (l,))
                 kids, first = [], pid * nb
-                for g in bits(row):
+                for g in targets:
                     ci = index.get(first + g)
                     if ci is None:
                         if len(witnesses) >= max_worlds:

@@ -8,11 +8,13 @@ of the toolkit only ever pattern-matches on the core.
 
 Nodes are hash-consed: building a node equal to a live one returns that
 node, so ``==`` is ``is`` and ``parse(to_str(f)) is f``; each class fixes
-once whether a new node's arguments are its kids.  Walks over formulas and
-the set terms of ``algebra`` are loops, not recursion: over ``postorder``
-(each distinct subterm once, after its subterms, off a stack of nodes and
-finishing markers; cached on the root), or for printing, which repeats
-shared subterms, over one work stack.
+once whether a new node's arguments are its kids.  The intern table takes
+no lock: a miss builds its node first and publishes it with one atomic
+``dict.setdefault``, and a thread that loses the race returns the winner's
+node.  Walks over formulas and the set terms of ``algebra`` are loops, not
+recursion: over ``postorder`` (each distinct subterm once, after its
+subterms, off a stack of nodes and finishing markers; cached on the root),
+or for printing, which repeats shared subterms, over one work stack.
 
 ASCII grammar (loosest binding first)::
 
@@ -33,7 +35,6 @@ builds each distinct atom once per parse.
 from __future__ import annotations
 
 import re
-import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from functools import cache
@@ -41,9 +42,9 @@ from functools import cache
 from .limits import NESTING_LIMIT
 
 # The weak intern table: key -> _Ref to the live node.  A node's death drops
-# its entry through the reference's callback; the lock makes building atomic.
+# its entry through the reference's callback.  Its keys hash and compare in C
+# (classes, strings and nodes by identity), so each dict call is atomic.
 _NODES = {}
-_NODES_LOCK = threading.Lock()
 
 
 class _Ref(weakref.ref):
@@ -53,9 +54,8 @@ class _Ref(weakref.ref):
 
 
 def _forget(ref):
-    # atomic and lock-free (the weakref module's own choice): it deletes the
-    # entry only while that is a dead reference, never a node rebuilt since,
-    # and it may run inside a locked build when a collection frees a node
+    # atomic (the weakref module's own choice): it deletes the entry only
+    # while that is a dead reference, never a node published since
     _remove_dead_weakref(_NODES, ref.key)
 
 
@@ -67,8 +67,11 @@ class Node:
     ``kids`` (a class mixing the two is refused when defined); ``_walk`` is
     a cached ``postorder``.  Building returns the live equal node if there
     is one; the table is weak, so a node dies with its last user.  A hit is
-    one dict read with no lock; a miss takes the lock, looks again and fills
-    the slots through setters fetched once per class.
+    one dict read.  A miss fills a new node's slots through setters fetched
+    once per class and publishes it with ``_NODES.setdefault``: if another
+    thread published an equal node first, that node is returned and ours is
+    dropped, which leaves the winner's entry alone; a dead entry under the
+    key is removed (only while dead) and the publish tried again.
     """
 
     __slots__ = ("kids", "_walk", "__weakref__")
@@ -87,20 +90,26 @@ class Node:
         ref = _NODES.get(key)
         if ref is not None and (node := ref()) is not None:
             return node
-        if len(args) != len(cls._setters):
-            raise ValueError(f"{cls.__name__} takes {len(cls._setters)} "
-                             f"arguments, got {len(args)}")
-        with _NODES_LOCK:
-            ref = _NODES.get(key)   # another thread may have built it meanwhile
-            if ref is not None and (node := ref()) is not None:
-                return node
-            node = object.__new__(cls)
-            _set_kids(node, () if cls._named else args)
-            for i, setter in enumerate(cls._setters):
-                setter(node, args[i])
-            ref = _NODES[key] = _Ref(node, _forget)
-            ref.key = key
-        return node
+        setters = cls._setters
+        arity = len(args)
+        if arity != len(setters):
+            raise ValueError(f"{cls.__name__} takes {len(setters)} "
+                             f"arguments, got {arity}")
+        node = object.__new__(cls)
+        _set_kids(node, () if cls._named else args)
+        if arity == 2:
+            setters[0](node, args[0])
+            setters[1](node, args[1])
+        elif arity == 1:
+            setters[0](node, args[0])
+        else:
+            for setter, arg in zip(setters, args):
+                setter(node, arg)
+        ref = _Ref(node, _forget)
+        ref.key = key
+        while (live := _NODES.setdefault(key, ref)()) is None:   # a dead entry
+            _remove_dead_weakref(_NODES, key)
+        return live
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -253,13 +262,13 @@ class ParseError(ValueError):
 # One token: a fixed one (longest first), an atom, or any other character,
 # which is an error.
 _TOKEN_RE = re.compile(r"\s*(<->|<>|\[\]|->|\|>|[~&|()FT]|[a-z][a-z0-9_]*|\S)")
-# Binary operators: (binding strength, least strength of a pending operator
-# that is built when this one arrives, constructor).  ``->`` and ``<->`` build
-# only tighter operators first (right-associative), ``&`` and ``|`` their
-# equals too (left-associative), and ``|>`` only junctions: a pending ``|>``
-# then is a non-associative chain, an error.
-_BINARY = {"->": (1, 2, Implies), "<->": (1, 2, iff), "|>": (2, 3, Rhd),
-           "&": (3, 3, conj), "|": (3, 3, disj)}
+# Binary operators: (binding strength, constructor, least strength of a
+# pending operator that is built when this one arrives).  ``->`` and ``<->``
+# build only tighter operators first (right-associative), ``&`` and ``|``
+# their equals too (left-associative), and ``|>`` only junctions: a pending
+# ``|>`` then is a non-associative chain, an error.
+_BINARY = {"->": (1, Implies, 2), "<->": (1, iff, 2), "|>": (2, Rhd, 3),
+           "&": (3, conj, 3), "|": (3, disj, 3)}
 _PREFIX = {"~": neg, "[]": Box, "<>": dia}
 _FIXED = {*_BINARY, *_PREFIX, "(", ")", "F", "T"}
 
@@ -288,10 +297,11 @@ def parse(text: str) -> Formula:
     """
     toks = _TOKEN_RE.findall(text)
     toks.append("")   # end of input
-    # ``ops`` holds the pending binary operators as (strength, constructor), their
-    # left operands in ``lefts``, and per open parenthesis a (0, the prefix
-    # operators before it) entry; ``wraps`` are the prefix operators of the
-    # operand being read.
+    # ``ops`` holds the pending binary operators as their ``_BINARY`` entries,
+    # their left operands in ``lefts``, and per open parenthesis a (0, the
+    # prefix operators before it) entry, so index 0 is a strength and index 1
+    # what an entry builds or restores; ``wraps`` are the prefix operators of
+    # the operand being read.
     ops, lefts, wraps = [], [], []
     leaves = {"F": BOT, "T": TOP}   # and each atom, built once per parse
     depth, i = 0, -1   # i: the index of the token in hand
@@ -334,14 +344,15 @@ def parse(text: str) -> Formula:
                 return f
             raise _error(text, i, "unexpected end of input" if not tok else
                          f"expected ')', got {tok!r}" if depth else f"unexpected {tok!r}")
-        strength, builds, build = op
+        builds = op[2]
         while ops and ops[-1][0] >= builds:
             f = ops.pop()[1](lefts.pop(), f)
-        if build is Rhd and ops and ops[-1][1] is Rhd:
+        if op[1] is Rhd and ops and ops[-1][1] is Rhd:
             raise _error(text, i, "|> is non-associative; parenthesize the chain")
-        ops.append((strength, build))
+        ops.append(op)
         lefts.append(f)
-        wraps = []
+        if wraps:
+            wraps = []
 
 
 def _view(f):

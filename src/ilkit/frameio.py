@@ -33,28 +33,27 @@ def parse_frame_text(text: str) -> Model:
     s_triples = []
     vals = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         key = parts[0]
-        try:
-            if key == "worlds":
-                (count,) = parts[1:]
+        try:   # the relation lines first: they are nearly all of a file
+            if key == "R":
+                _, i, j = parts
+                r_pairs.append((int(i), int(j)))
+            elif key == "S":
+                _, w, i, j = parts
+                s_triples.append((int(w), int(i), int(j)))
+            elif key == "worlds":
+                _, count = parts
                 n = int(count)
                 if n <= 0:
                     raise ValueError
             elif key == "option":
-                opt, value = parts[1:]
+                _, opt, value = parts
                 if opt != "closure" or value not in ("on", "off"):
                     raise ValueError
                 closure = value == "on"
-            elif key == "R":
-                i, j = map(int, parts[1:])
-                r_pairs.append((i, j))
-            elif key == "S":
-                w, i, j = map(int, parts[1:])
-                s_triples.append((w, i, j))
             elif key == "val":
                 vals.setdefault(parts[1], []).extend(int(p) for p in parts[2:])
             else:

@@ -330,7 +330,7 @@ def complete(fr: Frame) -> Frame:
     s = list(fr.s_succ)
     for w, seed in enumerate(s):
         rw = r[w]
-        members = list(bits(rw))
+        members = bits(rw)
         rows = [0] * n
         for u in members:
             rows[u] = seed[u] & rw

@@ -15,7 +15,8 @@ from ilkit.cli import _build_parser, main
 from ilkit.corpus import corpus_models, corpus_names, load
 from ilkit.extension import build_ue, ue_to_json
 from ilkit.formula import NESTING_LIMIT
-from ilkit.frameio import WORLDS_LIMIT
+from ilkit.frameio import WORLDS_LIMIT, model_to_text
+from ilkit.frames import Model, tree
 from ilkit.limits import LABEL_WORLDS_LIMIT
 from ilkit.semantics import VALUATION_BITS_LIMIT
 
@@ -341,6 +342,20 @@ def test_ue_command(capsys):
         code, out, err = run(capsys, "ue", "chain3", "--cap", cap)
         assert code == 2 and out == ""
         assert err == f"ilkit: --cap must be at least 1, got {cap}\n"
+
+
+def test_ue_text_builds_only_the_worlds_it_prints(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "tree22.vf"
+    path.write_text(model_to_text(Model(tree(2, 2))))
+    built = []
+    monkeypatch.setattr("ilkit.cli.build_ue",
+                        lambda fr, max_worlds: built.append(build_ue(fr, max_worlds)) or built[0])
+    code, out, _ = run(capsys, "ue", str(path))
+    (ue,) = built
+    assert code == 0 and len(ue) == 4391
+    assert "worlds" not in vars(ue)   # the cached UEWorld list was never filled
+    shown = [f"{i}: {w!r}" for i, w in enumerate(ue.worlds[:40])]
+    assert out == "\n".join(["worlds 4391 (base 7)", *shown, "... 4351 more"]) + "\n"
 
 
 def test_prove_check_command(tmp_path, capsys):

@@ -183,6 +183,67 @@ def test_intern_table_drops_dead_nodes():
     assert len(formula._NODES) == before   # reference counting alone empties it
 
 
+def _racing_table(monkeypatch, key, race):
+    """An empty intern table in place of the real one whose first
+    ``setdefault`` under ``key`` runs ``race()`` before publishing, as
+    another thread could between a miss and its publish; the references
+    offered under ``key`` are kept in the returned list."""
+    offered = []
+
+    class Racing(dict):
+        def setdefault(self, k, default):
+            if k == key:
+                offered.append(default)
+                if len(offered) == 1:
+                    race()
+            return dict.setdefault(self, k, default)
+
+    table = Racing()
+    monkeypatch.setattr(formula, "_NODES", table)
+    return table, offered
+
+
+def test_a_lost_intern_race_returns_the_winners_node(monkeypatch):
+    a = Atom("raced")
+    key = (Implies, a, BOT)
+    winner = []
+    gc.collect()
+    gc.disable()   # nothing but this test may drop an entry meanwhile
+    try:
+        table, offered = _racing_table(monkeypatch, key,
+                                       lambda: winner.append(Implies(a, BOT)))
+        got = Implies(a, BOT)
+        assert got is winner[0]
+        ours, theirs = offered   # ours was offered first, the winner's inside the race
+        assert ours() is None   # our node was dropped ...
+        assert len(table) == 1 and table[key] is theirs and theirs() is got   # ... and left theirs
+        assert Implies(a, BOT) is got   # a hit now
+    finally:
+        gc.enable()
+
+
+def test_an_intern_miss_replaces_a_dead_entry():
+    class Gone:
+        pass
+
+    gc.collect()
+    a = Atom("revived")
+    key = (Box, a)
+    gone = Gone()
+    dead = formula._Ref(gone)   # no callback: the entry stays until replaced
+    dead.key = key
+    formula._NODES[key] = dead
+    del gone
+    assert dead() is None
+    before = len(formula._NODES)
+    got = Box(a)
+    assert formula._NODES[key]() is got
+    assert len(formula._NODES) == before   # replaced, not added beside
+    assert Box(a) is got
+    del got
+    assert key not in formula._NODES and len(formula._NODES) == before - 1
+
+
 def test_wrong_arity_is_refused_and_not_interned():
     before = len(formula._NODES)
     for cls, args in ((Implies, (BOT,)), (Implies, (BOT, BOT, BOT)), (Box, ()),
@@ -257,17 +318,22 @@ def test_cached_walk_leaves_pickling_and_freeing_alone():
         gc.enable()
 
 
-def _mc_style_formulas(monkeypatch, count, depth):
-    """Deep formulas as the benchmark's ``mc`` requests build them, parsed
-    from their text; the generator is read from source, writing no bytecode."""
+def _mc_style_texts(monkeypatch, depths):
+    """Deep formula texts as the benchmark's ``mc`` requests send them, one
+    per depth; the generator is read from source, writing no bytecode."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
     spec = importlib.util.spec_from_file_location("perfbench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     rng = random.Random(23)
-    return [parse(gen.to_text(gen.deep_formula(rng, depth, ("p", "q", "r"))))
-            for _ in range(count)]
+    return [gen.to_text(gen.deep_formula(rng, depth, ("p", "q", "r"))) for depth in depths]
+
+
+def _mc_style_formulas(monkeypatch, count, depth):
+    """Deep formulas as the benchmark's ``mc`` requests build them, parsed
+    from their text."""
+    return [parse(text) for text in _mc_style_texts(monkeypatch, [depth] * count)]
 
 
 def test_postorder_matches_a_recursive_walk(monkeypatch):
@@ -442,3 +508,11 @@ def test_parse_matches_recursive_descent_on_nesting_and_prefix_chains():
                   "~[]<>" * length + "p -> q", "[]~" * length, "p |> " + "<>~" * length + "q"]
     for text in texts:
         _same_parse(text)
+
+
+def test_parse_matches_recursive_descent_on_deep_formulas(monkeypatch):
+    rng = random.Random(27)
+    texts = _mc_style_texts(monkeypatch, range(50, 301, 10))
+    cuts = [text[:rng.randrange(len(text))] for text in texts for _ in range(4)]
+    assert all(_same_parse(text) for text in texts)
+    assert sum(not _same_parse(text) for text in cuts) > len(cuts) // 2   # most are errors

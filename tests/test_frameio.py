@@ -6,6 +6,7 @@ from ilkit.frameio import (
     parse_frame_text, to_dot,
 )
 from ilkit.frames import Model, WorldSet, chain, random_frame, validate
+from ilkit.limits import WORLDS_LIMIT
 
 
 SAMPLE = """\
@@ -43,6 +44,42 @@ def test_parse_error_reports_line():
                    "worlds 2\nQ 0 1\n", "worlds 2\nR 0 1 2\n"]:
         with pytest.raises(FrameFormatError):
             parse_frame_text(broken)
+
+
+@pytest.mark.parametrize("bad", [
+    "R", "R 0", "R 0 1 2", "R 0 x", "R 1.0 0",
+    "S", "S 0 1", "S 0 1 2 3", "S 0 1 y", "S z 1 1",
+    "worlds", "worlds 2 3", "worlds 0", "worlds -1", "worlds two",
+    "option", "option closure", "option closure maybe", "option loops on",
+    "option closure on off", "Q 0 1", "r 0 1", "val",
+])
+def test_frame_file_errors_name_their_line(bad):
+    for line in (bad, f"  {bad}\t# with a comment"):
+        text = f"# a header comment\n\nworlds 2\n   \nR 0 1\n{line}\nS 0 1 1\n"
+        with pytest.raises(FrameFormatError) as err:
+            parse_frame_text(text)
+        assert str(err.value) == f"line 6: cannot read {line!r}"
+
+
+def test_frame_file_whole_file_errors():
+    for text, message in [
+            ("", "missing 'worlds' directive"),
+            ("# only a comment\n\nR 0 1\n", "missing 'worlds' directive"),
+            (f"worlds {WORLDS_LIMIT + 1}\n",
+             f"{WORLDS_LIMIT + 1} worlds exceeds the limit of {WORLDS_LIMIT}"),
+            ("worlds 2\nR 0 2\n", "R pair (0,2) out of range"),
+            ("worlds 2\nS 0 0 2\n", "S triple (0,0,2) out of range")]:
+        with pytest.raises(FrameFormatError) as err:
+            parse_frame_text(text)
+        assert str(err.value) == message
+
+
+def test_comments_and_blank_lines_are_skipped():
+    text = ("# header\n\n   \n\t# indented comment\nworlds 3# no space\n"
+            "R 0 1 # trailing\n#R 0 2\nR 1 2\n\nval p 1 # p\nval q 2\n")
+    m = parse_frame_text(text)
+    assert m.frame == chain(3)
+    assert m.ev == {"p": WorldSet(3, 0b010), "q": WorldSet(3, 0b100)}
 
 
 def test_parse_rejects_cycle_and_stray_seed():
