@@ -365,7 +365,7 @@ def ue_to_dict(ue: UEFrame) -> dict:
                "label_min_sets": [sorted(l.min_set()) for l in w.labels]}
               for w in ue.worlds]
     edges = [[i, j] for i, j in ue.frame.r_pairs()]
-    fr, members = ue.frame, cache(lambda row: list(bits(row)))
+    fr, members = ue.frame, cache(bits)
     s_families = {str(i): [[u, v] for u in itertools.compress(range(fr.n), fr.s_succ[i])
                            for v in members(fr.s_succ[i][u])]
                   for i, _ in fr.r_rows[0]}

@@ -290,25 +290,17 @@ def _closure(rows, members):
 
 
 def _find_cycle(fr, start):
-    """A world on an R-cycle was detected; recover a concrete cycle path."""
-    # BFS from start back to itself along the seed edges.
-    parent = {start: None}
+    """A shortest cycle through ``start``, whose closed R row holds it: a
+    BFS along the seed edges, each reached world keeping its path."""
+    paths = {start: [start]}
     queue = [start]
-    while queue:
-        cur = queue.pop(0)
+    for cur in queue:   # the queue grows as the loop runs
         for nxt in bits(fr.r_succ[cur]):
             if nxt == start:
-                path = []
-                node = cur
-                while node is not None:
-                    path.append(node)
-                    node = parent[node]
-                path.reverse()
-                return path + [start]
-            if nxt not in parent:
-                parent[nxt] = cur
+                return paths[cur] + [start]
+            if nxt not in paths:
+                paths[nxt] = paths[cur] + [nxt]
                 queue.append(nxt)
-    return [start, start]
 
 
 def complete(fr: Frame) -> Frame:
@@ -377,19 +369,10 @@ def fan(k: int) -> Frame:
 
 
 def tree(branching: int, depth: int) -> Frame:
-    """The full tree, with R the ancestor relation."""
-    pairs = []
-    nodes = 1
-    level = [0]
-    for _ in range(depth):
-        nxt = []
-        for parent in level:
-            for _ in range(branching):
-                pairs.append((parent, nodes))
-                nxt.append(nodes)
-                nodes += 1
-        level = nxt
-    return complete(Frame.build(nodes, pairs))
+    """The full tree, with R the ancestor relation.  Nodes are numbered
+    level by level, so node j > 0 has parent (j - 1) // branching."""
+    nodes = sum(max(branching, 0) ** k for k in range(max(depth, 0) + 1))
+    return complete(Frame.build(nodes, [((j - 1) // branching, j) for j in range(1, nodes)]))
 
 
 def longest_chain(fr: Frame) -> int:
@@ -407,24 +390,19 @@ def longest_chain(fr: Frame) -> int:
 
 
 def _s_rows_options(n, r, w):
-    """All legal S_w rows for a fixed transitive irreflexive R, sorted."""
+    """All legal S_w rows for a fixed transitive irreflexive R, sorted: each
+    member u of R[w] takes a row inside R[w] holding its core, u and R[u]
+    there, and of these choices the transitive ones are kept."""
     rw = r[w]
-    members = list(bits(rw))
-    mandatory = {u: (1 << u) | (r[u] & rw) for u in members}
-    optional = []
-    for u in members:
-        for v in members:
-            if v != u and not mandatory[u] >> v & 1:
-                optional.append((u, v))
+    members = bits(rw)
+    choices = [[row for row in range(rw + 1) if row & core == core and not row & ~rw]
+               for core in (1 << u | r[u] & rw for u in members)]
     out = []
-    for choice in range(1 << len(optional)):
+    for combo in itertools.product(*choices):
         rows = [0] * n
-        for u in members:
-            rows[u] = mandatory[u]
-        for idx, (u, v) in enumerate(optional):
-            if choice >> idx & 1:
-                rows[u] |= 1 << v
-        if all(rows[v] & ~rows[u] == 0 for u in members for v in bits(rows[u])):
+        for u, row in zip(members, combo):
+            rows[u] = row
+        if all(rows[v] & ~row == 0 for row in combo for v in bits(row)):
             out.append(tuple(rows))
     out.sort()
     return out
@@ -488,7 +466,7 @@ def random_frame(n: int, seed: int) -> Frame:
     triples = []
     for w in range(n):
         rw = base.r_succ[w]
-        members = list(bits(rw))
+        members = bits(rw)
         for u in members:
             for v in members:
                 if u != v and rng.random() < 0.25:

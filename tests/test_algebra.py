@@ -135,6 +135,7 @@ def test_translate_shapes():
     assert translate(parse("p |> q")) is SOp(Var("p"), Var("q"))
     assert (term_to_str(translate(parse("p |> []q")))
             == "S_inv(A_p, Rhat_inv(A_q))")
+    assert repr(translate(parse("p |> []q"))) == "S_inv(A_p, Rhat_inv(A_q))"
     assert term_to_str(translate(parse("~p"))) == "(comp(A_p) | empty)"
 
 

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from ilkit import cli, pencil
 from ilkit.calculus import derived_theorems, proof_to_dict
 from ilkit.cli import _build_parser, main
 from ilkit.corpus import corpus_models, corpus_names, load
 from ilkit.extension import build_ue, ue_to_json
-from ilkit.formula import NESTING_LIMIT
+from ilkit.formula import NESTING_LIMIT, parse
 from ilkit.frameio import WORLDS_LIMIT, model_to_text
 from ilkit.frames import Model, tree
 from ilkit.limits import LABEL_WORLDS_LIMIT
@@ -228,6 +229,15 @@ def test_bisim_command(tmp_path, capsys):
         assert code == 2 and out == ""
         assert err == (f"ilkit: {pairs}: pair ({i}, {j}) is outside "
                        "the models\n")
+    # an unreadable or malformed pair file is a usage error naming it
+    pairs.write_text("0 0 0\n")
+    missing = tmp_path / "missing.z"
+    for path, reason in ((pairs, "too many values to unpack (expected 2)"),
+                         (missing, f"[Errno 2] No such file or directory: '{missing}'")):
+        code, out, err = run(capsys, "bisim", "pencil-bad1", "pencil-good1",
+                             "--z", str(path))
+        assert code == 2 and out == ""
+        assert err == f"ilkit: {path}: {reason}\n"
 
 
 def test_bisim_command_max(capsys):
@@ -289,6 +299,10 @@ def test_assuring_command_query(capsys):
     code, _, err = run(capsys, "assuring", "chain2",
                        "--f", "0", "--label", "", "--g", "1")
     assert code == 2 and "nonempty" in err
+    code, out, err = run(capsys, "assuring", "chain2",
+                         "--f", "9", "--label", "1", "--g", "0")
+    assert code == 2 and out == ""
+    assert err == "ilkit: witness 9 out of range for n=2\n"
 
 
 def test_ue_command_caps_the_root_worlds(tmp_path, capsys):
@@ -414,6 +428,20 @@ def test_prove_check_command(tmp_path, capsys):
     code, out, err = run(capsys, "prove-check", str(garbled))
     assert code == 2 and out == ""
     assert err.startswith(f"ilkit: {garbled}: maximum recursion depth exceeded")
+
+
+def test_pencil_demo_command_reports_a_failed_demo(monkeypatch, capsys):
+    def failing_demo(m, depth):
+        report = pencil.nondefinability_demo(m, depth)
+        report.bisim_ok, report.failure = False, ("bisim", 0, (0, 0), parse("p"))
+        return report
+
+    monkeypatch.setattr(cli, "nondefinability_demo", failing_demo)
+    code, out, _ = run(capsys, "pencil-demo", "--fan", "1", "--depth", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[2] == "bisimulation under all 1024 valuations: False"
+    assert lines[-1] == "demo failed: ('bisim', 0, (0, 0), p)"
 
 
 def test_pencil_demo_command(capsys):

@@ -231,6 +231,10 @@ def test_witness_from_negated_example():
         witness_from_negated(fr, Ultrafilter(2, 0),
                              WorldSet.from_iter(2, [1]),
                              WorldSet.from_iter(2, [1]))
+    # S_0 is not reflexive at 1, so no label assures 1 from 0: no witness
+    fr = Frame.build(2, [(0, 1)], [])
+    assert witness_from_negated(fr, Ultrafilter(2, 0), WorldSet.from_iter(2, [1]),
+                                WorldSet.full(2)) is None
 
 
 def test_classical_ue_is_isomorphic_to_base():

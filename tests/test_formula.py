@@ -277,6 +277,14 @@ def test_kids_are_the_node_arguments_in_order():
             assert tuple(getattr(node, name) for name in cls.__slots__) == args
 
 
+def test_a_three_slot_node_fills_every_slot():
+    Triple = type("Triple", (Formula,), {"__slots__": ("a", "b", "c")})
+    p, q = Atom("p"), Atom("q")
+    node = Triple(p, q, p)
+    assert (node.a, node.b, node.c) == (p, q, p) and node.kids == (p, q, p)
+    assert Triple(p, q, p) is node
+
+
 def test_a_class_mixing_a_name_with_nodes_is_refused():
     for slots in (("name", "body"), ("lhs", "name")):
         with pytest.raises(TypeError, match="mixes a name"):

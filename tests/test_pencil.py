@@ -96,6 +96,12 @@ def test_demo_pair_certified():
         build_demo_pair(0)
 
 
+def test_demo_pair_failing_certification_is_refused(monkeypatch):
+    monkeypatch.setattr(pencil, "check_bisim", lambda *args: semantics.BisimVerdict(False))
+    with pytest.raises(SearchExhausted, match="^the frame pair with fan size 2 fails"):
+        build_demo_pair(2)
+
+
 def test_transfer_valuation_duplicates_first_fan_world():
     ev = transfer_valuation({"p": WorldSet(5, 0b10011)}, 1)
     # world 4 is duplicated onto 4 and 5; lower worlds copy over
