@@ -327,6 +327,12 @@ def label_lemma_scoreboard() -> list[CheckResult]:
     count in bulk; only a failing row is scanned, lowest bit first, for
     the first failing instance in sweep order, which the detail names.
 
+    ``family-shrink-monotone`` compares each family F only with F - {i},
+    lowest i first, yet counts all (family, subfamily) pairs and reports
+    the descending subfamily walk's first failure: if the least failing F
+    fails at S, each smaller F - {i} with i in F - S passes at S, so F
+    fails at F - {i}, which the walk meets first when |F - S| > 1.
+
     Each frame runs six blocks of sweeps, several rows to a block.  A
     block's measured time, summed over frames, goes on the first row it
     checks; its other rows read 0.0.  Building a shared table counts
@@ -427,14 +433,11 @@ def label_lemma_scoreboard() -> list[CheckResult]:
         packed = [sum(assured(fw, lm) << fw * n for fw in range(n)) if lm else 0
                   for lm in range(nmasks)]
         for fam, rows in enumerate(tab):
-            sub = fam
-            while True:
+            for sub in (fam ^ 1 << i for i in bits(fam)):
                 if bad := rows & ~tab[sub]:
                     fail("family-shrink-monotone",
                          f"fam={fam:#x} sub={sub:#x} f=U{((bad & -bad).bit_length() - 1) // n}")
-                if sub == 0:
                     break
-                sub = (sub - 1) & fam
             here["family-shrink-monotone"] += n << fam.bit_count()
             for fw in range(n):
                 row = rows >> fw * n & full

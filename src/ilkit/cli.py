@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import cache
 
@@ -152,9 +153,9 @@ def _cmd_eval(args) -> int:
     n = m.frame.n
     env = {a: m.ev_set(a) for a in m.ev}
     for binding in args.val or []:
-        if "=" not in binding:
+        atom, eq, worlds = binding.partition("=")
+        if not eq or not re.fullmatch(r"[a-z][a-z0-9_]*", atom):
             raise UsageError(f"--val wants atom=worlds, got {binding!r}")
-        atom, _, worlds = binding.partition("=")
         env[atom] = _parse_worlds(n, worlds)
     for a in atoms(f):
         env.setdefault(a, WorldSet.empty(n))

@@ -7,10 +7,10 @@ is legal when R is transitive and irreflexive and each S_w is a reflexive,
 transitive relation on R[w] that contains R restricted to R[w].
 
 ``complete`` is the one place that closes relations.  Its closure walks
-set bits (``bits``), one OR per pair of the result, closes S_w over R[w]
-only, and closes rows that start equal once.  A dense chain is still
-cubic, as its S relations hold about n^3/6 pairs.  An ultrafilter
-extension is built closed and never passes through it.
+set bits (``bits``), one OR per pair of the result, and closes S_w over
+R[w] only.  A dense chain is still cubic, as its S relations hold about
+n^3/6 pairs.  An ultrafilter extension is built closed and never passes
+through it.
 
 ``validate`` screens each world with C-level ``map``/``reduce`` over its
 R-successors and walks cell by cell only the worlds the screen flags; a
@@ -271,21 +271,16 @@ def _closure(rows, members):
     """Transitive closure, in place, of the rows at ``members``: each row
     absorbs the rows at its set bits, then at the bits that added, until it
     stops growing.  Highest first, so rows that point upward absorb rows
-    that are already closed.  A row's closure is the set reachable from
-    its starting value, whatever else is closed yet, so members that start
-    equal share the first one's result: equal seeds close once."""
-    closed = {}
+    that are already closed."""
     for u in reversed(members):
-        start = row = fresh = rows[u]
-        if start not in closed:
-            while fresh:
-                grown = row
-                for v in bits(fresh):
-                    grown |= rows[v]
-                fresh = grown & ~row
-                row = grown
-            closed[start] = row
-        rows[u] = closed[start]
+        row = fresh = rows[u]
+        while fresh:
+            grown = row
+            for v in bits(fresh):
+                grown |= rows[v]
+            fresh = grown & ~row
+            row = grown
+        rows[u] = row
     return rows
 
 

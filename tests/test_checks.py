@@ -1,4 +1,5 @@
 import json
+import random
 from functools import reduce
 from itertools import accumulate
 
@@ -215,19 +216,68 @@ FAULTS = {
     "rinv": _flip_ops(0, lambda ops: ops.rinv, 0b10, 0b1),
     "rdual": _flip_ops(2, lambda ops: ops.rdual, 0b101, 0b1),
     "sinv": _flip_ops(2, lambda ops: ops.sinv(0b110), 0b110, 0b1),
+    # U0 U1 leaves tab[0x2], two members below 0x26 on the first frame,
+    # (2, 0, 0); the least family failing there is 0x6
+    "family-table-sub-2": _flip_family_bit(0x2, 0, 1),
+    # U0 U1 joins tab[0x7], which then fails at 0x5 and 0x3: the lowest
+    # member removed comes first
+    "family-table-7": _flip_family_bit(0x7, 0, 1),
+}
+
+SHRINK_DETAILS = {
+    "family-table-sub-2": "n=3 (2, 0, 0) fam=0x6 sub=0x2 f=U0",
+    "family-table-7": "n=3 (2, 0, 0) fam=0x7 sub=0x5 f=U0",
 }
 
 
-@pytest.mark.parametrize("plant", FAULTS.values(), ids=FAULTS.keys())
-def test_label_lemma_faults_match_per_instance_oracle(monkeypatch, plant):
+@pytest.mark.parametrize("fault", FAULTS)
+def test_label_lemma_faults_match_per_instance_oracle(monkeypatch, fault):
     # fresh copies of four n=3 frames, so the planted fault stays in their tables
     base = checks._frames_for(3)
     frames = [Frame(3, base[i].r_succ, base[i].s_succ) for i in (1, 14, 20, 32)]
-    plant(monkeypatch, frames)
+    FAULTS[fault](monkeypatch, frames)
     monkeypatch.setattr(checks, "_classes_up_to", lambda max_n: [(fr, 1) for fr in frames])
     got = [(r.name, r.ok, r.detail) for r in checks.label_lemma_scoreboard()]
     assert got == oracles.label_lemmas_naive(frames)
     assert sum(not ok for _, ok, _ in got) >= 2
+    if fault in SHRINK_DETAILS:
+        shrink = got[checks.LABEL_LEMMAS.index("family-shrink-monotone")]
+        assert shrink[1:] == (False, f"first failure at {SHRINK_DETAILS[fault]}")
+
+
+def _shrink_walk(fr, tab):
+    """``family-shrink-monotone``'s ``(ok, detail)`` from the walk over
+    every subfamily of each family, in descending order."""
+    n = fr.n
+    for fam, rows in enumerate(tab):
+        sub = fam
+        while True:
+            if bad := rows & ~tab[sub]:
+                f = ((bad & -bad).bit_length() - 1) // n
+                return False, f"first failure at n={n} {fr.r_succ} fam={fam:#x} sub={sub:#x} f=U{f}"
+            if sub == 0:
+                break
+            sub = (sub - 1) & fam
+    return True, f"{sum(n << fam.bit_count() for fam in range(len(tab)))} instances"
+
+
+def test_single_step_shrink_matches_the_subfamily_walk(monkeypatch):
+    # the probe and fired-set blocks never read the raw-family table: stub them
+    monkeypatch.setattr(checks, "assuring_family", lambda *args: False)
+    monkeypatch.setattr(checks, "all_ultrafilters", lambda fr: [])
+    rng, row, failed = random.Random(29), checks.LABEL_LEMMAS.index("family-shrink-monotone"), 0
+    for fr, clean in [(fr, checks._family_tables(FrameOps(fr)))
+                      for fr, _ in checks._classes_up_to(3)]:
+        monkeypatch.setattr(checks, "_classes_up_to", lambda max_n, fr=fr: [(fr, 1)])
+        for _ in range(200):
+            tab = list(clean)
+            for _ in range(rng.randint(2, 6)):
+                tab[rng.randrange(len(tab))] ^= 1 << rng.randrange(fr.n * fr.n)
+            monkeypatch.setattr(checks, "_family_tables", lambda ops, tab=tab: tab)
+            got = checks.label_lemma_scoreboard()[row]
+            assert (got.ok, got.detail) == _shrink_walk(fr, tab)
+            failed += not got.ok
+    assert failed > 1500
 
 
 # ------------------------------------------ class sweeps, labelled sweeps

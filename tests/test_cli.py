@@ -267,8 +267,12 @@ def test_eval_command(capsys):
     assert out.splitlines() == ["{1,2}", "proper subset"]
     code, _, err = run(capsys, "eval", "chain3", "p", "--val", "p=9")
     assert code == 2 and "bad world list" in err
-    code, _, err = run(capsys, "eval", "chain3", "p", "--val", "p:1")
-    assert code == 2 and "--val wants atom=worlds" in err
+    code, out, _ = run(capsys, "eval", "chain3", "p_2 | q1", "--val", "p_2=0", "--val", "q1=2")
+    assert code == 0 and out.splitlines() == ["{0,2}", "proper subset"]
+    # a binding whose name is no atom is refused, not dropped
+    for binding in ("p:1", "=1", "P=1", "p q=1", "1p=0", " p=1", "p-=1", "T=1"):
+        code, out, err = run(capsys, "eval", "chain3", "p", "--val", binding)
+        assert (code, out, err) == (2, "", f"ilkit: --val wants atom=worlds, got {binding!r}\n")
 
 
 def test_assuring_command_listing(capsys):
