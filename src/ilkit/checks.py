@@ -20,9 +20,10 @@ forcing and ``eval_term`` read a world's own rows only, so component k of
 each mask is model k's answer.
 
 The sweeps call the public library functions wherever speed permits.
-The labeling-lemma sweeps test whole rows of instances of the frame's
-``FrameOps`` and of a packed raw-family table of their own, which they
-cross-check against ``assuring_family`` on a stride sample, so a
+A pool of formulas or set terms takes one ``frame_refuted`` sweep per
+frame.  The labeling-lemma sweeps test whole rows of instances of the
+frame's ``FrameOps`` and of a packed raw-family table of their own, which
+they cross-check against ``assuring_family`` on a stride sample, so a
 divergence between table and implementation still fails the scoreboard.
 """
 
@@ -45,11 +46,11 @@ from .extension import (ResourceLimitError, build_ue, build_ue_model,
                         find_assured_successor, witness_from_negated)
 from .filters import (FrameOps, Ultrafilter, all_proper_filters,
                       all_ultrafilters, assuring_family, b_set)
-from .formula import Atom, atoms, conj, enumerate_formulas, parse
+from .formula import Atom, atoms, enumerate_formulas, parse
 from .frames import (Frame, Model, WorldSet, all_frames, bits, chain,
                      disjoint_union, frame_classes, validate)
 from .records import Record
-from .semantics import extension, frame_valid
+from .semantics import extension, frame_refuted, frame_valid
 
 # labelled frames of each size up to MAX_N + 1
 EXPECTED_FRAME_COUNTS = {1: 1, 2: 3, 3: 34, 4: 1441}
@@ -144,12 +145,14 @@ def _instances(picks):
             for name, arity in _SCHEMA_ARITY.items() for args in product(picks, repeat=arity)]
 
 
-def _first_refuted(fr: Frame, batch, instances):
+def _first_refuted(fr: Frame, instances):
     """The first ``(schema, arguments, instance)`` refuted on ``fr``, with its
-    verdict, or None; one sweep of ``batch``, their conjunction, clears all."""
-    if frame_valid(fr, batch).valid:
+    verdict, or None: one ``frame_refuted`` sweep of all the instances, then
+    ``frame_valid`` on the first refuted one for its counterexample."""
+    if not (refuted := frame_refuted(fr, [x[2] for x in instances])):
         return None
-    return next(((x, v) for x in instances if not (v := frame_valid(fr, x[2])).valid), None)
+    x = instances[min(refuted)]
+    return x, frame_valid(fr, x[2])
 
 
 @_check("axiom-soundness")
@@ -161,9 +164,9 @@ def axiom_soundness():
     extension as the valuation varies; so ``frame_valid`` on the schema
     itself, sweeping all mask tuples for the metavariables, covers every
     instance over any pool.  A stride of literal depth-1 instances
-    additionally goes through ``frame_valid``: one sweep of their
-    conjunction per frame, and one per instance only on a frame that
-    refutes it, to name the first refuted instance.
+    additionally goes through the validity sweep: one ``frame_refuted``
+    sweep of the whole pool per frame, and one ``frame_valid`` only on a
+    frame that refutes an instance, to name the first refuted one.
     """
     mask_cases = 0
     for fr, orbit in _classes_up_to(MAX_N):
@@ -178,11 +181,10 @@ def axiom_soundness():
     depth1 = _pool(depth=1, size=2)
     picks = depth1[::max(1, len(depth1) // 4)][:4]
     literals = _instances(picks)
-    batch = reduce(conj, [f for _, _, f in literals])
     literal_cases = 0
     for fr, orbit in _classes_up_to(MAX_N):
         literal_cases += orbit * len(literals)
-        if found := _first_refuted(fr, batch, literals):
+        if found := _first_refuted(fr, literals):
             (name, args, _), verdict = found
             return False, (f"{name}{tuple(map(str, args))} refuted "
                            f"on n={fr.n} frame at world {verdict.world}")
@@ -207,18 +209,17 @@ INCLUSION_LAWS = (
 def translation_validity():
     """Translated axioms denote W; the inclusion laws hold exhaustively.
 
-    The translated axiom instances over p, q are one ``frame_valid`` sweep
-    of their intersection per frame (and one per instance only where that
-    fails), counted as 2^(2n) valuations per instance (even with one atom);
-    each of ``INCLUSION_LAWS`` is one sweep per frame, 2^(kn) over k variables.
+    The translated axiom instances over p, q are one ``frame_refuted`` sweep
+    per frame (and one ``frame_valid`` where one fails), counted as 2^(2n)
+    valuations per instance (even with one atom); each of
+    ``INCLUSION_LAWS`` is one sweep per frame, 2^(kn) over k variables.
     """
     terms = [(name, args, translate(f))
              for name, args, f in _instances([Atom("p"), Atom("q")])]
-    batch = reduce(Intersection, [t for _, _, t in terms])
     axiom_cases = 0
     for fr, orbit in _classes_up_to(MAX_N):
         axiom_cases += orbit * len(terms) << 2 * fr.n
-        if found := _first_refuted(fr, batch, terms):
+        if found := _first_refuted(fr, terms):
             (name, _, term), verdict = found
             got = eval_term(fr, verdict.ev, term).mask
             return False, (f"{name} translation misses "
@@ -274,7 +275,9 @@ def _family_tables(ops) -> list[int]:
     One packed int per raw family ``fam`` (bit i = member set i+1): bit
     ``fw*n + gw`` is set when witness fw assures gw under that family.
     Written apart from ``FrameOps.family_rows`` on purpose: the sweep holds
-    ``assuring_family`` against this table.
+    ``assuring_family`` against this table.  Bit u of a family's union set
+    marks each union u of the complements of a subfamily; it comes from the
+    family without its top member, and each distinct one gets its row once.
     """
     fr = ops.fr
     n, full = fr.n, fr.full_mask
@@ -285,15 +288,17 @@ def _family_tables(ops) -> list[int]:
                  if col[full & ~a] >> fw & 1) for col in map(ops.sinv, range(nmasks))]
     # allowed[t]: the g that every set a in the mask t, and a's box preimage, hold
     allowed = _subset_folds([a & ops.rdual[a] for a in range(nmasks)], and_, full)
-    tables = []
-    for fam in range(1 << nmasks - 1):
-        unions = {0}
-        for i in bits(fam):
-            unions |= {u | full & ~(i + 1) for u in unions}
-        fired = reduce(or_, [fires[u] for u in unions])
-        tables.append(sum(allowed[fired >> fw * nmasks & (1 << nmasks) - 1] << fw * n
-                          for fw in range(n)))
-    return tables
+    usets = [1]   # the empty family: the empty union only
+    for fam in range(1, 1 << nmasks - 1):
+        top = fam.bit_length() - 1
+        rest, comp = usets[fam ^ 1 << top], full & ~(top + 1)
+        usets.append(reduce(or_, [1 << (u | comp) for u in bits(rest)], rest))
+    rows = {}
+    for uset in dict.fromkeys(usets):   # one row per distinct union set
+        fired = reduce(or_, [fires[u] for u in bits(uset)])
+        rows[uset] = sum(allowed[fired >> fw * nmasks & (1 << nmasks) - 1] << fw * n
+                         for fw in range(n))
+    return [rows[uset] for uset in usets]
 
 
 def _subset_folds(values, op, empty) -> list[int]:
@@ -608,13 +613,14 @@ def classical_baseline():
     for name, m in models:
         cue = classical_ue(m.frame, m)
         base_cache, ue_cache = {}, {}
-        for f in pool:
+        lifted_refuted, base_refuted = frame_refuted(cue.frame, pool), frame_refuted(m.frame, pool)
+        for k, f in enumerate(pool):
             base = extension(m, f, base_cache).mask
             lifted = extension(cue.model, f, ue_cache).mask
             for i, x in enumerate(cue.witnesses):
                 if lifted >> i & 1 != base >> x & 1:
                     return False, f"{name}: truth lemma fails on {f} at U{x}"
-            if frame_valid(cue.frame, f).valid and not frame_valid(m.frame, f).valid:
+            if k not in lifted_refuted and k in base_refuted:
                 return False, f"{name}: validity not reflected for {f}"
     return True, (f"{frames} frames isomorphic; box pool of {len(pool)} "
                   f"checked on {len(models)} corpus models")

@@ -151,14 +151,16 @@ def _cmd_eval(args) -> int:
     m = _load_model_arg(args.model)
     f = _parse_formula(args.formula)
     n = m.frame.n
-    env = {a: m.ev_set(a) for a in m.ev}
+    env = {}
     for binding in args.val or []:
         atom, eq, worlds = binding.partition("=")
         if not eq or not re.fullmatch(r"[a-z][a-z0-9_]*", atom):
             raise UsageError(f"--val wants atom=worlds, got {binding!r}")
+        if atom in env:   # two bindings would leave the request ambiguous
+            raise UsageError(f"--val binds {atom} more than once")
         env[atom] = _parse_worlds(n, worlds)
-    for a in atoms(f):
-        env.setdefault(a, WorldSet.empty(n))
+    for a in [*m.ev, *atoms(f)]:   # the model's own valuation, else empty
+        env.setdefault(a, m.ev_set(a))
     got = eval_term(m.frame, env, translate(f))
     print(got)
     print("whole frame" if got.mask == m.frame.full_mask else "proper subset")

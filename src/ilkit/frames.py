@@ -403,21 +403,31 @@ def _s_rows_options(n, r, w):
     return out
 
 
+def _strict_orders(n: int) -> list:
+    """Every strict order on n worlds as R rows, ordered by ``(r[n-1], ...,
+    r[0])``: from world n-1 down, each order of the worlds above k takes
+    every row for k, in order, that misses k, lies in each row holding k
+    and holds the rows of its members, so R stays transitive."""
+    orders = [(0,) * n]   # the rows of the worlds below k are still 0
+    for k in reversed(range(n)):
+        grown = []
+        for r in orders:
+            cap = reduce(and_, [row for row in r if row >> k & 1], (1 << n) - 1 & ~(1 << k))
+            grown += [r[:k] + (m,) + r[k + 1:] for m in range(cap + 1)
+                      if not m & ~cap and not any(r[j] & ~m for j in bits(m))]
+        orders = grown
+    return orders
+
+
 def all_frames(n: int):
     """Every legal frame on n worlds, in a fixed deterministic order.
 
-    R ranges over all strict orders (transitive irreflexive relations) and,
+    R ranges over the strict orders (transitive irreflexive relations),
+    generated directly, not filtered from all 2^(n(n-1)) relations, and,
     per world, S_w over every relation between the forced core and the full
     square on R[w] that stays transitive.
     """
-    # R rows without their own bit, in the order of counting through the
-    # off-diagonal pairs as bits: row 0 varies fastest, then row 1, ...
-    loopless = [[m for m in range(1 << n) if not m >> w & 1] for w in reversed(range(n))]
-    for rows in itertools.product(*loopless):
-        r = rows[::-1]
-        # transitive without loops makes a strict order
-        if any(r[j] & ~r[i] for i in range(n) for j in bits(r[i])):
-            continue
+    for r in _strict_orders(n):
         for combo in itertools.product(*(_s_rows_options(n, r, w) for w in range(n))):
             yield Frame(n, r, combo)
 
@@ -426,25 +436,31 @@ def frame_classes(n: int):
     """Each isomorphism class of ``all_frames(n)`` as ``(representative,
     orbit size)``, in ``all_frames`` order.
 
-    The first frame not yet seen opens a class and represents it, so a
-    representative is its class's first frame in that order.  Its images
-    under all n! relabellings are marked seen; the orbit size, the number
-    of distinct images, is n!/|Aut|.
+    A representative is its class's first frame in that order, which holds
+    the first R of its R-class, as ``all_frames`` orders by R first and a
+    relabelling of R carries an image of every frame.  Each such R takes
+    Aut(R) from the n! relabellings; each S choice not yet seen opens a
+    class and marks its Aut(R)-orbit seen: |R-orbit| x that = n!/|Aut|.
     """
     # per relabelling p: the image of every mask, and src with src[p[w]] == w
     relabel = []
     for p in itertools.permutations(range(n)):
         image = [sum(1 << p[b] for b in bits(m)) for m in range(1 << n)]
         relabel.append((image, sorted(range(n), key=p.__getitem__)))
-    seen = set()
-    for fr in all_frames(n):
-        if (fr.r_succ, fr.s_succ) in seen:
+    seen_r = set()
+    for r in _strict_orders(n):
+        if r in seen_r:
             continue
-        orbit = {(tuple(image[fr.r_succ[w]] for w in src),
-                  tuple(tuple(image[fr.s_succ[w][u]] for u in src) for w in src))
-                 for image, src in relabel}
-        seen |= orbit
-        yield fr, len(orbit)
+        images = [tuple(image[r[w]] for w in src) for image, src in relabel]
+        seen_r.update(images)
+        aut = [p for p, img in zip(relabel, images) if img == r]
+        seen = set()
+        for s in itertools.product(*(_s_rows_options(n, r, w) for w in range(n))):
+            if s in seen:
+                continue
+            orbit = {tuple(tuple(image[s[w][u]] for u in src) for w in src) for image, src in aut}
+            seen |= orbit
+            yield Frame(n, r, s), len(relabel) // len(aut) * len(orbit)
 
 
 def random_frame(n: int, seed: int) -> Frame:

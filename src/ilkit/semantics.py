@@ -18,7 +18,9 @@ its nodes exist, each column is dropped after its last reader, and the width
 follows the peak of live columns.  Formulas and the set terms of ``algebra``
 share one sweep table, ``_COLUMN_OPS``, so the same sweep decides whether a
 term denotes every world under every valuation of its set variables.
-``sweep_apart`` sweeps two frames, side by side, and compares paired points.
+One block loop, ``_sweep``, gives each block's failing checks to
+``frame_valid`` and ``sweep_apart``, which take the least, and to
+``frame_refuted``, which decides a whole pool in one sweep.
 
 Bisimulations are checked on partner bitmasks: the zigzag clause costs one
 OR per S-successor of a successor, once per call, and one subset test per
@@ -133,8 +135,8 @@ def _sweep_block(steps, v: dict, succ, ones: int):
     ``(k, (g, a, h, b))`` and drop the dead columns.  Bit ``j`` of a column
     is the truth under the block's ``j``-th valuation; ``succ[w]`` lists
     each R-successor u of w with its S_w-successors, and ``ones`` has a bit
-    for every valuation.  Returns the least ``(j, k)`` such that check k
-    fails under valuation j, or None."""
+    for every valuation.  Returns ``(j, k)`` for each failing check k, j
+    its least failing valuation."""
     fails = []
     for g, op, after in steps:
         if op:
@@ -145,17 +147,21 @@ def _sweep_block(steps, v: dict, succ, ones: int):
                     fails.append(((fail & -fail).bit_length() - 1, k))
             for x in after[1]:
                 del v[x]
-    return min(fails, default=None)
+    return fails
 
 
-def _first_failure(nodes, succ, n: int, layout, checks, bits_limit=VALUATION_BITS_LIMIT):
-    """The least valuation of the leaves of ``nodes`` on ``n`` worlds, by
-    name, under which a check ``(g, a, h, b)`` fails (node ``g`` at world
-    ``a`` differs from node ``h`` at world ``b``), with its first failing
-    check; or None.  Valuations go in ascending blocks, as wide as
+def _sweep(nodes, succ, n: int, layout, checks, bits_limit=VALUATION_BITS_LIMIT):
+    """Per block of valuations of the leaves of ``nodes`` on ``n`` worlds,
+    ascending: the leaves sorted by name, the block's first valuation and
+    the ``(j, k)`` of ``_sweep_block`` for the checks ``(g, a, h, b)`` (node
+    g at world a differs from node h at world b).  Blocks are as wide as
     ``SWEEP_BLOCK_BITS`` and the live columns under ``SWEEP_MEMORY_BITS``
-    allow, through the frame ``succ``, whose world w takes the leaves of
-    world ``layout[w]``.  Refuses more than ``2**bits_limit`` valuations."""
+    allow; world w of the frame ``succ`` takes the leaves of world
+    ``layout[w]``.  Refuses, before any column exists, ``bits_limit``
+    outside ``0..VALUATION_BITS_LIMIT`` and over ``2**bits_limit`` valuations."""
+    if not 0 <= bits_limit <= VALUATION_BITS_LIMIT:
+        raise ValueError(
+            f"bits limit {bits_limit} is outside 0..{VALUATION_BITS_LIMIT}")
     leaves = sorted((g for g in nodes if type(g) in (Atom, Var)), key=lambda g: g.name)
     nbits = len(leaves) * n
     if nbits > bits_limit:
@@ -192,8 +198,15 @@ def _first_failure(nodes, succ, n: int, layout, checks, bits_limit=VALUATION_BIT
         cols = [low[t] if t < width else ones if base >> t & 1 else 0
                 for t in range(nbits)]
         v = {g: [cols[i * n + w] for w in layout] for i, g in enumerate(leaves)}
-        if found := _sweep_block(zip(nodes, ops, after), v, succ, ones):
-            j, k = found
+        yield leaves, base, _sweep_block(zip(nodes, ops, after), v, succ, ones)
+
+
+def _first_failure(nodes, succ, n: int, layout, checks, bits_limit=VALUATION_BITS_LIMIT):
+    """The least valuation (leaf name -> world set) under which a check of
+    ``_sweep`` fails, with its first failing check; or None."""
+    for leaves, base, fails in _sweep(nodes, succ, n, layout, checks, bits_limit):
+        if fails:
+            j, k = min(fails)
             return ({g.name: WorldSet(n, base + j >> i * n & (1 << n) - 1)
                      for i, g in enumerate(leaves)}, checks[k])
     return None
@@ -211,13 +224,26 @@ def frame_valid(fr: Frame, f: Node, bits_limit=VALUATION_BITS_LIMIT) -> FrameVer
     smallest world.  Refuses ``bits_limit`` outside
     ``0..VALUATION_BITS_LIMIT`` and more than ``2**bits_limit`` valuations.
     """
-    if not 0 <= bits_limit <= VALUATION_BITS_LIMIT:
-        raise ValueError(
-            f"bits limit {bits_limit} is outside 0..{VALUATION_BITS_LIMIT}")
     # valid: at every world, the same column as the term denoting every world
     found = _first_failure([*postorder(f), _FULL], fr.succ_lists, fr.n, range(fr.n),
                            [(f, w, _FULL, w) for w in range(fr.n)], bits_limit)
     return FrameVerdict(True) if found is None else FrameVerdict(False, found[0], found[1][1])
+
+
+def frame_refuted(fr: Frame, nodes, bits_limit=VALUATION_BITS_LIMIT) -> set[int]:
+    """The indices of the formulas or set terms in ``nodes`` that some
+    valuation refutes on the frame, as ``frame_valid`` would, by one sweep
+    of their distinct subterms until every member has failed.  Refuses as
+    ``frame_valid`` does, over the valuations of every atom of the pool."""
+    n = fr.n
+    walk = dict.fromkeys(g for f in nodes for g in postorder(f))   # each after its subterms
+    refuted = set()
+    for *_, fails in _sweep([*walk, _FULL], fr.succ_lists, n, range(n),
+                            [(f, w, _FULL, w) for f in nodes for w in range(n)], bits_limit):
+        refuted.update(k // n for _, k in fails)
+        if len(refuted) == len(nodes):
+            break
+    return refuted
 
 
 def sweep_apart(frl: Frame, frr: Frame, world_map, pairs, formulas):

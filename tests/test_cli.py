@@ -67,6 +67,11 @@ def test_mc_command_from_file(tmp_path, capsys):
     bad.write_text("worlds 2\nR 0 x\n")
     code, _, err = run(capsys, "mc", str(bad), "p")
     assert code == 2 and "line 2" in err
+    # an S triple whose middle world is one past the end is refused, not indexed
+    stray = tmp_path / "stray.vf"
+    stray.write_text("worlds 2\nS 0 2 0\n")
+    code, out, err = run(capsys, "mc", str(stray), "p")
+    assert (code, out, err) == (2, "", f"ilkit: {stray}: S triple (0,2,0) out of range\n")
     huge = tmp_path / "huge.vf"
     huge.write_text(f"worlds {WORLDS_LIMIT + 1}\nR 0 1\n")
     code, _, err = run(capsys, "mc", str(huge), "p")
@@ -269,6 +274,10 @@ def test_eval_command(capsys):
     assert code == 2 and "bad world list" in err
     code, out, _ = run(capsys, "eval", "chain3", "p_2 | q1", "--val", "p_2=0", "--val", "q1=2")
     assert code == 0 and out.splitlines() == ["{0,2}", "proper subset"]
+    # two bindings for one atom are refused as ambiguous, whatever their worlds
+    for second in ("p=2", "p=1"):
+        code, out, err = run(capsys, "eval", "chain3", "p", "--val", "p=1", "--val", second)
+        assert (code, out, err) == (2, "", "ilkit: --val binds p more than once\n")
     # a binding whose name is no atom is refused, not dropped
     for binding in ("p:1", "=1", "P=1", "p q=1", "1p=0", " p=1", "p-=1", "T=1"):
         code, out, err = run(capsys, "eval", "chain3", "p", "--val", binding)

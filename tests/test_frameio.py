@@ -68,7 +68,10 @@ def test_frame_file_whole_file_errors():
             (f"worlds {WORLDS_LIMIT + 1}\n",
              f"{WORLDS_LIMIT + 1} worlds exceeds the limit of {WORLDS_LIMIT}"),
             ("worlds 2\nR 0 2\n", "R pair (0,2) out of range"),
-            ("worlds 2\nS 0 0 2\n", "S triple (0,0,2) out of range")]:
+            ("worlds 2\nR 2 0\n", "R pair (2,0) out of range"),
+            ("worlds 2\nS 0 0 2\n", "S triple (0,0,2) out of range"),
+            ("worlds 2\nS 0 2 0\n", "S triple (0,2,0) out of range"),
+            ("worlds 2\nS 2 0 0\n", "S triple (2,0,0) out of range")]:
         with pytest.raises(FrameFormatError) as err:
             parse_frame_text(text)
         assert str(err.value) == message

@@ -385,6 +385,22 @@ def test_frame_class_counts_frozen():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_frame_classes_match_the_relabel_every_frame_oracle(n):
+    assert list(frame_classes(n)) == list(oracles.frame_classes_naive(n))
+
+
+def test_frame_classes_five_worlds_frozen():
+    # sha256 of repr([(r_succ, s_succ, orbit), ...]), equal to the
+    # relabel-every-frame walk's (which takes seconds here)
+    classes = list(frame_classes(5))
+    assert len(classes) == 2330
+    assert sum(orbit for _, orbit in classes) == 245971
+    seq = repr([(fr.r_succ, fr.s_succ, orbit) for fr, orbit in classes])
+    assert hashlib.sha256(seq.encode()).hexdigest() == \
+        "8a5bf22ff302c9c52340bfbb32bfc8893343c96b172ae5086e97b308c7753559"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_frame_classes_match_canonical_oracle(n):
     frames = list(all_frames(n))
     forms = [oracles.canonical_naive(fr) for fr in frames]

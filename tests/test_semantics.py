@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ilkit import semantics
+from ilkit.algebra import Complement, DiaOp, Full, SOp, Union, Var, translate
 from ilkit.calculus import SCHEMAS
 from ilkit.corpus import corpus_models, load
 from ilkit.formula import TOP, atoms, enumerate_formulas, parse
 from ilkit.frames import Frame, Model, WorldSet, all_frames, bits, chain, fan, random_frame
 from ilkit.semantics import (
     SWEEP_BLOCK_BITS, VALUATION_BITS_LIMIT, check_bisim, equiv_up_to,
-    extension, force, frame_valid, max_bisim, model_valid, sweep_apart,
+    extension, force, frame_refuted, frame_valid, max_bisim, model_valid, sweep_apart,
 )
 
 import oracles
@@ -136,6 +137,87 @@ def test_frame_valid_refuses_oversized_sweeps():
         with pytest.raises(ValueError, match="outside"):
             frame_valid(chain(2), taut, bits_limit=limit)
     assert frame_valid(chain(2), taut).valid
+
+
+def _count_blocks(monkeypatch):
+    """Count the blocks every sweep reads from here on."""
+    calls, real = [], semantics._sweep_block
+    monkeypatch.setattr(semantics, "_sweep_block",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def _refuted_singly(fr, pool, oracle, stride):
+    """The pool's refuted indices by per-member ``frame_valid``; every
+    ``stride``-th member is also held to the naive ``oracle``."""
+    want = {i for i, f in enumerate(pool) if not frame_valid(fr, f).valid}
+    for i in range(0, len(pool), stride):
+        assert (i in want) == (not oracle(fr, pool[i])[0]), (fr, pool[i])
+    return want
+
+
+# over p and q, 6 valuation bits at n = 3; the schemas add 9 more
+PQ_POOL = list(enumerate_formulas(["p", "q"], 2, 2))
+FORMULA_POOL = PQ_POOL + list(SCHEMAS.values())
+_A, _B = Var("A_p"), Var("A_q")   # the variables of translate(p), translate(q)
+TERM_POOL = [translate(f) for f in PQ_POOL[::3]] + [
+    Union(Complement(_A), DiaOp(_A)), Union(DiaOp(_A), Complement(DiaOp(DiaOp(_A)))),
+    Union(Complement(SOp(_A, _B)), SOp(Full(), DiaOp(_B)))]
+
+
+@pytest.mark.parametrize("pool, oracle", [(FORMULA_POOL, oracles.frame_valid_naive),
+                                          (TERM_POOL, oracles.term_valid_naive)],
+                         ids=["formulas", "terms"])
+def test_frame_refuted_matches_per_member_validity(pool, oracle):
+    for n in (1, 2, 3):
+        for fr in all_frames(n):
+            assert frame_refuted(fr, pool) == _refuted_singly(fr, pool, oracle, 13), fr
+
+
+@pytest.mark.parametrize("setting, value", [("SWEEP_MEMORY_BITS", 13), ("SWEEP_BLOCK_BITS", 2)],
+                         ids=["memory-plan", "blocks"])
+def test_frame_refuted_over_narrow_blocks(monkeypatch, setting, value):
+    # a 2^13-bit cap narrows the pool's 6-bit sweep at n = 3 to 3-bit
+    # blocks under the plan; 2-bit blocks split it without one
+    want = {fr: _refuted_singly(fr, PQ_POOL, oracles.frame_valid_naive, 29)
+            for fr in list(all_frames(3))[::4]}
+    monkeypatch.setattr(semantics, setting, value)
+    blocks = _count_blocks(monkeypatch)
+    for fr, refuted in want.items():
+        before = len(blocks)
+        assert frame_refuted(fr, PQ_POOL) == refuted, fr
+        assert len(blocks) - before > 1
+
+
+def test_frame_refuted_stops_once_every_member_fails(monkeypatch):
+    # each member fails under valuation 0, all atoms empty: one block of
+    # the 2^6 is read, and frame_valid agrees member by member
+    monkeypatch.setattr(semantics, "SWEEP_BLOCK_BITS", 1)
+    pool = [parse(text) for text in ("p", "q", "p | q", "[]p -> p", "~(q |> p)")]
+    blocks = _count_blocks(monkeypatch)
+    assert frame_refuted(chain(3), pool) == {0, 1, 2, 3, 4}
+    assert len(blocks) == 1
+    assert all(not frame_valid(chain(3), f).valid for f in pool)
+    assert frame_refuted(chain(3), []) == set()
+
+
+def test_frame_refuted_refuses_oversized_pools_before_any_column(monkeypatch):
+    # each member alone fits: 7 or 14 of the 20 bits; the pool needs 21
+    pool = [parse("a -> a"), parse("b -> c")]
+    assert [frame_valid(random_frame(7, 0), f).valid for f in pool] == [True, False]
+
+    def no_columns(*args):
+        raise AssertionError("a column was built")
+
+    monkeypatch.setattr(semantics, "truth_columns", no_columns)
+    monkeypatch.setattr(semantics, "_sweep_block", no_columns)
+    with pytest.raises(ValueError, match="refusing to sweep 2\\^21"):
+        frame_refuted(random_frame(7, 0), pool)
+    with pytest.raises(ValueError, match="refusing to sweep 2\\^6"):
+        frame_refuted(chain(2), pool, bits_limit=3)
+    for limit in (-1, VALUATION_BITS_LIMIT + 1):
+        with pytest.raises(ValueError, match="outside"):
+            frame_refuted(chain(2), pool, bits_limit=limit)
 
 
 def test_frame_valid_closed_formulas():
