@@ -159,7 +159,7 @@ def _cmd_eval(args) -> int:
         if atom in env:   # two bindings would leave the request ambiguous
             raise UsageError(f"--val binds {atom} more than once")
         env[atom] = _parse_worlds(n, worlds)
-    for a in [*m.ev, *atoms(f)]:   # the model's own valuation, else empty
+    for a in atoms(f):
         env.setdefault(a, m.ev_set(a))
     got = eval_term(m.frame, env, translate(f))
     print(got)

@@ -230,16 +230,16 @@ def frame_valid(fr: Frame, f: Node, bits_limit=VALUATION_BITS_LIMIT) -> FrameVer
     return FrameVerdict(True) if found is None else FrameVerdict(False, found[0], found[1][1])
 
 
-def frame_refuted(fr: Frame, nodes, bits_limit=VALUATION_BITS_LIMIT) -> set[int]:
+def frame_refuted(fr: Frame, nodes) -> set[int]:
     """The indices of the formulas or set terms in ``nodes`` that some
     valuation refutes on the frame, as ``frame_valid`` would, by one sweep
-    of their distinct subterms until every member has failed.  Refuses as
-    ``frame_valid`` does, over the valuations of every atom of the pool."""
+    of their distinct subterms until every member has failed.  Refuses
+    more than ``2**VALUATION_BITS_LIMIT`` valuations of the pool's atoms."""
     n = fr.n
     walk = dict.fromkeys(g for f in nodes for g in postorder(f))   # each after its subterms
     refuted = set()
     for *_, fails in _sweep([*walk, _FULL], fr.succ_lists, n, range(n),
-                            [(f, w, _FULL, w) for f in nodes for w in range(n)], bits_limit):
+                            [(f, w, _FULL, w) for f in nodes for w in range(n)]):
         refuted.update(k // n for _, k in fails)
         if len(refuted) == len(nodes):
             break

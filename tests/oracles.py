@@ -12,10 +12,8 @@ the recursive-descent parser that the one-loop ``formula.parse`` replaced;
 ``truth_theorem_naive``, the per-world loop that the mask comparison of
 ``extension.check_truth_theorem`` replaced; ``first_disagreement_naive``,
 the per-model loop that the disjoint-union translation-agreement check
-replaced; ``postorder_naive``, a recursive walk beside the stack walk
-of ``formula.postorder``; and ``frame_classes_naive``, the relabelling of
-every labelled frame that the R-orbit walk of ``frames.frame_classes``
-replaced.
+replaced; and ``postorder_naive``, a recursive walk beside the stack walk
+of ``formula.postorder``.
 """
 
 import re
@@ -28,7 +26,7 @@ from ilkit.filters import (FrameOps, Ultrafilter, all_proper_filters,
                            all_ultrafilters, assuring_family, b_set)
 from ilkit.formula import (BOT, NESTING_LIMIT, TOP, Atom, Bottom, Box, Implies,
                            ParseError, Rhd, conj, dia, disj, iff, neg)
-from ilkit.frames import CompletionError, Frame, WorldSet, all_frames, bits
+from ilkit.frames import CompletionError, Frame, WorldSet, bits
 from ilkit.semantics import extension
 
 
@@ -642,27 +640,6 @@ def canonical_naive(fr):
     """The least relabelled ``(r_succ, s_succ)`` over all n! permutations:
     two frames share it exactly when they are isomorphic."""
     return min(relabel_naive(fr, p) for p in permutations(range(fr.n)))
-
-
-def frame_classes_naive(n):
-    """Each isomorphism class of ``all_frames(n)`` as ``(representative,
-    orbit size)``, in ``all_frames`` order: the first frame not yet seen
-    opens a class, and its images under all n! relabellings are marked
-    seen; the orbit size is the number of distinct images."""
-    # per relabelling p: the image of every mask, and src with src[p[w]] == w
-    relabel = []
-    for p in permutations(range(n)):
-        image = [sum(1 << p[b] for b in bits(m)) for m in range(1 << n)]
-        relabel.append((image, sorted(range(n), key=p.__getitem__)))
-    seen = set()
-    for fr in all_frames(n):
-        if (fr.r_succ, fr.s_succ) in seen:
-            continue
-        orbit = {(tuple(image[fr.r_succ[w]] for w in src),
-                  tuple(tuple(image[fr.s_succ[w][u]] for u in src) for w in src))
-                 for image, src in relabel}
-        seen |= orbit
-        yield fr, len(orbit)
 
 
 # Fixed tokens (longest first), atoms, or any other character, which is an error.

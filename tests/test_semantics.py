@@ -213,11 +213,6 @@ def test_frame_refuted_refuses_oversized_pools_before_any_column(monkeypatch):
     monkeypatch.setattr(semantics, "_sweep_block", no_columns)
     with pytest.raises(ValueError, match="refusing to sweep 2\\^21"):
         frame_refuted(random_frame(7, 0), pool)
-    with pytest.raises(ValueError, match="refusing to sweep 2\\^6"):
-        frame_refuted(chain(2), pool, bits_limit=3)
-    for limit in (-1, VALUATION_BITS_LIMIT + 1):
-        with pytest.raises(ValueError, match="outside"):
-            frame_refuted(chain(2), pool, bits_limit=limit)
 
 
 def test_frame_valid_closed_formulas():
