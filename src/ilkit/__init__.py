@@ -12,7 +12,7 @@ scoreboard (`checks`) behind ``ilkit corpus``.
 """
 
 from .algebra import agreement, eval_term, r_inv, r_inv_dual, s_inv, term_to_str, translate
-from .corpus import corpus_models, corpus_names, load
+from .corpus import corpus_models, load
 from .calculus import (SCHEMAS, Proof, ProofBuilder, ProofStep, axiom_instance,
                        check_proof, derived_theorems, is_tautology,
                        match_schema, proof_from_dict, proof_to_dict)
@@ -24,19 +24,16 @@ from .extension import (ClassicalUE, ResourceLimitError, UEFrame, UEModel,
                         ue_to_dot, witness_from_negated)
 from .filters import (Filter, Ultrafilter, all_assuring_triples,
                       all_proper_filters, all_ultrafilters, assuring,
-                      assuring_family, b_set, f_box, generate_filter, has_fip,
-                      principal_filter)
+                      assuring_family, b_set, f_box, generate_filter, has_fip)
 from .formula import (Atom, Bottom, Box, Formula, Implies, ParseError, Rhd,
                       TOP, BOT, atoms, conj, dia, disj, enumerate_formulas,
-                      iff, modal_depth, neg, parse, size, to_str)
-from .frameio import (FrameFormatError, load_frame, load_model, model_to_text,
-                      parse_frame_text, to_dot)
+                      iff, neg, parse, size, to_str)
+from .frameio import FrameFormatError, load_model, parse_frame_text, to_dot
 from .frames import (CompletionError, Frame, Model, Verdict, WorldSet,
-                     all_frames, chain, complete, fan, longest_chain,
-                     random_frame, tree, validate)
+                     all_frames, chain, complete, fan, tree, validate)
 from .pencil import (DemoReport, PencilVerdict, build_demo_pair,
                      nondefinability_demo, pencil_check, transfer_valuation)
 from .semantics import (BisimVerdict, FrameVerdict, check_bisim, equiv_up_to,
-                        force, frame_valid, max_bisim, model_valid)
+                        force, frame_valid, max_bisim)
 
 __version__ = "0.1.0"

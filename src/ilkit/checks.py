@@ -146,7 +146,7 @@ def _instances(picks):
 
 
 def _first_refuted(fr: Frame, instances):
-    """The first ``(schema, arguments, instance)`` refuted on ``fr``, with its
+    """The first ``(name, _, instance)`` refuted on ``fr``, with its
     verdict, or None: one ``frame_refuted`` sweep of all the instances, then
     ``frame_valid`` on the first refuted one for its counterexample."""
     if not (refuted := frame_refuted(fr, [x[2] for x in instances])):
@@ -161,22 +161,22 @@ def axiom_soundness():
 
     A schema instance's extension only depends on the extensions of the
     formulas plugged in, and an atom alone already takes every possible
-    extension as the valuation varies; so ``frame_valid`` on the schema
-    itself, sweeping all mask tuples for the metavariables, covers every
+    extension as the valuation varies; so the validity sweep of the schema
+    itself, over all mask tuples for the metavariables, covers every
     instance over any pool.  A stride of literal depth-1 instances
-    additionally goes through the validity sweep: one ``frame_refuted``
-    sweep of the whole pool per frame, and one ``frame_valid`` only on a
-    frame that refutes an instance, to name the first refuted one.
+    additionally goes through the validity sweep.  The schemas and the
+    stride are each one ``frame_refuted`` sweep per frame, and one
+    ``frame_valid`` only on a frame that refutes a member, to name it.
     """
+    schemas = [(name, _META[:arity], SCHEMAS[name]) for name, arity in _SCHEMA_ARITY.items()]
     mask_cases = 0
     for fr, orbit in _classes_up_to(MAX_N):
-        for name, arity in _SCHEMA_ARITY.items():
-            verdict = frame_valid(fr, SCHEMAS[name])
-            mask_cases += orbit << arity * fr.n
-            if not verdict.valid:
-                masks = tuple(verdict.ev[var].mask for var in _META[:arity])
-                return False, (f"{name} fails on n={fr.n} frame "
-                               f"{fr.r_succ} at masks {masks}")
+        mask_cases += sum(orbit << len(metas) * fr.n for _, metas, _ in schemas)
+        if found := _first_refuted(fr, schemas):
+            (name, metas, _), verdict = found
+            masks = tuple(verdict.ev[var].mask for var in metas)
+            return False, (f"{name} fails on n={fr.n} frame "
+                           f"{fr.r_succ} at masks {masks}")
     # literal instances over 2 atoms at depth <= 1, via frame_valid
     depth1 = _pool(depth=1, size=2)
     picks = depth1[::max(1, len(depth1) // 4)][:4]
@@ -211,8 +211,8 @@ def translation_validity():
 
     The translated axiom instances over p, q are one ``frame_refuted`` sweep
     per frame (and one ``frame_valid`` where one fails), counted as 2^(2n)
-    valuations per instance (even with one atom); each of
-    ``INCLUSION_LAWS`` is one sweep per frame, 2^(kn) over k variables.
+    valuations per instance (even with one atom); ``INCLUSION_LAWS`` are
+    one more such sweep per frame, 2^(kn) over a law's k variables.
     """
     terms = [(name, args, translate(f))
              for name, args, f in _instances([Atom("p"), Atom("q")])]
@@ -226,10 +226,9 @@ def translation_validity():
                            f"{fr.full_mask ^ got:#x} on n={fr.n}")
     incl_cases = 0
     for fr, orbit in _classes_up_to(MAX_N):
-        for law, nvars, term in INCLUSION_LAWS:
-            incl_cases += orbit << nvars * fr.n
-            if not frame_valid(fr, term).valid:
-                return False, f"{law} fails on n={fr.n}"
+        incl_cases += sum(orbit << nvars * fr.n for _, nvars, _ in INCLUSION_LAWS)
+        if found := _first_refuted(fr, INCLUSION_LAWS):
+            return False, f"{found[0][0]} fails on n={fr.n}"
     return True, f"{axiom_cases} axiom valuations = W, {incl_cases} inclusions"
 
 

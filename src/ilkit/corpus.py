@@ -43,10 +43,6 @@ def _read(path):
         raise FrameFormatError(f"{path}: {exc}") from None
 
 
-def corpus_names() -> list[str]:
-    return [p.name[:-3] for p in _files(_root())]
-
-
 def corpus_models():
     """All corpus models as (name, Model) pairs, sorted by name."""
     return [(p.name[:-3], _read(p)) for p in _files(_root())]

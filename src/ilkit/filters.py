@@ -45,9 +45,6 @@ class Ultrafilter(Ordered):
         mask = ws.mask if isinstance(ws, WorldSet) else int(ws)
         return bool(mask >> self.witness & 1)
 
-    def as_filter(self):
-        return Filter(self.n, 1 << self.witness)
-
     def __repr__(self):
         return f"U{self.witness}"
 
@@ -88,10 +85,6 @@ _set_filter_n, _set_min_mask = Filter.n.__set__, Filter.min_mask.__set__
 
 def all_ultrafilters(fr: Frame) -> list[Ultrafilter]:
     return [Ultrafilter(fr.n, w) for w in range(fr.n)]
-
-
-def principal_filter(n: int, w: int) -> Filter:
-    return Filter(n, 1 << w)
 
 
 def all_proper_filters(n: int) -> list[Filter]:

@@ -234,15 +234,6 @@ def atoms(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g in postorder(f) if isinstance(g, Atom))
 
 
-def modal_depth(f: Formula) -> int:
-    """Maximum nesting of box/``|>`` (each ``|>`` counts one level)."""
-    depth = {}
-    for g in postorder(f):
-        d = max((depth[k] for k in g.kids), default=0)
-        depth[g] = d + 1 if isinstance(g, (Box, Rhd)) else d
-    return depth[f]
-
-
 def size(f: Formula) -> int:
     """Number of core connective nodes (implication, box, ``|>``)."""
     count = {}

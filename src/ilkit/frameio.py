@@ -85,25 +85,6 @@ def load_model(path) -> Model:
         return parse_frame_text(fh.read())
 
 
-def load_frame(path) -> Frame:
-    return load_model(path).frame
-
-
-def model_to_text(m: Model) -> str:
-    """Write a model back out; loading the result rebuilds it exactly."""
-    fr = m.frame
-    lines = [f"worlds {fr.n}", "option closure off"]
-    for i, j in fr.r_pairs():
-        lines.append(f"R {i} {j}")
-    for w in range(fr.n):
-        for i, j in fr.s_pairs(w):
-            lines.append(f"S {w} {i} {j}")
-    for atom in sorted(m.ev):
-        worlds = " ".join(str(w) for w in m.ev[atom])
-        lines.append(f"val {atom} {worlds}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
 def to_dot(m, name="frame") -> str:
     """DOT digraph: worlds as nodes, R solid, each S_w dashed labeled S(w)."""
     model = m if isinstance(m, Model) else Model(m)

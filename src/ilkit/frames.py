@@ -23,7 +23,6 @@ costs nothing, so the shared leaf tuple of an extension is scanned once.
 from __future__ import annotations
 
 import itertools
-import random
 from functools import cached_property, reduce
 from operator import add, and_, eq, or_, rshift
 
@@ -111,10 +110,6 @@ class WorldSet(Ordered):
 
     def complement(self):
         return WorldSet(self.n, self.mask ^ (1 << self.n) - 1)
-
-    def issubset(self, other):
-        self._check(other)
-        return self.mask & ~other.mask == 0
 
     def __repr__(self):
         return "{" + ",".join(str(w) for w in self) + "}"
@@ -370,20 +365,6 @@ def tree(branching: int, depth: int) -> Frame:
     return complete(Frame.build(nodes, [((j - 1) // branching, j) for j in range(1, nodes)]))
 
 
-def longest_chain(fr: Frame) -> int:
-    """Length (edge count) of the longest R-path; bounds label sequences."""
-    best = {}
-
-    def depth(w):
-        if w not in best:
-            best[w] = 0
-            for u in bits(fr.r_succ[w]):
-                best[w] = max(best[w], 1 + depth(u))
-        return best[w]
-
-    return max((depth(w) for w in range(fr.n)), default=0)
-
-
 def _s_rows_options(n, r, w):
     """All legal S_w rows for a fixed transitive irreflexive R, sorted: each
     member u of R[w] takes a row inside R[w] holding its core, u and R[u]
@@ -461,25 +442,3 @@ def frame_classes(n: int):
             orbit = {tuple(tuple(image[s[w][u]] for u in src) for w in src) for image, src in aut}
             seen |= orbit
             yield Frame(n, r, s), len(relabel) // len(aut) * len(orbit)
-
-
-def random_frame(n: int, seed: int) -> Frame:
-    """A random legal frame: random strict order, random extra S pairs."""
-    rng = random.Random(seed)
-    order = list(range(n))
-    rng.shuffle(order)
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.5:
-                pairs.append((order[i], order[j]))
-    base = complete(Frame.build(n, pairs))
-    triples = []
-    for w in range(n):
-        rw = base.r_succ[w]
-        members = bits(rw)
-        for u in members:
-            for v in members:
-                if u != v and rng.random() < 0.25:
-                    triples.append((w, u, v))
-    return complete(Frame.build(n, pairs, triples))

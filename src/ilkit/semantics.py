@@ -70,10 +70,6 @@ def force(m: Model, w: int, f: Formula, cache=None) -> bool:
     return w in extension(m, f, cache)
 
 
-def model_valid(m: Model, f: Formula) -> bool:
-    return extension(m, f).mask == m.frame.full_mask
-
-
 class FrameVerdict(Frozen):
     _fields = ("valid", "ev", "world")
 

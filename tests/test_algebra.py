@@ -13,10 +13,11 @@ from ilkit.checks import INCLUSION_LAWS
 from ilkit.corpus import corpus_models
 from ilkit.extension import build_ue
 from ilkit.formula import Atom, atoms, enumerate_formulas, parse
-from ilkit.frames import Model, WorldSet, all_frames, chain, fan, random_frame
+from ilkit.frames import Model, WorldSet, all_frames, chain, fan
 from ilkit.semantics import SWEEP_BLOCK_BITS, extension, frame_valid
 
 import oracles
+from helpers import random_frame
 
 
 def ws(n, worlds):
@@ -54,9 +55,9 @@ def test_preimage_laws(seed, xm, ym, zm):
     assert r_inv_dual(fr, y) == r_inv(fr, y.complement()).complement()
     # monotonicity
     if xm & ~ym == 0:
-        assert r_inv(fr, x).issubset(r_inv(fr, y))
-        assert s_inv(fr, z, x).issubset(s_inv(fr, z, y))
-        assert s_inv(fr, y, z).issubset(s_inv(fr, x, z))
+        assert not r_inv(fr, x) - r_inv(fr, y)
+        assert not s_inv(fr, z, x) - s_inv(fr, z, y)
+        assert not s_inv(fr, y, z) - s_inv(fr, x, z)
     # union/intersection behaviour
     assert r_inv(fr, x | y) == r_inv(fr, x) | r_inv(fr, y)
     assert r_inv_dual(fr, x & y) == r_inv_dual(fr, x) & r_inv_dual(fr, y)

@@ -13,13 +13,15 @@ import pytest
 from ilkit import cli, pencil
 from ilkit.calculus import derived_theorems, proof_to_dict
 from ilkit.cli import _build_parser, main
-from ilkit.corpus import corpus_models, corpus_names, load
+from ilkit.corpus import corpus_models, load
 from ilkit.extension import build_ue, ue_to_json
 from ilkit.formula import NESTING_LIMIT, parse
-from ilkit.frameio import WORLDS_LIMIT, model_to_text
+from ilkit.frameio import WORLDS_LIMIT
 from ilkit.frames import Model, tree
 from ilkit.limits import LABEL_WORLDS_LIMIT
 from ilkit.semantics import VALUATION_BITS_LIMIT
+
+from helpers import model_to_text
 
 
 def run(capsys, *argv):
@@ -158,7 +160,8 @@ def test_unreadable_corpus(tmp_path, monkeypatch, capsys):
 def test_corpus_override_matches_the_bundled_corpus(tmp_path, monkeypatch, capsys):
     def answers():
         code, out, _ = run(capsys, "corpus", "--json")
-        return code, corpus_names(), [(r["name"], r["ok"], r["detail"]) for r in json.loads(out)]
+        names = [name for name, _ in corpus_models()]
+        return code, names, [(r["name"], r["ok"], r["detail"]) for r in json.loads(out)]
 
     bundled = answers()
     copy = tmp_path / "data"

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from ilkit.calculus import derived_theorems, proof_to_dict
 from ilkit.cli import _build_parser, main
-from ilkit.corpus import corpus_names
+from ilkit.corpus import corpus_models
 
 FRAMES = {
     "two.vf": "worlds 2\nR 0 1\nval p 1\n",
@@ -60,7 +60,7 @@ def files(tmp_path_factory):
         for name, text in table.items():
             (root / name).write_text(text)
     paths = lambda names: [str(root / name) for name in names]
-    return {"models": corpus_names() + ["no-such-model", str(root)]
+    return {"models": [name for name, _ in corpus_models()] + ["no-such-model", str(root)]
                       + paths([*FRAMES, "latin1.vf"]),
             "pairs": paths(PAIRS) + [str(root / "missing.z"), str(root)],
             "proofs": paths(PROOFS) + [str(root / "missing.json"), str(root)],

@@ -16,10 +16,11 @@ from ilkit.extension import (
 from ilkit.filters import Filter, FrameOps, Ultrafilter
 from ilkit.formula import parse
 from ilkit.frames import (Frame, Model, WorldSet, all_frames, bits, chain, complete,
-                          fan, frame_classes, random_frame, tree, validate)
+                          fan, frame_classes, tree, validate)
 from ilkit.semantics import extension
 
 import oracles
+from helpers import longest_chain, random_frame
 
 
 def up(n, worlds):
@@ -66,6 +67,18 @@ def test_chain3_extension_size_and_levels():
     assert validate(ue.frame).ok
     # extension worlds strictly outnumber the base ones past chain(1)
     assert len(ue) > 3
+
+
+def test_label_paths_reach_the_longest_base_chain():
+    # a label path never outgrows the longest R-chain of the base (the
+    # module docstring's argument); every extension here also reaches it
+    bases = [fr for n in range(1, 5) for fr, _ in frame_classes(n)]
+    bases += [m.frame for _, m in corpus_models()] + [chain(5), tree(2, 2), fan(5)]
+    bases += [random_frame(5, seed) for seed in range(20)]
+    assert len(bases) == 120
+    for base in bases:
+        ue = build_ue(base)
+        assert max(len(ue.path_labels[p]) for p in ue.paths) == longest_chain(base), base
 
 
 def test_extension_grows_with_s_freedom():

@@ -16,13 +16,14 @@ from ilkit.algebra import SetTerm, Var, eval_term, term_to_str, translate
 from ilkit.calculus import SCHEMAS, is_tautology
 from ilkit.formula import (
     Atom, Bottom, Box, Formula, Implies, Node, Rhd, BOT, NESTING_LIMIT, TOP,
-    atoms, conj, dia, disj, enumerate_formulas, iff, modal_depth, neg,
+    atoms, conj, dia, disj, enumerate_formulas, iff, neg,
     parse, ParseError, postorder, size, to_str,
 )
 from ilkit.frames import Model, chain
 from ilkit.semantics import extension, frame_valid
 
 import oracles
+from helpers import modal_depth
 
 
 def test_parse_basics():

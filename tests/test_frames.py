@@ -11,10 +11,11 @@ from hypothesis import given, strategies as st
 from ilkit.extension import build_ue
 from ilkit.frames import (
     CompletionError, Frame, Model, WorldSet, all_frames, bits, chain, complete,
-    fan, frame_classes, longest_chain, random_frame, tree, validate,
+    fan, frame_classes, tree, validate,
 )
 
 import oracles
+from helpers import longest_chain, random_frame
 
 
 # ---------------------------------------------------------------- WorldSet
@@ -64,9 +65,9 @@ def test_worldset_algebra(x, y, z):
     assert a - b == a & b.complement()
     assert a.complement().complement() == a
     assert (a | b).complement() == a.complement() & b.complement()
-    assert a.issubset(a | b)
-    assert (a & b).issubset(a)
-    assert a.issubset(b) == all(w in b for w in a)
+    assert not a - (a | b)
+    assert not (a & b) - a
+    assert (not a - b) == all(w in b for w in a)
 
 
 # ------------------------------------------------------------------ frames
@@ -420,3 +421,12 @@ def test_random_frame_is_deterministic_and_legal():
             assert fr == random_frame(n, seed)
             assert validate(fr).ok
     assert random_frame(5, 0) != random_frame(5, 1)
+
+
+def test_random_frame_outputs_frozen():
+    # many differential tests draw their inputs here, so a drift would
+    # change what they check without failing any of them
+    got = repr([(fr.r_succ, fr.s_succ) for n in range(1, 8) for seed in range(20)
+                for fr in [random_frame(n, seed)]])
+    assert hashlib.sha256(got.encode()).hexdigest() == (
+        "abc431520669d80b26d30230de73b86a0a17bb00c6cfad78a4bbb938c2013efb")

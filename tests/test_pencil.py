@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ilkit import checks, pencil, semantics
 from ilkit.corpus import load
 from ilkit.formula import Atom, enumerate_formulas
-from ilkit.frames import Frame, Model, WorldSet, chain, fan, random_frame, tree
+from ilkit.frames import Frame, Model, WorldSet, chain, fan, tree
 from ilkit.pencil import (
     FAN_LIMIT, PencilWitness, SearchExhausted, build_demo_pair,
     nondefinability_demo, pencil_check, transfer_valuation,
@@ -14,6 +14,7 @@ from ilkit.pencil import (
 from ilkit.semantics import check_bisim
 
 import oracles
+from helpers import random_frame
 
 
 def test_pencil_on_corpus():

@@ -10,10 +10,12 @@ ran, as ``path:line: source``, and their count.  The tracer is stdlib only.
 Pytest runs with ``-p no:cacheprovider`` and without bytecode writing, so
 the run leaves no cache or ``.pyc`` file in the tree.  Tests that run the
 CLI in a subprocess are not traced, so lines only they reach are listed.
-The tracer slows the code it watches several times over, so timing tests
-can fail under it: ``test_bisim_budget`` fails on its time budget only,
-and passes untraced.  Such failures show in pytest's summary; the listing
-is printed either way.
+The tracer slows the code it watches several times over, so the time
+budget tests (names ending in ``_budget``) would fail under it on time
+alone; they are deselected, and the run says so.  They reach no line that
+the other tests miss, and the Tier-1 suite still runs them untraced.
+Other failures show in pytest's summary; the listing is printed either
+way.
 """
 
 import os
@@ -32,6 +34,20 @@ def code_lines(code):
         if hasattr(const, "co_lines"):
             lines |= code_lines(const)
     return lines
+
+
+class SkipBudgets:
+    """A pytest plugin that deselects the time budget tests and keeps their ids."""
+
+    def __init__(self):
+        self.ids = []
+
+    def pytest_collection_modifyitems(self, config, items):
+        budgets = [item for item in items
+                   if getattr(item, "originalname", item.name).endswith("_budget")]
+        items[:] = [item for item in items if item not in budgets]
+        config.hook.pytest_deselected(items=budgets)
+        self.ids = [item.nodeid for item in budgets]
 
 
 def main(argv):
@@ -58,13 +74,16 @@ def main(argv):
 
     import pytest
 
+    skip = SkipBudgets()
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        pytest.main(["-q", "-p", "no:cacheprovider", *(argv or [str(ROOT / "tests")])])
+        pytest.main(["-q", "-p", "no:cacheprovider", *(argv or [str(ROOT / "tests")])],
+                    plugins=[skip])
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    print(f"deselected {len(skip.ids)} time budget tests:", *skip.ids)
 
     missed = []
     for path in sorted(SRC.glob("*.py")):
