@@ -10,7 +10,7 @@ by brute force — including the truth and saturation theorems.
 
 from ilkit import (
     Ultrafilter, all_assuring_triples, build_ue, build_ue_model, chain,
-    check_saturation, check_truth_theorem, load, parse, ue_force,
+    check_saturation, check_truth_theorem, force, load, parse,
 )
 
 fr = chain(2)
@@ -31,7 +31,7 @@ um = build_ue_model(m)
 print("\np holds at:", m.ev["p"], "lifting to", um.model.ev["p"])
 print("truth transfer:",
       check_truth_theorem(m, [parse(t) for t in ["p", "<>p", "p |> p"]]).ok)
-print("(U0,[]) forces <>p:", ue_force(um, 0, parse("<>p")))
+print("(U0,[]) forces <>p:", force(um.model, 0, parse("<>p")))
 
 # Extensions are modally saturated; the finite-pool check makes that
 # concrete on a corpus model whose extension has hundreds of worlds.

@@ -20,7 +20,7 @@ from .extension import (ClassicalUE, ResourceLimitError, UEFrame, UEModel,
                         UEWorld, build_ue, build_ue_model,
                         check_label_saturation, check_saturation,
                         check_truth_theorem, classical_ue,
-                        find_assured_successor, ue_force, ue_to_dict,
+                        find_assured_successor, ue_to_dict,
                         ue_to_dot, witness_from_negated)
 from .filters import (Filter, Ultrafilter, all_assuring_triples,
                       all_proper_filters, all_ultrafilters, assuring,

@@ -149,7 +149,7 @@ _SET_OPS = {
 
 
 def eval_term(fr: Frame, env: dict, t: SetTerm, cache=None) -> WorldSet:
-    """Evaluate a set term under a valuation of its variables; ``cache``
+    """Evaluate a set term under ``env``, variable name -> WorldSet; ``cache``
     (term -> mask) may be shared by calls with the same frame and valuation."""
     if cache is None:
         cache = {}
@@ -159,8 +159,7 @@ def eval_term(fr: Frame, env: dict, t: SetTerm, cache=None) -> WorldSet:
         if isinstance(u, Var):
             if u.name not in env:
                 raise ValueError(f"unbound set variable {u.name!r}")
-            ws = env[u.name]
-            cache[u] = ws.mask if isinstance(ws, WorldSet) else int(ws)
+            cache[u] = env[u.name].mask
         else:
             cache[u] = _SET_OPS[type(u)](fr, cache, u)
     return WorldSet(fr.n, cache[t])

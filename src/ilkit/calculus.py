@@ -91,14 +91,13 @@ SCHEMAS = {
 }
 
 
-def match_schema(pattern: Formula, candidate: Formula, binding=None):
+def match_schema(pattern: Formula, candidate: Formula):
     """Substitution sending the schema to the candidate, or None.
 
     Metavariables are the pattern atoms named alpha/beta/gamma; repeated
     occurrences must bind the same subformula.
     """
-    if binding is None:
-        binding = {}
+    binding = {}
     pairs = [(pattern, candidate)]
     while pairs:
         p, c = pairs.pop()

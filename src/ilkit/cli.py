@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from functools import cache
 
@@ -22,7 +21,7 @@ from .algebra import eval_term, term_to_str, translate
 from .calculus import check_proof, proof_from_dict
 from .extension import ResourceLimitError, build_ue, ue_to_dot, ue_to_json
 from .filters import Filter, Ultrafilter, all_assuring_triples, assuring
-from .formula import ParseError, atoms, parse, to_str
+from .formula import ATOM_NAME, ParseError, atoms, parse, to_str
 from .frameio import FrameFormatError, load_model, to_dot
 from .frames import Model, WorldSet
 from .limits import FAN_LIMIT, UE_WORLDS_CAP, VALUATION_BITS_LIMIT, check_label_worlds
@@ -154,7 +153,7 @@ def _cmd_eval(args) -> int:
     env = {}
     for binding in args.val or []:
         atom, eq, worlds = binding.partition("=")
-        if not eq or not re.fullmatch(r"[a-z][a-z0-9_]*", atom):
+        if not eq or not ATOM_NAME.fullmatch(atom):
             raise UsageError(f"--val wants atom=worlds, got {binding!r}")
         if atom in env:   # two bindings would leave the request ambiguous
             raise UsageError(f"--val binds {atom} more than once")

@@ -33,7 +33,6 @@ from .frames import Frame, Model, WorldSet, bits, complete
 from .limits import LABEL_MEMBER_LIMIT, SATURATION_POOL_LIMIT, UE_WORLDS_CAP
 from .records import Frozen, Record
 from .semantics import extension as forcing_extension
-from .semantics import force
 
 
 class ResourceLimitError(RuntimeError):
@@ -60,8 +59,8 @@ class UEFrame:
     """Extension frame as columns (per world a witness and a path id, per
     path id its labels, per world with moves its one-step children by
     label) and a plain Frame over the world indices, so every frame and
-    semantics tool applies directly.  Worlds, index map and one-step moves
-    are built on first read."""
+    semantics tool applies directly.  Worlds and one-step moves are built
+    on first read."""
 
     def __init__(self, base, witnesses, paths, path_labels, frame, cliques):
         self.base, self.frame, self.cliques = base, frame, cliques
@@ -80,10 +79,6 @@ class UEFrame:
     def one_step(self):
         return tuple((wi, ci) for wi, labelled in self.cliques.items()
                      for kids in labelled for ci in kids)
-
-    @cached_property
-    def index(self):
-        return {w: i for i, w in enumerate(self.worlds)}
 
     @cached_property
     def built_on(self):
@@ -192,19 +187,13 @@ class UEModel(Record):
         self._fill(ue, model)
 
 
-def build_ue_model(m: Model, max_worlds: int = UE_WORLDS_CAP) -> UEModel:
+def build_ue_model(m: Model) -> UEModel:
     """Extension of a model: a world holds an atom iff the atom's base
     extension belongs to the world's ultrafilter."""
-    ue = build_ue(m.frame, max_worlds)
+    ue = build_ue(m.frame)
     ev = {name: WorldSet(len(ue), _union(ue.built_on, ws.mask))
           for name, ws in m.ev.items()}
     return UEModel(ue, Model(ue.frame, ev))
-
-
-def ue_force(um: UEModel, w, f) -> bool:
-    """Forcing inside the extension; ``w`` is a UEWorld or an index."""
-    i = um.ue.index[w] if isinstance(w, UEWorld) else w
-    return force(um.model, i, f)
 
 
 class UEVerdict(Frozen):
@@ -329,10 +318,10 @@ def witness_from_negated(fr: Frame, f: Ultrafilter, a: WorldSet, b: WorldSet):
 
 
 class ClassicalUE(Record):
-    _fields = ("frame", "witnesses", "model")
+    _fields = ("frame", "model")
 
-    def __init__(self, frame: Frame, witnesses: tuple, model: Model | None = None):
-        self._fill(frame, witnesses, model)
+    def __init__(self, frame: Frame, model: Model | None = None):
+        self._fill(frame, model)
 
 
 def classical_ue(fr: Frame, m: Model = None) -> ClassicalUE:
@@ -354,7 +343,7 @@ def classical_ue(fr: Frame, m: Model = None) -> ClassicalUE:
     frame = complete(Frame.build(n, pairs))
     # the principal ultrafilter at x holds a set exactly when x is in it
     model = None if m is None else Model(frame, m.ev)
-    return ClassicalUE(frame, tuple(f.witness for f in all_ultrafilters(fr)), model)
+    return ClassicalUE(frame, model)
 
 
 def ue_to_dict(ue: UEFrame) -> dict:
@@ -406,13 +395,13 @@ def ue_to_json(ue: UEFrame) -> str:
             f'"s_families": {{{s_families}}}, "worlds": [{worlds}]}}')
 
 
-def ue_to_dot(ue: UEFrame, name: str = "ue") -> str:
+def ue_to_dot(ue: UEFrame) -> str:
     def tag(w):
         mins = ";".join("{" + ",".join(map(str, l.min_set())) + "}"
                         for l in w.labels)
         return f"U{w.uf.witness}" + (f" [{mins}]" if mins else "")
 
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph ue {"]
     for i, w in enumerate(ue.worlds):
         lines.append(f'  {i} [label="{tag(w)}"];')
     for i, j in ue.frame.r_pairs():

@@ -63,8 +63,8 @@ class Node:
     """Immutable hash-consed tree node, the base of formulas and set terms.
 
     A node class lists its constructor arguments in ``__slots__``: the one
-    ``name`` of an atom or variable, or only nodes, which are then its
-    ``kids`` (a class mixing the two is refused when defined); ``_walk`` is
+    ``name`` of an atom or variable, or at most two nodes, which are then
+    its ``kids`` (any other class is refused when defined); ``_walk`` is
     a cached ``postorder``.  Building returns the live equal node if there
     is one; the table is weak, so a node dies with its last user.  A hit is
     one dict read.  A miss fills a new node's slots through setters fetched
@@ -82,6 +82,8 @@ class Node:
         slots = cls.__slots__
         if "name" in slots and len(slots) > 1:
             raise TypeError(f"{cls.__name__} mixes a name with node arguments")
+        if len(slots) > 2:
+            raise TypeError(f"{cls.__name__} takes more than two nodes")
         cls._setters = tuple(getattr(cls, name).__set__ for name in slots)
         cls._named = slots == ("name",)
 
@@ -102,9 +104,6 @@ class Node:
             setters[1](node, args[1])
         elif arity == 1:
             setters[0](node, args[0])
-        else:
-            for setter, arg in zip(setters, args):
-                setter(node, arg)
         ref = _Ref(node, _forget)
         ref.key = key
         while (live := _NODES.setdefault(key, ref)()) is None:   # a dead entry
@@ -250,9 +249,11 @@ class ParseError(ValueError):
         self.position = position
 
 
+# An atom name, in formulas, ``eval --val`` bindings and frame-file ``val`` lines.
+ATOM_NAME = re.compile(r"[a-z][a-z0-9_]*")
 # One token: a fixed one (longest first), an atom, or any other character,
 # which is an error.
-_TOKEN_RE = re.compile(r"\s*(<->|<>|\[\]|->|\|>|[~&|()FT]|[a-z][a-z0-9_]*|\S)")
+_TOKEN_RE = re.compile(rf"\s*(<->|<>|\[\]|->|\|>|[~&|()FT]|{ATOM_NAME.pattern}|\S)")
 # Binary operators: (binding strength, constructor, least strength of a
 # pending operator that is built when this one arrives).  ``->`` and ``<->``
 # build only tighter operators first (right-associative), ``&`` and ``|``

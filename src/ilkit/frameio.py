@@ -11,6 +11,7 @@ File format, one directive per line (``#`` starts a comment)::
 
 With closure on, the loader runs ``complete`` on the seed relations; with
 closure off it validates the file as given and rejects law violations.
+A ``val`` line names an atom as formulas do (``formula.ATOM_NAME``).
 At most ``WORLDS_LIMIT`` worlds, checked before any relation is allocated.
 It bounds time as well as memory: completing a dense chain is cubic (its S
 relations hold about n^3/6 pairs), and a full-size one loads in about 1 s.
@@ -18,6 +19,7 @@ relations hold about n^3/6 pairs), and a full-size one loads in about 1 s.
 
 from __future__ import annotations
 
+from .formula import ATOM_NAME
 from .frames import Frame, Model, WorldSet, complete, validate
 from .limits import WORLDS_LIMIT
 
@@ -54,7 +56,7 @@ def parse_frame_text(text: str) -> Model:
                 if opt != "closure" or value not in ("on", "off"):
                     raise ValueError
                 closure = value == "on"
-            elif key == "val":
+            elif key == "val" and ATOM_NAME.fullmatch(parts[1]):
                 vals.setdefault(parts[1], []).extend(int(p) for p in parts[2:])
             else:
                 raise ValueError
@@ -85,13 +87,12 @@ def load_model(path) -> Model:
         return parse_frame_text(fh.read())
 
 
-def to_dot(m, name="frame") -> str:
+def to_dot(m: Model, name="frame") -> str:
     """DOT digraph: worlds as nodes, R solid, each S_w dashed labeled S(w)."""
-    model = m if isinstance(m, Model) else Model(m)
-    fr = model.frame
+    fr = m.frame
     lines = [f"digraph {name} {{"]
     for w in range(fr.n):
-        true_atoms = sorted(a for a in model.ev if w in model.ev[a])
+        true_atoms = sorted(a for a in m.ev if w in m.ev[a])
         label = str(w) if not true_atoms else f"{w}: " + ",".join(true_atoms)
         lines.append(f'  {w} [label="{label}"];')
     for i, j in fr.r_pairs():

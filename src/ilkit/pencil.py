@@ -92,9 +92,7 @@ def transfer_valuation(ev: dict, m: int) -> dict:
     fan world shifts up by one."""
     out = {}
     for name, ws in ev.items():
-        bad_mask = ws.mask if isinstance(ws, WorldSet) else int(ws)
-        good_mask = bad_mask & 0b11111 | (bad_mask >> 4) << 5
-        out[name] = WorldSet(5 + m, good_mask)
+        out[name] = WorldSet(5 + m, ws.mask & 0b11111 | (ws.mask >> 4) << 5)
     return out
 
 
@@ -117,18 +115,18 @@ class DemoReport(Record):
         return self.ok
 
 
-def nondefinability_demo(m: int = 3, depth: int = 2, size_bound: int = 2) -> DemoReport:
+def nondefinability_demo(m: int = 3, depth: int = 2) -> DemoReport:
     """Run the whole argument at desk scale, under every valuation.
 
     ``build_demo_pair`` has certified the pencil verdicts and the forth and
     back clauses, which ignore the valuation.  The demo sweeps every
     valuation of p and q on ``bad``, moved to ``good`` by
-    ``transfer_valuation``, comparing the formulas within the bounds (atoms
-    first, so the atoms clause too) at every pair.  A failure ``(kind,
-    valuation, pair, formula)`` names the least valuation, then pair, then
-    formula; its kind is ``"bisim"`` on an atom, else ``"equiv"``.  Raises
-    ValueError, before building a frame, unless ``1 <= m <= FAN_LIMIT`` and
-    ``depth >= 0``."""
+    ``transfer_valuation``, comparing the formulas of modal depth at most
+    ``depth`` and size at most 2 (atoms first, so the atoms clause too) at
+    every pair.  A failure ``(kind, valuation, pair, formula)`` names the
+    least valuation, then pair, then formula; its kind is ``"bisim"`` on an
+    atom, else ``"equiv"``.  Raises ValueError, before building a frame,
+    unless ``1 <= m <= FAN_LIMIT`` and ``depth >= 0``."""
     if m > FAN_LIMIT:
         raise ValueError(f"fan size must be at most {FAN_LIMIT}, got {m}")
     if depth < 0:
@@ -141,7 +139,7 @@ def nondefinability_demo(m: int = 3, depth: int = 2, size_bound: int = 2) -> Dem
     moved = transfer_valuation({w: WorldSet(bad.n, 1 << w) for w in range(bad.n)}, m)
     src = [next(w for w, ws in moved.items() if g in ws) for g in range(good.n)]
     found = sweep_apart(bad, good, src, z_template,
-                        list(enumerate_formulas(atoms, depth, size_bound)))
+                        list(enumerate_formulas(atoms, depth, 2)))
     if found is not None:
         atom = isinstance(found[2], Atom)   # the atoms clause
         report.bisim_ok, report.equiv_ok = not atom, atom

@@ -340,12 +340,12 @@ def max_bisim(ml: Model, mr: Model) -> frozenset:
     return frozenset(pairs)
 
 
-def equiv_up_to(ml: Model, wl: int, mr: Model, wr: int, depth: int,
-                pool=None, size_bound: int = 3):
-    """First formula within the bounds telling the two points apart, or None;
-    ``pool`` defaults to the atoms named by either model."""
+def equiv_up_to(ml: Model, wl: int, mr: Model, wr: int, depth: int, pool=None):
+    """First formula of modal depth at most ``depth`` and size at most 3
+    telling the two points apart, or None; ``pool`` defaults to the atoms
+    named by either model."""
     if pool is None:
         pool = set(ml.ev) | set(mr.ev)
     cl, cr = {}, {}   # each formula comes after its subformulas: one node filled per call
-    return next((f for f in enumerate_formulas(pool, depth, size_bound)
+    return next((f for f in enumerate_formulas(pool, depth, 3)
                  if force(ml, wl, f, cl) != force(mr, wr, f, cr)), None)

@@ -463,22 +463,17 @@ PLANTED_FAULTS = {
         "witness_search", _set("witness_from_negated", lambda *args: None),
         "no negated witness n=2 U0 A=0x2 B=0x0"),
     "pencil-demo": ("pencil_demo", _demo_fails, "demo failed: ('bisim', (0, 1))"),
-    "classical-baseline-witnesses": (
-        "classical_baseline",
-        _cue(lambda cue, m: ClassicalUE(cue.frame, cue.witnesses[::-1], cue.model)),
-        "n=2: witnesses (1, 0)"),
     "classical-baseline-edges": (
         "classical_baseline",
-        _cue(lambda cue, m: ClassicalUE(_r_empty(cue.frame), cue.witnesses, cue.model)),
+        _cue(lambda cue, m: ClassicalUE(_r_empty(cue.frame), cue.model)),
         "n=2: classical edges (0, 0) != (2, 0)"),
     "classical-baseline-truth": (
         "classical_baseline",
-        _cue(lambda cue, m: ClassicalUE(cue.frame, cue.witnesses, m and Model(cue.frame, {}))),
+        _cue(lambda cue, m: ClassicalUE(cue.frame, m and Model(cue.frame, {}))),
         "chain2: truth lemma fails on p at U1"),
     "classical-baseline-reflection": (
         "classical_baseline",
-        _cue(lambda cue, m: ClassicalUE(_r_empty(cue.frame) if m else cue.frame,
-                                        cue.witnesses, cue.model)),
+        _cue(lambda cue, m: ClassicalUE(_r_empty(cue.frame) if m else cue.frame, cue.model)),
         "chain2: validity not reflected for []p"),
     "proof-checking-step": (
         "proof_checking",

@@ -74,6 +74,11 @@ def test_mc_command_from_file(tmp_path, capsys):
     stray.write_text("worlds 2\nS 0 2 0\n")
     code, out, err = run(capsys, "mc", str(stray), "p")
     assert (code, out, err) == (2, "", f"ilkit: {stray}: S triple (0,2,0) out of range\n")
+    # a valuation no formula could name is refused, as ``eval --val`` refuses it
+    upper = tmp_path / "upper.vf"
+    upper.write_text("worlds 2\nval P 0 1\n")
+    code, out, err = run(capsys, "mc", str(upper), "p")
+    assert (code, out, err) == (2, "", f"ilkit: {upper}: line 2: cannot read 'val P 0 1'\n")
     huge = tmp_path / "huge.vf"
     huge.write_text(f"worlds {WORLDS_LIMIT + 1}\nR 0 1\n")
     code, _, err = run(capsys, "mc", str(huge), "p")

@@ -10,14 +10,14 @@ from ilkit.corpus import corpus_models, load
 from ilkit.extension import (
     ResourceLimitError, UEModel, UEVerdict, UEWorld, build_ue, build_ue_model,
     check_label_saturation, check_saturation, check_truth_theorem, classical_ue,
-    find_assured_successor, ue_force, ue_to_dict, ue_to_dot, ue_to_json,
+    find_assured_successor, ue_to_dict, ue_to_dot, ue_to_json,
     witness_from_negated,
 )
 from ilkit.filters import Filter, FrameOps, Ultrafilter
 from ilkit.formula import parse
 from ilkit.frames import (Frame, Model, WorldSet, all_frames, bits, chain, complete,
                           fan, frame_classes, tree, validate)
-from ilkit.semantics import extension
+from ilkit.semantics import extension, force
 
 import oracles
 from helpers import longest_chain, random_frame
@@ -45,7 +45,6 @@ def test_chain2_extension_frozen():
     assert ue.frame.r_succ == (0b1100, 0, 0, 0)
     assert ue.frame.s_succ[0] == (0, 0, 0b0100, 0b1000)
     assert ue.one_step == ((0, 2), (0, 3))
-    assert ue.index[UEWorld(u1, (up(2, [1]),))] == 2
     assert validate(ue.frame).ok
 
 
@@ -108,9 +107,9 @@ def test_build_ue_caps_the_root_worlds(monkeypatch):
 def test_build_ue_model_lifts_valuation():
     um = build_ue_model(load("chain2"))
     assert um.model.ev["p"] == WorldSet(4, 0b1110)
-    assert ue_force(um, 0, parse("<>p"))
-    assert ue_force(um, UEWorld(Ultrafilter(2, 1), ()), parse("p"))
-    assert not ue_force(um, 0, parse("p"))
+    assert force(um.model, 0, parse("<>p"))
+    assert force(um.model, 1, parse("p"))   # UEWorld(U1, ())
+    assert not force(um.model, 0, parse("p"))
 
 
 def test_truth_theorem_on_corpus_samples():
@@ -253,7 +252,6 @@ def test_witness_from_negated_example():
 def test_classical_ue_is_isomorphic_to_base():
     for base in [chain(3), fan(2), load("pencil-bad1").frame]:
         cue = classical_ue(base)
-        assert cue.witnesses == tuple(range(base.n))
         assert cue.frame.r_succ == base.r_succ
         assert validate(cue.frame).ok
     cue = classical_ue(chain(2), load("chain2"))
@@ -408,8 +406,8 @@ def test_ue_serialization():
     assert d["worlds"][2] == {"ultrafilter_witness": 1,
                               "label_min_sets": [[1]]}
     assert d["s_families"] == {"0": [[2, 2], [3, 3]]}
-    dot = ue_to_dot(ue, name="two")
-    assert dot.startswith("digraph two {")
+    dot = ue_to_dot(ue)
+    assert dot.startswith("digraph ue {")
     assert 'label="U1 [{1}]"' in dot
     assert "0 -> 2;" in dot
 

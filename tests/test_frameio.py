@@ -51,6 +51,7 @@ def test_parse_error_reports_line():
     "worlds", "worlds 2 3", "worlds 0", "worlds -1", "worlds two",
     "option", "option closure", "option closure maybe", "option loops on",
     "option closure on off", "Q 0 1", "r 0 1", "val",
+    "val P 0 1", "val 1p 0", "val p-q 1", "val F 0", "val _p",
 ])
 def test_frame_file_errors_name_their_line(bad):
     for line in (bad, f"  {bad}\t# with a comment"):
@@ -120,7 +121,7 @@ def test_to_dot_mentions_everything():
     assert '1 [label="1: p"];' in dot
     assert "0 -> 1;" in dot
     assert 'label="S(0)"' in dot
-    bare = to_dot(chain(2))
+    bare = to_dot(Model(chain(2)))
     assert '0 [label="0"];' in bare
 
 

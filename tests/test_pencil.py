@@ -183,7 +183,7 @@ def _naive_first_failure(m, depth, size_bound, vids, transfer=transfer_valuation
 
 def test_sweep_agrees_with_per_valuation_oracles():
     # every valuation at fan 1, a seeded sample at fan 3
-    assert nondefinability_demo(m=1, depth=1, size_bound=1).ok
+    assert nondefinability_demo(m=1, depth=1).ok
     assert _naive_first_failure(1, 1, 1, range(1 << 10)) is None
     r = checks.pencil_demo(fan=3, depth=2)
     assert (r.name, r.ok, r.detail) == (

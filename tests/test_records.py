@@ -44,9 +44,9 @@ RECORDS = [
      "CheckResult(name='pencil-demo', ok=True, detail='ok', seconds=0.25)"),
     (UEWorld, (Ultrafilter(2, 1), (Filter(2, 3), Filter(2, 2))), True, None),
     (UEVerdict, (False, (0, "p")), True, "UEVerdict(ok=False, detail=(0, 'p'))"),
-    (ClassicalUE, (CHAIN2, (0, 1)), False,
+    (ClassicalUE, (CHAIN2,), False,
      "ClassicalUE(frame=Frame(n=2, r_succ=(2, 0), s_succ=((0, 2), (0, 0))), "
-     "witnesses=(0, 1), model=None)"),
+     "model=None)"),
     (Ultrafilter, (3, 1), True, None),
     (Filter, (3, 5), True, None),
     (WorldSet, (3, 5), True, None),

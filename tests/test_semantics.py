@@ -404,4 +404,4 @@ def test_sweep_apart_takes_valuation_then_pair_then_formula(monkeypatch):
 
     bad, good = load("pencil-bad1"), load("pencil-good1")
     z = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (4, 5)]
-    assert all(equiv_up_to(bad, wl, good, wr, 2, ["p", "q"], 2) is None for wl, wr in z)
+    assert all(equiv_up_to(bad, wl, good, wr, 2, ["p", "q"]) is None for wl, wr in z)

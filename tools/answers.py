@@ -14,7 +14,19 @@ every answer:
   ``chain(5)`` and ``tree(2, 2)``;
 - ``query``: exit code, stdout and stderr of each CLI request of the
   benchmark's query workload, seeds 0 and 1, as ``perfbench/gen.py``'s
-  ``make_query`` writes them, run in a temporary directory.
+  ``make_query`` writes them, run in a temporary directory;
+- ``dot``: exit code and output of ``ilkit ue NAME --dot`` for every corpus
+  model, and of ``ilkit pencil-demo --fan 2 --depth 1 --dot-prefix`` with
+  the two DOT files it writes;
+- ``parse``: for 600 seeded texts (random formulas printed by ``to_str``,
+  then random token strings, most of them malformed), ``to_str`` of the
+  parse in all four print modes, or the ParseError and its position;
+- ``bisim``: ``max_bisim``, and ``check_bisim`` on that relation and on a
+  random subset of the pairs, for 200 seeded pairs of models over frames
+  of ``all_frames(n)``, n <= 3, with random valuations of p and q;
+- ``validate``: ``validate`` and ``complete`` (the frame or the
+  CompletionError text) of 600 seeded random seed relations, n <= 4, most
+  with upward pairs only.
 
 The answers of a tree come from a fresh interpreter that imports ilkit
 from that tree's ``src``.  With ``--diff OTHER_TREE`` both trees answer
@@ -32,14 +44,17 @@ import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("corpus", "frame-valid", "ue-json", "query")
+LAYERS = ("corpus", "frame-valid", "ue-json", "query", "dot", "parse", "bisim", "validate")
 QUERY_SEEDS = (0, 1)
+TOKENS = ("p", "q", "r1", "F", "T", "~", "[]", "<>", "&", "|", "->", "<->", "|>",
+          "(", ")", " ", "#", "P")
 
 # run in the fresh interpreter: argv[1] is the tree, argv[2] this tool's tree
 WORKER = """
@@ -112,6 +127,93 @@ def _query(cli):
     return answers
 
 
+def _dot(cli):
+    from ilkit.corpus import corpus_models
+
+    answers = [_run_cli(cli, ["ue", name, "--dot"]) for name, _ in corpus_models()]
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = Path(tmp) / "demo"
+        code, out, err = _run_cli(cli, ["pencil-demo", "--fan", "2", "--depth", "1",
+                                        "--dot-prefix", str(prefix)])
+        files = [Path(f"{prefix}-{tag}.dot").read_text() for tag in ("bad", "good")]
+        answers.append([code, out.replace(tmp, "TMP"), err.replace(tmp, "TMP"), files])
+    return answers
+
+
+def _random_formula(rng, depth):
+    from ilkit.formula import BOT, Atom, Box, Implies, Rhd, conj, dia, disj, neg
+
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([Atom("p"), Atom("q"), Atom("r1"), BOT])
+    pick = rng.randrange(7)
+    if pick < 3:
+        return (neg, Box, dia)[pick](_random_formula(rng, depth - 1))
+    return (Implies, Rhd, conj, disj)[pick - 3](
+        _random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+
+
+def _parse():
+    from ilkit.formula import ParseError, parse, to_str
+
+    rng = random.Random(0)
+    texts = [to_str(_random_formula(rng, 5), unicode=False, sugar=rng.random() < 0.5)
+             for _ in range(300)]
+    texts += ["".join(rng.choice(TOKENS) for _ in range(rng.randrange(1, 12)))
+              for _ in range(300)]
+    answers = []
+    for text in texts:
+        try:
+            f = parse(text)
+        except ParseError as exc:
+            answers.append([text, str(exc), exc.position])
+            continue
+        answers.append([text] + [to_str(f, unicode=u, sugar=s)
+                                 for u in (False, True) for s in (False, True)])
+    return answers
+
+
+def _bisim():
+    from ilkit.frames import Model, WorldSet, all_frames
+    from ilkit.semantics import check_bisim, max_bisim
+
+    rng = random.Random(0)
+    frames = [fr for n in range(1, 4) for fr in all_frames(n)]
+
+    def model():
+        fr = rng.choice(frames)
+        return Model(fr, {a: WorldSet(fr.n, rng.randrange(1 << fr.n)) for a in ("p", "q")})
+
+    answers = []
+    for _ in range(200):
+        ml, mr = model(), model()
+        z = sorted(max_bisim(ml, mr))
+        some = sorted((i, j) for i in range(ml.frame.n) for j in range(mr.frame.n)
+                      if rng.random() < 0.5)
+        answers.append([z, repr(check_bisim(ml, mr, z)), repr(check_bisim(ml, mr, some))])
+    return answers
+
+
+def _validate():
+    from ilkit.frames import CompletionError, Frame, complete, validate
+
+    rng = random.Random(0)
+    answers = []
+    for _ in range(600):
+        n, loose = rng.randrange(1, 5), rng.random() < 0.2
+        # upward R pairs close without a cycle; a loose draw may hold any pair
+        r = [(i, j) for i in range(n) for j in range(n)
+             if (loose or i < j) and rng.random() < 0.4]
+        s = [(w, i, j) for w in range(n) for i in range(n) for j in range(n)
+             if (loose or w < min(i, j)) and rng.random() < 0.15]
+        fr = Frame.build(n, r, s)
+        try:
+            done = repr(complete(fr))
+        except CompletionError as exc:
+            done = f"CompletionError: {exc}"
+        answers.append([repr(validate(fr)), done])
+    return answers
+
+
 def digests(tree):
     """Each layer's sha256, from the ilkit this interpreter imported, which
     must be ``tree``'s."""
@@ -122,7 +224,8 @@ def digests(tree):
     if Path(ilkit.__file__).resolve().parent != src:
         raise RuntimeError(f"imported ilkit from {ilkit.__file__}, not {src}")
     answers = {"corpus": _corpus(cli), "frame-valid": _frame_valid(),
-               "ue-json": _ue_json(), "query": _query(cli)}
+               "ue-json": _ue_json(), "query": _query(cli), "dot": _dot(cli),
+               "parse": _parse(), "bisim": _bisim(), "validate": _validate()}
     return {layer: hashlib.sha256(repr(answers[layer]).encode()).hexdigest()
             for layer in LAYERS}
 
